@@ -13,9 +13,8 @@ import numpy as np
 from fundfreq import (
     HarmonicModel,
     LinearProcessSpec,
-    fourier_grid,
     fourier_grid_init,
-    harmonic_criterion_qn,
+    grid_spectrum,
     periodogram,
     synthesize,
 )
@@ -32,8 +31,8 @@ for j in range(1, 5):
     print(f"periodogram peak near harmonic {j}: {peak:.4f} (true {0.25 * j})")
 
 # The harmonic criterion concentrates all four peaks at the fundamental.
-grid = fourier_grid(sig.n, 4)
-q_vals = [harmonic_criterion_qn(sig, float(lam), 4) for lam in grid]
+# On the Fourier grid, I and Q_N come from one FFT, by the routine the start uses.
+grid, _, q_vals = grid_spectrum(sig, 4)
 print(f"\nQ_N argmax over the Fourier grid: {grid[int(np.argmax(q_vals))]:.6f}")
 print("grid initializer (harmonic_sum):", f"{fourier_grid_init(sig, 4):.6f}")
 print("grid spacing 2*pi/n =", f"{2 * math.pi / sig.n:.6f}")

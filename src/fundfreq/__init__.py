@@ -41,7 +41,13 @@ from .signal import (
     synthesize,
     write_signal,
 )
-from .spectrum import fourier_grid, fourier_grid_init, harmonic_criterion_qn, periodogram
+from .spectrum import (
+    fourier_grid,
+    fourier_grid_init,
+    grid_spectrum,
+    harmonic_criterion_qn,
+    periodogram,
+)
 
 __version__ = "0.1.0"
 
@@ -74,6 +80,7 @@ __all__ = [
     "g",
     "g_derivatives",
     "generate_linear_process",
+    "grid_spectrum",
     "harmonic_criterion_qn",
     "lse_linear",
     "mean_correct",

@@ -2,7 +2,8 @@
 
 Subcommands: ``synth`` (write a synthetic signal file), ``estimate``
 (frequency + amplitudes + variances as JSON), ``periodogram`` (spectral CSV
-over the Fourier grid), ``simulate`` (Monte Carlo summary CSV), ``asymvar``
+over the Fourier grid, read from one FFT by the same routine as the
+estimator's start), ``simulate`` (Monte Carlo summary CSV), ``asymvar``
 (closed-form variance report).
 
 Exit codes: 0 success, 1 runtime or numerical failure, 2 usage error.
@@ -35,7 +36,7 @@ from .signal import (
     synthesize,
     write_signal,
 )
-from .spectrum import fourier_grid, harmonic_criterion_qn, periodogram
+from .spectrum import grid_spectrum
 
 _PRESETS = {"1": MODEL1, "2": MODEL2}
 
@@ -182,12 +183,10 @@ def cmd_estimate(args) -> int:
 
 def cmd_periodogram(args) -> int:
     sig = read_signal(args.input)
-    grid = fourier_grid(sig.n, args.p)
+    lams, i_vals, q_vals = grid_spectrum(sig, args.p)
     lines = ["lambda,I,Q_N"]
-    for lam in grid:
-        i_val = periodogram(sig, float(lam))
-        q_val = harmonic_criterion_qn(sig, float(lam), args.p)
-        lines.append(f"{lam:.5e},{i_val:.5e},{q_val:.5e}")
+    lines.extend(f"{lam:.5e},{i_val:.5e},{q_val:.5e}"
+                 for lam, i_val, q_val in zip(lams.tolist(), i_vals.tolist(), q_vals.tolist()))
     _write_text(args.out, "\n".join(lines))
     return 0
 

@@ -1,11 +1,15 @@
 """Periodogram, harmonic criterion, and the coarse Fourier-grid initializer.
 
-The initializer evaluates I or Q_N on the zero-padded grid 2*pi*k/(L*n)
-with one real FFT of length L*n: Q_N reads harmonic j of grid point k
-from FFT bin j*k.  L = 1 is the Fourier grid 2*pi*k/n itself.  A padded
-grid (L >= 4) keeps every harmonic within a fraction of a bin of its
-peak, so an off-grid fundamental does not lose the start to its octave
-2*lambda (Rife & Boorstyn, 1974, on padded-DFT starts).
+:func:`periodogram` and :func:`harmonic_criterion_qn` evaluate I and Q_N
+at any admissible frequency by direct exponential sums.  On the grid
+2*pi*k/(L*n) both come from one real FFT of length L*n, where Q_N reads
+harmonic j of grid point k from FFT bin j*k.  L = 1 is the Fourier grid
+2*pi*k/n itself: :func:`grid_spectrum` returns the spectrum there (the
+``fundfreq periodogram`` CSV), and :func:`fourier_grid_init` takes its
+start from the same FFT code on any L.  A padded grid (L >= 4) keeps every
+harmonic within a fraction of a bin of its peak, so an off-grid
+fundamental does not lose the start to its octave 2*lambda (Rife &
+Boorstyn, 1974, on padded-DFT starts).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ __all__ = [
     "harmonic_criterion_qn",
     "fourier_grid",
     "fourier_grid_init",
+    "grid_spectrum",
 ]
 
 
@@ -67,6 +72,51 @@ def fourier_grid(n: int, p: int) -> np.ndarray:
     return lams[lams < math.pi / p]
 
 
+def _grid_power(
+    signal: Signal, p: int, pad: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid 2*pi*k/(pad*n) in (0, pi/p) with the unscaled power sums on it.
+
+    Returns ``(lams, plain, harmonic)``: ``plain[k-1]`` is |X_k|^2 and
+    ``harmonic[k-1]`` is sum_{j<=p} |X_{jk}|^2, where X is the real FFT of
+    the signal zero-padded to length ``pad*n``.
+    """
+    if p < 1:
+        raise DomainError(f"p must be >= 1, got {p}")
+    if not (isinstance(pad, int) and pad >= 1):
+        raise DomainError(f"pad must be an integer >= 1, got {pad!r}")
+    n = signal.n
+    lams = fourier_grid(pad * n, p)
+    if lams.size == 0:
+        raise DomainError(f"no Fourier frequency lies in (0, pi/{p}) for n = {n}")
+    # |sum_t y(t) e^{-i 2 pi k t/(pad n)}|^2 for bins k = 0..pad*n/2; the
+    # time origin and the sign of the exponent drop out of the modulus.
+    # Every j*k with j <= p stays below pad*n/2 because lams < pi/p.
+    power = np.abs(np.fft.rfft(signal.samples, pad * n)) ** 2
+    ks = np.arange(1, lams.size + 1)
+    plain = power[ks]
+    harmonic = plain
+    for j in range(2, p + 1):
+        harmonic = harmonic + power[j * ks]
+    return lams, plain, harmonic
+
+
+def grid_spectrum(
+    signal: Signal, p: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """I and Q_N on every Fourier frequency 2*pi*k/n in (0, pi/p), from one FFT.
+
+    Returns ``(lams, I, Q_N)`` with ``lams`` the grid of
+    :func:`fourier_grid`, I = |X_k|^2/n and Q_N = sum_{j<=p} |X_{jk}|^2/n^2,
+    the values :func:`periodogram` and :func:`harmonic_criterion_qn` give
+    at those frequencies.  Raises :class:`DomainError` when no grid point
+    is admissible.
+    """
+    n = signal.n
+    lams, plain, harmonic = _grid_power(signal, p, 1)
+    return lams, plain / n, harmonic / n**2
+
+
 def fourier_grid_init(
     signal: Signal, p: int, mode: str = "harmonic_sum", pad: int = 1
 ) -> float:
@@ -74,25 +124,18 @@ def fourier_grid_init(
 
     ``mode="plain"`` maximizes the periodogram I; ``mode="harmonic_sum"``
     (default) maximizes Q_N, which cannot lock onto a bare harmonic of the
-    fundamental the way a plain periodogram can.  Both are read from one
-    real FFT of the signal zero-padded to length ``pad*n``; ``pad=1`` is
-    the Fourier grid of :func:`fourier_grid`.  The result is exactly a
-    grid point; ties break toward the smaller frequency.
+    fundamental the way a plain periodogram can.  Both are read from the
+    FFT code of :func:`grid_spectrum`, zero-padded to length ``pad*n`` and
+    taken before the scaling by 1/n or 1/n^2 (which could round two
+    neighbours into a tie); ``pad=1`` is the Fourier grid of
+    :func:`fourier_grid`.  The result is exactly a grid point; ties
+    break toward the smaller frequency.
     """
     if mode not in ("plain", "harmonic_sum"):
         raise DomainError(f"unknown init mode {mode!r}")
-    if not (isinstance(pad, int) and pad >= 1):
-        raise DomainError(f"pad must be an integer >= 1, got {pad!r}")
     n = signal.n
     if n < 10 * p:
         raise DomainError(f"need n >= 10*p = {10 * p}, got n = {n}")
-    grid = fourier_grid(pad * n, p)
-    if grid.size == 0:
-        raise DomainError(f"no Fourier frequency lies in (0, pi/{p}) for n = {n}")
-    # |sum_t y(t) e^{-i 2 pi k t/(pad n)}|^2 for bins k = 0..pad*n/2; the
-    # time origin and the sign of the exponent drop out of the modulus.
-    power = np.abs(np.fft.rfft(signal.samples, pad * n)) ** 2
-    ks = np.arange(1, grid.size + 1)
-    harmonics = 1 if mode == "plain" else p
-    vals = sum(power[j * ks] for j in range(1, harmonics + 1))
-    return float(grid[int(np.argmax(vals))])  # argmax keeps the first of ties
+    lams, plain, harmonic = _grid_power(signal, p, pad)
+    vals = plain if mode == "plain" else harmonic
+    return float(lams[int(np.argmax(vals))])  # argmax keeps the first of ties

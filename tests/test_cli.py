@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fundfreq.cli import main
@@ -119,6 +120,70 @@ class TestPeriodogram:
             1 for k in range(1, n // 2 + 1) if 2 * math.pi * k / n < math.pi / p
         )
         assert len(lines) - 1 == expected
+
+    @staticmethod
+    def _exact_row(y, k, p):
+        """(lambda, I, Q_N) at 2*pi*k/n from direct sums with exact phases.
+
+        The phase 2*pi*((m*t) mod n)/n reduces m*t in integers before any
+        rounding, so it keeps full accuracy at large t.
+        """
+        n = y.size
+        t = np.arange(1, n + 1)
+
+        def power(m):
+            phase = 2.0 * math.pi * ((m * t) % n) / n
+            re, im = math.fsum(y * np.cos(phase)), math.fsum(y * np.sin(phase))
+            return re * re + im * im
+
+        q_val = math.fsum(power(j * k) for j in range(1, p + 1)) / n**2
+        return 2.0 * math.pi * k / n, power(k) / n, q_val
+
+    def _periodogram_rows(self, tmp_path, capsys, synth_args, p):
+        path = tmp_path / "sig.txt"
+        run_cli(["synth", *synth_args, "--out", str(path)], capsys)
+        code, out, _ = run_cli(
+            ["periodogram", "--input", str(path), "--p", str(p)], capsys
+        )
+        assert code == 0
+        return np.loadtxt(path), out.strip().splitlines()[1:]
+
+    def test_values_match_exact_phase_reference(self, tmp_path, capsys):
+        p = 4
+        y, rows = self._periodogram_rows(
+            tmp_path, capsys,
+            ["--preset", "1", "--n", "200", "--noise", "ma:1,0.5",
+             "--sigma2", "0.25", "--seed", "2"],
+            p,
+        )
+        assert len(rows) == 24
+        for k, row in enumerate(rows, start=1):
+            expected = ",".join(f"{v:.5e}" for v in self._exact_row(y, k, p))
+            assert row == expected
+
+    def test_large_t_row_matches_exact_phase_reference(self, tmp_path, capsys):
+        # exact I = 6.384754999979e-03 (40-digit arithmetic): a direct sum
+        # with phases lam*t rounded at large t printed 6.38476e-03
+        y, rows = self._periodogram_rows(
+            tmp_path, capsys, ["--preset", "2", "--n", "4000"], 1
+        )
+        k = 946
+        i_field = rows[k - 1].split(",")[1]
+        assert i_field == "6.38475e-03"
+        assert i_field == f"{self._exact_row(y, k, 1)[1]:.5e}"
+
+    def test_empty_grid_is_runtime_error(self, tmp_path, capsys):
+        # n = 5: the first Fourier frequency 2*pi/5 already exceeds pi/4
+        path = tmp_path / "short.txt"
+        path.write_text("\n".join(["0.5", "-1.0", "2.0", "0.25", "1.5"]) + "\n")
+        code, out, err = run_cli(
+            ["periodogram", "--input", str(path), "--p", "4"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert "no Fourier frequency lies in (0, pi/4)" in err
+        code, _, _ = run_cli(["estimate", "--input", str(path), "--p", "4"], capsys)
+        assert code == 1
 
 
 class TestSimulate:

@@ -1,0 +1,28 @@
+"""The narrative demos run to completion."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# 05_monte_carlo_tables.py is left out: it runs for about half a minute.
+DEMOS = [
+    "01_synthesize_and_inspect.py",
+    "02_periodogram_and_grid_start.py",
+    "03_estimate_fundamental.py",
+    "04_asymptotic_variances.py",
+]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

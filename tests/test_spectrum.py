@@ -12,6 +12,7 @@ from fundfreq import (
     Signal,
     fourier_grid,
     fourier_grid_init,
+    grid_spectrum,
     harmonic_criterion_qn,
     periodogram,
     synthesize,
@@ -144,14 +145,15 @@ class TestFourierGridInit:
 
     @pytest.mark.parametrize("mode", ["plain", "harmonic_sum"])
     def test_padded_grid_matches_direct_scan(self, model2, mode):
-        # oracle: direct exponential sums over the grid 2*pi*k/(8n)
+        # oracle: direct exponential sums over the grid 2*pi*k/(pad*n)
         sig = synthesize(model2, 250, LinearProcessSpec((1.0, 0.5), 0.25), seed=6)
-        grid = fourier_grid(8 * sig.n, 4)
-        if mode == "plain":
-            vals = [periodogram(sig, float(lam)) for lam in grid]
-        else:
-            vals = [harmonic_criterion_qn(sig, float(lam), 4) for lam in grid]
-        assert fourier_grid_init(sig, 4, mode, pad=8) == grid[int(np.argmax(vals))]
+        for p, pad in ((4, 8), (4, 1), (1, 8), (1, 1)):
+            grid = fourier_grid(pad * sig.n, p)
+            if mode == "plain":
+                vals = [periodogram(sig, float(lam)) for lam in grid]
+            else:
+                vals = [harmonic_criterion_qn(sig, float(lam), p) for lam in grid]
+            assert fourier_grid_init(sig, p, mode, pad=pad) == grid[int(np.argmax(vals))]
 
     def test_pad_validation(self, m1_clean_512):
         for pad in (0, 2.0):
@@ -162,3 +164,15 @@ class TestFourierGridInit:
         sig = Signal(np.ones(20))
         with pytest.raises(DomainError):
             fourier_grid_init(sig, 4)  # n < 10 p
+
+
+class TestGridSpectrum:
+    def test_matches_point_functions(self, model1):
+        sig = synthesize(model1, 200, LinearProcessSpec((1.0, 0.5), 0.25), seed=5)
+        lams, i_vals, q_vals = grid_spectrum(sig, 4)
+        np.testing.assert_array_equal(lams, fourier_grid(sig.n, 4))
+        for lam, i_val, q_val in zip(lams, i_vals, q_vals):
+            assert i_val == pytest.approx(periodogram(sig, float(lam)), rel=1e-9)
+            assert q_val == pytest.approx(
+                harmonic_criterion_qn(sig, float(lam), 4), rel=1e-9
+            )
