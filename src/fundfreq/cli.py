@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .asymptotics import asymptotic_variances
@@ -97,13 +96,6 @@ def _load_model_file(path: str) -> HarmonicModel:
         lam=float(raw["lambda"]),
         amplitudes=tuple((float(a), float(b)) for a, b in raw["amplitudes"]),
     )
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("FUNDFREQ_THREADS")
-    return int(env) if env else 1
 
 
 def cmd_synth(args) -> int:
@@ -201,7 +193,7 @@ def cmd_simulate(args) -> int:
         replications=args.reps,
         master_seed=args.seed,
     )
-    rows = run_experiment(spec, threads=_threads(args))
+    rows = run_experiment(spec)
     _write_text(args.out, "\n".join(summary_csv_lines(rows)))
     return 0
 
@@ -291,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated innovation variances")
     p_sim.add_argument("--reps", type=_positive_int, default=500)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--threads", type=_positive_int, default=None,
-                       help="worker threads (default FUNDFREQ_THREADS or 1)")
     p_sim.add_argument("--out", default=None)
     p_sim.set_defaults(func=cmd_simulate)
 

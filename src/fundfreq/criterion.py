@@ -11,9 +11,13 @@ which is ||Y||^2 minus the least squares residual sum of squares over all
 Derivatives never form an n x n matrix: with T = diag(1, .., n) and
 K = blockdiag(j E), E = [[0,1],[-1,0]], the frequency derivatives of the
 design are dX/dlam = T X K and d2X/dlam2 = T^2 X K^2, so g' and g'' contract
-to the 2p x 2p moments X'T^kX and the 2p-vectors X'T^kY, k = 0, 1, 2,
-accumulated over row chunks (Nielsen et al., Signal Processing 135, 2017,
-on the exact least squares pitch criterion).
+to the 2p x 2p moments X'T^kX and the 2p-vectors X'T^kY, k = 0, 1, 2
+(Nielsen et al., Signal Processing 135, 2017, on the exact least squares
+pitch criterion).  All of them are blocks of one Gram-type product, summed
+over chunks of samples; each chunk takes one complex exponential
+e^{i lam t} per sample, whose running powers give every harmonic's cos and
+sin.  X'X is factored once by Cholesky, and the inverse factor serves
+every solve.
 
 The per-harmonic blocks (``compute_moments``, ``r_j``) are the 2x2
 diagonal blocks of the same design; the per-harmonic amplitude solve
@@ -38,12 +42,7 @@ __all__ = [
     "g_derivatives",
     "g_with_derivatives",
     "lse_coefficients",
-    "EXCHANGE",
 ]
-
-# Antisymmetric exchange matrix: rotates (cos, sin) columns into their
-# frequency derivatives.
-EXCHANGE = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 # Relative determinant floor for the 2x2 normal equations, scaled by n^2
 # (det(X'X) ~ n^2/4 away from degenerate frequencies).  The joint 2p-column
@@ -129,9 +128,7 @@ def r_j(signal: Signal, j: int, lam: float) -> float:
 
 def g(signal: Signal, p: int, lam: float) -> float:
     """Criterion g(lam) = Y'X (X'X)^{-1} X'Y over all 2p design columns."""
-    _check_p_lam(p, lam)
-    (m,), (u,) = _design_moments(signal, p, lam, False)
-    z = np.linalg.solve(_cholesky(m, signal.n, lam), u)
+    z = _whitened(signal, p, lam)[1]
     return float(z @ z)
 
 
@@ -156,62 +153,68 @@ def g_with_derivatives(signal: Signal, p: int, lam: float) -> tuple[float, float
         g'' = 2 [r'M^{-1}r - (J^2 a)'(w - Ba) - (Ka)'B(Ka)].
     """
     _check_p_lam(p, lam)
-    (m, a_mat, b_mat), (u, v, w) = _design_moments(signal, p, lam, True)
-    chol = _cholesky(m, signal.n, lam)
-    k = np.kron(np.diag(np.arange(1.0, p + 1)), EXCHANGE)
-    a = _cho_solve(chol, u)
-    ka = k @ a
-    v_res = v - a_mat @ a                  # X'T(Y - Xa)
-    r = k.T @ v_res - a_mat @ ka           # dX'Y - d(X'X) a
-    z = np.linalg.solve(chol, r)
-    j2a = -(k @ ka)                        # J^2 a
-    gv = u @ a
-    gp = 2.0 * (ka @ v_res)
-    gpp = 2.0 * (z @ z - j2a @ (w - b_mat @ a) - ka @ (b_mat @ ka))
-    return float(gv), float(gp), float(gpp)
+    q = 2 * p
+    mom = _moments(signal, p, lam, True)
+    u, v, w = mom[:q, 2 * q], mom[q : 2 * q, 2 * q], mom[q : 2 * q, 2 * q + 1]
+    linv = _inverse_factor(mom[:q, :q], signal.n, lam)
+    a = linv.T @ (linv @ u)
+    # On (cos, sin) pairs read as complex numbers, K, K' = -K and J^2 are
+    # multiplications by -i j, i j and j^2.
+    j = np.arange(1.0, p + 1)
+    ka = (a.view(complex) * (-1j * j)).view(float)
+    ab = mom[: 2 * q, q : 2 * q]           # [A; B]
+    ab_a, ab_ka = ab @ a, ab @ ka
+    v_res = v - ab_a[:q]                   # X'T(Y - Xa)
+    z = linv @ ((v_res.view(complex) * (1j * j)).view(float) - ab_ka[:q])   # L^{-1} r
+    j2a = (a.view(complex) * (j * j)).view(float)
+    gpp = 2.0 * (z @ z - j2a @ (w - ab_a[q:]) - ka @ ab_ka[q:])
+    return float(u @ a), float(2.0 * (ka @ v_res)), float(gpp)
 
 
 def lse_coefficients(signal: Signal, p: int, lam: float) -> np.ndarray:
     """Joint least squares coefficients (A_1, B_1, .., A_p, B_p) at ``lam``."""
+    linv, z = _whitened(signal, p, lam)
+    return linv.T @ z
+
+
+def _whitened(signal: Signal, p: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """(L^{-1}, L^{-1} X'Y) for the Cholesky factor L of X'X = LL'."""
     _check_p_lam(p, lam)
-    (m,), (u,) = _design_moments(signal, p, lam, False)
-    return _cho_solve(_cholesky(m, signal.n, lam), u)
+    q = 2 * p
+    mom = _moments(signal, p, lam, False)
+    linv = _inverse_factor(mom[:q, :q], signal.n, lam)
+    return linv, linv @ mom[:q, q]
 
 
-def _design_moments(
-    signal: Signal, p: int, lam: float, derivatives: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked moments [X'X, X'TX, X'T^2X] and [X'Y, X'TY, X'T^2Y].
+def _moments(signal: Signal, p: int, lam: float, derivatives: bool) -> np.ndarray:
+    """Products D S' of the design rows D = [X'; (TX)'] with S = [D; Y'; (TY)'].
 
-    Only the first of each is accumulated unless ``derivatives`` is set.
-    The design is built ``_CHUNK`` rows at a time.
+    X'X, X'TX and X'T^2X are its square blocks, X'Y, X'TY and X'T^2Y its
+    last two columns; the (TX)' rows are left out unless ``derivatives``.
     """
     y = signal.samples
-    n = y.size
-    freqs = np.arange(1, p + 1) * lam
-    count = 3 if derivatives else 1
-    mats = np.zeros((count, 2 * p, 2 * p))
-    vecs = np.zeros((count, 2 * p))
-    for lo in range(0, n, _CHUNK):
-        t = np.arange(lo + 1, min(lo + _CHUNK, n) + 1, dtype=float)
-        yc = y[lo : lo + t.size]
-        phase = np.outer(t, freqs)
-        x = np.empty((t.size, 2 * p))
-        x[:, 0::2] = np.cos(phase)
-        x[:, 1::2] = np.sin(phase)
-        mats[0] += x.T @ x
-        vecs[0] += yc @ x
+    q = 2 * p
+    rows = 2 * q if derivatives else q
+    mom = 0.0
+    for lo in range(0, y.size, _CHUNK):
+        t = np.arange(lo + 1, min(lo + _CHUNK, y.size) + 1, dtype=float)
+        z = np.empty((p, t.size), dtype=complex)
+        np.exp((1j * lam) * t, out=z[0])
+        for j in range(1, p):
+            np.multiply(z[j - 1], z[0], out=z[j])
+        s = np.empty((rows + 2, t.size))
+        s[0:q:2] = z.real
+        s[1:q:2] = z.imag
         if derivatives:
-            tx = t[:, None] * x
-            mats[1] += x.T @ tx
-            mats[2] += tx.T @ tx
-            vecs[1] += yc @ tx
-            vecs[2] += (t * yc) @ tx
-    return mats, vecs
+            np.multiply(s[:q], t, out=s[q:rows])
+        s[-2] = y[lo : lo + t.size]
+        np.multiply(t, s[-2], out=s[-1])
+        mom = mom + s[:rows] @ s.T
+    return mom
 
 
-def _cholesky(m: np.ndarray, n: int, lam: float) -> np.ndarray:
-    """Lower Cholesky factor of X'X, guarded against degeneracy.
+def _inverse_factor(m: np.ndarray, n: int, lam: float) -> np.ndarray:
+    """Inverse L^{-1} of the lower Cholesky factor of X'X = LL'.
 
     X'X is singular when some j*lam nears 0 or pi; the guard is a floor on
     every squared pivot, scaled by n.
@@ -221,17 +224,12 @@ def _cholesky(m: np.ndarray, n: int, lam: float) -> np.ndarray:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         chol = None
-    if chol is None or not np.all(np.diag(chol) ** 2 >= floor):
+    if chol is None or not chol.diagonal().min() ** 2 >= floor:
         raise DegenerateFrequencyError(
             f"X'X singular at lambda={lam:.6g} over {m.shape[0]} columns "
             f"(pivot floor {floor:.3e})"
         )
-    return chol
-
-
-def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """M^{-1} b given the lower Cholesky factor of M."""
-    return np.linalg.solve(chol.T, np.linalg.solve(chol, b))
+    return np.linalg.inv(chol)
 
 
 def _check_p_lam(p: int, lam: float) -> None:

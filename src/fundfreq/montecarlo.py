@@ -2,8 +2,8 @@
 
 Every replication draws its noise from a stream seed derived by hashing
 (master_seed, n, sigma2, replication index) with BLAKE2b, so a cell's
-results do not depend on execution order, thread count, or which other
-cells run in the same process.
+results do not depend on execution order or on which other cells run in
+the same process.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,24 +120,17 @@ def _run_one(spec: ExperimentSpec, n: int, sigma2: float, rep: int) -> float | N
     return lam_hat
 
 
-def run_experiment(spec: ExperimentSpec, threads: int = 1) -> list[SummaryRow]:
+def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
     """Run every (n, sigma2) cell of the experiment.
 
-    Replications are independent tasks; results are gathered into a
-    replication-indexed array and aggregated in fixed order, so the output
-    is bit-identical for every ``threads`` setting.
+    Replications run one after another in index order and are aggregated
+    in that order; each draws its noise from its own seed, so a
+    cell's row is the same whether it runs alone or within a larger grid.
     """
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
     rows = []
     for n in spec.sample_sizes:
         for sigma2 in spec.sigma2_values:
-            reps = range(spec.replications)
-            if threads == 1:
-                results = [_run_one(spec, n, sigma2, r) for r in reps]
-            else:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    results = list(pool.map(lambda r: _run_one(spec, n, sigma2, r), reps))
+            results = [_run_one(spec, n, sigma2, r) for r in range(spec.replications)]
             estimates = np.array([x for x in results if x is not None])
             failures = spec.replications - estimates.size
             if estimates.size >= 2:

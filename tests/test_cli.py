@@ -198,21 +198,16 @@ class TestSimulate:
         assert lines[0] == "n,sigma2,average,variance,asym_var_lse,asym_var_mnr,failures"
         assert len(lines) == 2
 
-    def test_thread_invariant_output(self, tmp_path, capsys):
+    def test_grid_output_matches_cells_run_alone(self, capsys):
         args = ["simulate", "--preset", "1", "--noise", "ma:1,0.5", "--n", "100",
-                "--sigma2", "0.25,1.0", "--reps", "16", "--seed", "9"]
-        _, out1, _ = run_cli(args + ["--threads", "1"], capsys)
-        _, out3, _ = run_cli(args + ["--threads", "3"], capsys)
-        assert out1 == out3
-
-    def test_env_threads_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("FUNDFREQ_THREADS", "2")
-        code, out, _ = run_cli(
-            ["simulate", "--preset", "2", "--noise", "iid", "--n", "100",
-             "--sigma2", "0.25", "--reps", "4", "--seed", "1"],
-            capsys,
-        )
+                "--reps", "16", "--seed", "9", "--sigma2"]
+        code, whole, _ = run_cli(args + ["0.25,1.0"], capsys)
         assert code == 0
+        _, cell_a, _ = run_cli(args + ["0.25"], capsys)
+        _, cell_b, _ = run_cli(args + ["1.0"], capsys)
+        assert whole.splitlines() == cell_a.splitlines() + cell_b.splitlines()[1:]
+        _, again, _ = run_cli(args + ["0.25,1.0"], capsys)
+        assert again == whole
 
     def test_model_flag_accepts_preset_and_file(self, tmp_path, capsys):
         args = ["--noise", "iid", "--n", "100", "--sigma2", "0.25",

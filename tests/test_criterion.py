@@ -21,6 +21,7 @@ from fundfreq import (
     r_j,
     synthesize,
 )
+from fundfreq.criterion import g_with_derivatives, lse_coefficients
 from conftest import fd_derivatives
 
 BETA_STAR_1 = 377.5625  # sum j^2 (A_j^2+B_j^2) for benchmark model 1
@@ -158,6 +159,51 @@ class TestDerivatives:
     def test_domain(self, m1_clean_1000):
         with pytest.raises(DomainError):
             g_derivatives(m1_clean_1000, 4, math.pi / 4)
+
+
+class TestDenseOracle:
+    """The chunked 2p-column criterion against one dense n x 2p solve.
+
+    Sizes straddle the 1024-row chunk boundary, so the moments of the last
+    chunk and the sums across chunks are both exercised.
+    """
+
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 3 * 1024 + 7])
+    @pytest.mark.parametrize("p", [1, 4])
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_matches_lstsq(self, model1, n, p, noisy):
+        noise = LinearProcessSpec((1.0, 0.5), 0.25) if noisy else None
+        sig = synthesize(model1, n, noise, seed=n)
+        lam = 0.2503  # off the peak, so g' is far from zero
+
+        def dense(x):
+            t = np.arange(1, n + 1, dtype=float)
+            phase = np.outer(t, np.arange(1, p + 1) * x)
+            design = np.empty((n, 2 * p))
+            design[:, 0::2] = np.cos(phase)
+            design[:, 1::2] = np.sin(phase)
+            coef = np.linalg.lstsq(design, sig.samples, rcond=None)[0]
+            return float(sig.samples @ (design @ coef)), coef
+
+        g_ref, coef_ref = dense(lam)
+        fd1, fd2 = fd_derivatives(lambda x: dense(x)[0], lam, 1e-6 * lam)
+        gv, gp, gpp = g_with_derivatives(sig, p, lam)
+        assert g(sig, p, lam) == pytest.approx(g_ref, rel=1e-11)
+        assert gv == pytest.approx(g_ref, rel=1e-11)
+        assert gp == pytest.approx(fd1, rel=1e-4)
+        assert gpp == pytest.approx(fd2, rel=1e-3)
+        coef = lse_coefficients(sig, p, lam)
+        assert np.abs(coef - coef_ref).max() < 1e-9 * np.abs(coef_ref).max()
+
+
+class TestDegeneracyGuard:
+    @pytest.mark.parametrize("lam", [1e-6, math.pi / 4 - 1e-9])
+    @pytest.mark.parametrize("fn", [g, g_with_derivatives, lse_coefficients])
+    def test_joint_criterion_raises_near_edges(self, model1, fn, lam):
+        # harmonic 1 near frequency 0, or harmonic 4 near pi: X'X is singular
+        sig = synthesize(model1, 3000, LinearProcessSpec((1.0, 0.5), 0.25), seed=3)
+        with pytest.raises(DegenerateFrequencyError):
+            fn(sig, 4, lam)
 
 
 def _random_model(seed):

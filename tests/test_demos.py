@@ -9,12 +9,12 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-# 05_monte_carlo_tables.py is left out: it runs for about half a minute.
 DEMOS = [
     "01_synthesize_and_inspect.py",
     "02_periodogram_and_grid_start.py",
     "03_estimate_fundamental.py",
     "04_asymptotic_variances.py",
+    "05_monte_carlo_tables.py",
 ]
 
 

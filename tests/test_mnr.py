@@ -173,7 +173,7 @@ class TestStatisticalGuards:
             replications=150,
             master_seed=0,
         )
-        row = run_experiment(spec, threads=4)[0]
+        row = run_experiment(spec)[0]
         assert row.mean_estimate == pytest.approx(0.3141, abs=5e-4)
 
     def test_variance_shrinks_with_sample_size(self, model1):

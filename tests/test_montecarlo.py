@@ -53,10 +53,17 @@ class TestDeterminism:
         rows_b = run_experiment(small_spec())
         assert rows_a == rows_b
 
-    def test_thread_count_invariance(self):
-        rows_serial = run_experiment(small_spec(), threads=1)
-        rows_parallel = run_experiment(small_spec(), threads=4)
-        assert summary_csv_lines(rows_serial) == summary_csv_lines(rows_parallel)
+    def test_grid_matches_cells_run_alone(self):
+        # per-replication seeds: a cell's row does not depend on the grid
+        spec = small_spec(sample_sizes=(100, 120), sigma2_values=(0.25, 1.0))
+        whole = summary_csv_lines(run_experiment(spec))
+        cells = [
+            summary_csv_lines(run_experiment(
+                small_spec(sample_sizes=(n,), sigma2_values=(s2,))))[1]
+            for n in spec.sample_sizes for s2 in spec.sigma2_values
+        ]
+        assert whole[1:] == cells
+        assert summary_csv_lines(run_experiment(spec)) == whole
 
     def test_master_seed_changes_results(self):
         a = run_experiment(small_spec())[0]
@@ -67,7 +74,7 @@ class TestDeterminism:
 class TestAggregation:
     def test_variance_shrinks_from_n100_to_n1000(self):
         spec = small_spec(sample_sizes=(100, 1000), replications=50, master_seed=3)
-        rows = {r.n: r for r in run_experiment(spec, threads=4)}
+        rows = {r.n: r for r in run_experiment(spec)}
         assert rows[1000].empirical_variance < rows[100].empirical_variance
 
     def test_variance_monotone_in_sigma2(self):
@@ -75,7 +82,7 @@ class TestAggregation:
         spec = small_spec(
             sigma2_values=(0.01, 0.25, 0.75, 1.0), replications=500, master_seed=0
         )
-        rows = run_experiment(spec, threads=4)
+        rows = run_experiment(spec)
         variances = [r.empirical_variance for r in rows]
         assert variances == sorted(variances)
 
@@ -89,7 +96,7 @@ class TestAggregation:
             sample_sizes=(1000,), sigma2_values=(0.01,),
             replications=200, master_seed=0,
         )
-        row = run_experiment(spec, threads=4)[0]
+        row = run_experiment(spec)[0]
         std_err = math.sqrt(row.empirical_variance / row.replications)
         assert abs(row.mean_estimate - 0.25) < 4.0 * std_err
         assert row.failure_count == 0
