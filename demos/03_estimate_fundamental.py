@@ -17,6 +17,7 @@ from fundfreq import (
     sample_acf,
     synthesize,
 )
+from fundfreq.criterion import lse_coefficients
 from fundfreq.montecarlo import MODEL1
 
 noise = LinearProcessSpec((1.0, 0.5), 0.25)
@@ -33,20 +34,21 @@ if len(trace.records) > 6:
     print(f"  ... {len(trace.records) - 6} more steps to "
           f"lam={last.lam:.8f} at iteration {last.iteration}")
 
-# Amplitudes: the 2p-column joint solve (exact normal equations, the
-# default) and per-harmonic 2x2 solves, which leak O(1/n) between harmonics.
-per = lse_linear(sig, lam_hat, 4, joint=False)
-joint = lse_linear(sig, lam_hat, 4)
+# Amplitudes: the 2p-column solve (exact normal equations) and each
+# harmonic's own 2x2 solve, the p = 1 case at j*lambda_hat, which leaks
+# O(1/n) between harmonics.
+per = [lse_coefficients(sig, 1, j * lam_hat) for j in range(1, 5)]
+full = lse_linear(sig, lam_hat, 4)
 approx = alse_linear(sig, lam_hat, 4)
-print("\nharmonic   truth            per-harmonic      joint             approx(2/n)")
-for j, (truth, a, b, c) in enumerate(zip(MODEL1.amplitudes, per, joint, approx), 1):
+print("\nharmonic   truth            per-harmonic      2p-column         approx(2/n)")
+for j, (truth, a, b, c) in enumerate(zip(MODEL1.amplitudes, per, full, approx), 1):
     print(f"  {j}      ({truth[0]:.2f}, {truth[1]:.2f})   "
           f"({a[0]:5.2f}, {a[1]:5.2f})   ({b[0]:5.2f}, {b[1]:5.2f})   "
           f"({c[0]:5.2f}, {c[1]:5.2f})")
 
 # Residual diagnostics: variance near the noise process variance (0.3125)
 # and short-memory autocorrelation (MA(1) lag-1 correlation 0.4).
-res = residuals(sig, lam_hat, joint)
+res = residuals(sig, lam_hat, full)
 acf = sample_acf(res, 5)
 print(f"\nresidual variance {res.var():.4f} (noise process variance "
       f"{noise.process_variance:.4f})")

@@ -9,7 +9,7 @@ with a deterministic Monte Carlo harness.
 """
 
 from .asymptotics import AsymptoticReport, asymptotic_variances, spectral_weight_c
-from .criterion import HarmonicDesignMoments, compute_moments, g, g_derivatives, r_j
+from .criterion import HarmonicDesignMoments, compute_moments, g, g_derivatives
 from .errors import (
     BoundaryError,
     CurvatureError,
@@ -87,7 +87,6 @@ __all__ = [
     "mnr_step",
     "periodogram",
     "polar_to_cartesian",
-    "r_j",
     "read_signal",
     "replication_seed",
     "residuals",

@@ -1,4 +1,4 @@
-"""Least squares criterion g, its analytic derivatives, and per-harmonic blocks.
+"""Least squares criterion g, its analytic derivatives, and the amplitude solve.
 
 At trial frequency ``lam`` the design matrix has 2p columns,
 
@@ -19,9 +19,10 @@ e^{i lam t} per sample, whose running powers give every harmonic's cos and
 sin.  X'X is factored once by Cholesky, and the inverse factor serves
 every solve.
 
-The per-harmonic blocks (``compute_moments``, ``r_j``) are the 2x2
-diagonal blocks of the same design; the per-harmonic amplitude solve
-(``lse_linear(..., joint=False)``) uses them.
+A single harmonic j is the p = 1 case at frequency j*lam: its projection
+norm R_j is g(signal, 1, j*lam), its own 2x2 amplitude solve is
+lse_coefficients(signal, 1, j*lam), and ``compute_moments`` reads its six
+moment blocks off the same kernel, with D = jT in place of T.
 """
 
 from __future__ import annotations
@@ -37,18 +38,15 @@ from .signal import Signal
 __all__ = [
     "HarmonicDesignMoments",
     "compute_moments",
-    "r_j",
     "g",
     "g_derivatives",
     "g_with_derivatives",
     "lse_coefficients",
 ]
 
-# Relative determinant floor for the 2x2 normal equations, scaled by n^2
-# (det(X'X) ~ n^2/4 away from degenerate frequencies).  The joint 2p-column
-# solve applies it, scaled by n, to each squared Cholesky pivot of X'X
-# (~ n/2 away from degenerate frequencies).
-_DET_FLOOR = 1e-10
+# Floor on each squared Cholesky pivot of X'X, relative to n (a squared
+# pivot is ~ n/2 away from degenerate frequencies).
+_PIVOT_FLOOR = 1e-10
 
 # Rows of the design built at a time; bounds the working memory at large n.
 _CHUNK = 1024
@@ -56,14 +54,16 @@ _CHUNK = 1024
 
 @dataclass(frozen=True)
 class HarmonicDesignMoments:
-    """Per-harmonic moment blocks for fixed (j, lam, n).
+    """Moment blocks of harmonic j alone for fixed (j, lam, n).
+
+    Here X = [cos(j lam t), sin(j lam t)] and D = diag(j t).
 
     Attributes
     ----------
     m_xx : 2x2 ndarray
         X'X (symmetric positive semidefinite).
     m_xdx : 2x2 ndarray
-        X'DX (symmetric; D carries one factor of j*t).
+        X'DX (symmetric).
     m_xd2x : 2x2 ndarray
         X'D^2X (symmetric).
     v_xy, v_dxy, v_d2xy : 2-vectors
@@ -80,50 +80,21 @@ class HarmonicDesignMoments:
     v_dxy: np.ndarray
     v_d2xy: np.ndarray
 
-    def inverse_xx(self) -> np.ndarray:
-        """Exact 2x2 inverse of m_xx, guarded against degeneracy."""
-        m = self.m_xx
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if not math.isfinite(det) or abs(det) < _DET_FLOOR * self.n**2:
-            raise DegenerateFrequencyError(
-                f"X'X singular at j={self.j}, lambda={self.lam:.6g} "
-                f"(det={det:.3e}, floor={_DET_FLOOR * self.n ** 2:.3e})"
-            )
-        return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
-
 
 def compute_moments(signal: Signal, j: int, lam: float) -> HarmonicDesignMoments:
-    """Accumulate the six moment blocks by direct O(n) trigonometric sums."""
+    """The six moment blocks of harmonic j: the p = 1 kernel at j*lam, D = jT."""
     if j < 1:
         raise DomainError(f"j must be >= 1, got {j}")
     if not (0.0 < j * lam < math.pi):
         raise DomainError(f"need 0 < j*lambda < pi, got j={j}, lambda={lam}")
-    y = signal.samples
-    n = y.size
-    t = np.arange(1, n + 1, dtype=float)
-    c = np.cos((j * lam) * t)
-    s = np.sin((j * lam) * t)
-    d = j * t
-    dc = d * c
-    ds = d * s
-    cs = c @ s
-    dcs = dc @ s
-    d2cs = dc @ ds
-    m_xx = np.array([[c @ c, cs], [cs, s @ s]])
-    m_xdx = np.array([[dc @ c, dcs], [dcs, ds @ s]])
-    m_xd2x = np.array([[dc @ dc, d2cs], [d2cs, ds @ ds]])
-    v_xy = np.array([c @ y, s @ y])
-    v_dxy = np.array([dc @ y, ds @ y])
-    v_d2xy = np.array([(d * dc) @ y, (d * ds) @ y])
-    return HarmonicDesignMoments(j, lam, n, m_xx, m_xdx, m_xd2x, v_xy, v_dxy, v_d2xy)
-
-
-def r_j(signal: Signal, j: int, lam: float) -> float:
-    """Projection norm of Y onto the two columns of X_j; always >= 0."""
-    mom = compute_moments(signal, j, lam)
-    minv = mom.inverse_xx()
-    u = mom.v_xy
-    return float(u @ minv @ u)
+    # Rows (c, s, tc, ts) against columns (c, s, tc, ts, y, ty).
+    mom = _moments(signal, 1, j * lam, True)
+    blocks = (mom[:2, :2], j * mom[:2, 2:4], j * j * mom[2:, 2:4])
+    for b in blocks:
+        b[1, 0] = b[0, 1]   # the product's two triangles differ in the last bit
+    return HarmonicDesignMoments(
+        j, lam, signal.n, *blocks, mom[:2, 4], j * mom[:2, 5], j * j * mom[2:, 5]
+    )
 
 
 def g(signal: Signal, p: int, lam: float) -> float:
@@ -219,7 +190,7 @@ def _inverse_factor(m: np.ndarray, n: int, lam: float) -> np.ndarray:
     X'X is singular when some j*lam nears 0 or pi; the guard is a floor on
     every squared pivot, scaled by n.
     """
-    floor = _DET_FLOOR * n
+    floor = _PIVOT_FLOOR * n
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:

@@ -1,7 +1,9 @@
 """Amplitude recovery at a fixed frequency estimate, residuals, and the ACF.
 
 The least squares amplitudes solve the normal equations of all 2p design
-columns jointly, the same solve that defines the criterion g.
+columns together, the same solve that defines the criterion g.  Harmonic
+j's own 2x2 solve is the p = 1 case at j*lambda_hat,
+``lse_coefficients(signal, 1, j * lambda_hat)``.
 """
 
 from __future__ import annotations
@@ -10,34 +12,25 @@ import math
 
 import numpy as np
 
-from .criterion import compute_moments, lse_coefficients
+from .criterion import lse_coefficients
 from .errors import DomainError
-from .signal import Signal
+from .signal import Signal, harmonic_sum
 
 __all__ = ["lse_linear", "alse_linear", "residuals", "sample_acf"]
 
 
-def lse_linear(
-    signal: Signal, lambda_hat: float, p: int, joint: bool = True
-) -> list[tuple[float, float]]:
+def lse_linear(signal: Signal, lambda_hat: float, p: int) -> list[tuple[float, float]]:
     """Least squares amplitudes (A_j, B_j) at frequencies j*lambda_hat.
 
-    By default (``joint=True``) the full 2p-column normal equations are
-    solved, which recovers noiseless amplitudes to rounding accuracy.
-    ``joint=False`` solves each harmonic from its own 2x2 normal equations
-    instead; the cross-harmonic design moments X_j'X_k are O(1) rather than
-    O(n), so that decoupled solve carries an O(1/n) leakage error.
+    The full 2p-column normal equations are solved, which recovers
+    noiseless amplitudes to rounding accuracy.  Solving each harmonic from
+    its own 2x2 normal equations instead would ignore the cross-harmonic
+    design moments X_j'X_k, which are O(1) rather than O(n), and leave an
+    O(1/n) leakage error.
     """
     _check(p, lambda_hat)
-    if joint:
-        theta = lse_coefficients(signal, p, lambda_hat)
-        return [(float(theta[2 * i]), float(theta[2 * i + 1])) for i in range(p)]
-    out = []
-    for j in range(1, p + 1):
-        mom = compute_moments(signal, j, lambda_hat)
-        ab = mom.inverse_xx() @ mom.v_xy
-        out.append((float(ab[0]), float(ab[1])))
-    return out
+    theta = lse_coefficients(signal, p, lambda_hat)
+    return [(float(theta[2 * i]), float(theta[2 * i + 1])) for i in range(p)]
 
 
 def alse_linear(signal: Signal, lambda_hat: float, p: int) -> list[tuple[float, float]]:
@@ -58,12 +51,8 @@ def residuals(
     signal: Signal, lambda_hat: float, amplitudes: list[tuple[float, float]]
 ) -> np.ndarray:
     """y(t) minus the fitted harmonic sum at lambda_hat."""
-    y = signal.samples
     t = np.arange(1, signal.n + 1, dtype=float)
-    fit = np.zeros_like(y)
-    for j, (a, b) in enumerate(amplitudes, start=1):
-        fit += a * np.cos(j * lambda_hat * t) + b * np.sin(j * lambda_hat * t)
-    return y - fit
+    return signal.samples - harmonic_sum(lambda_hat, amplitudes, t)
 
 
 def sample_acf(series, max_lag: int) -> np.ndarray:

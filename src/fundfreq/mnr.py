@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 from .criterion import g, g_derivatives, g_with_derivatives
-from .errors import BoundaryError, CurvatureError, DomainError
+from .errors import BoundaryError, CurvatureError, DegenerateFrequencyError, DomainError
 from .signal import Signal
 from .spectrum import fourier_grid_init
 
@@ -117,18 +117,8 @@ def mnr_step(
     g'' vanishes or is non-finite, and :class:`BoundaryError` (carrying the
     raw value) when the proposed iterate leaves (0, pi/p).
     """
-    if not (0.0 < lam < math.pi / p):
-        raise DomainError(f"lambda must lie in (0, pi/{p}), got {lam}")
     gp, gpp = g_derivatives(signal, p, lam)
-    if gpp == 0.0 or not math.isfinite(gpp) or not math.isfinite(gp):
-        raise CurvatureError(
-            f"degenerate curvature at lambda={lam:.8g}: g'={gp:.3e}, g''={gpp:.3e}"
-        )
-    correction = -step_factor * gp / gpp
-    lam_next = lam + correction
-    if not (0.0 < lam_next < math.pi / p):
-        raise BoundaryError(lam_next)
-    return lam_next, correction
+    return _newton(p, lam, gp, gpp, step_factor)
 
 
 def estimate_fundamental(
@@ -137,8 +127,9 @@ def estimate_fundamental(
     """Estimate the fundamental frequency of a p-harmonic signal.
 
     Returns (lambda_hat, trace) where lambda_hat is the trace iterate with
-    the largest criterion value.  A boundary or curvature breakdown ends
-    the run with the best iterate seen so far rather than raising.
+    the largest criterion value.  A boundary, curvature or normal-equation
+    breakdown after the start ends the run with the best iterate seen so
+    far rather than raising.
     """
     if config is None:
         config = MnrConfig()
@@ -158,44 +149,50 @@ def estimate_fundamental(
         )
     subsample = Signal(signal.samples[start : start + n1], signal.sample_rate)
 
-    # Stage 2: one step on the shrunken sample.
     try:
-        lam1, corr1 = mnr_step(subsample, p, lam0, config.step_factor)
+        # Stage 2: one step on the shrunken sample.
+        lam_k, correction = mnr_step(subsample, p, lam0, config.step_factor)
+        # Stage 3: full-sample refinement.  Each iterate needs the criterion
+        # value (trace + objective stop) and both derivatives (next step),
+        # so they come from one pass over the moment blocks.
+        g_k, gp, gpp = g_with_derivatives(signal, p, lam_k)
+        trace.records.append(TraceRecord(1, lam_k, n1, g_k, correction))
+        for k in range(2, config.max_iter + 2):
+            lam_next, correction = _newton(p, lam_k, gp, gpp, config.step_factor)
+            g_next, gp, gpp = g_with_derivatives(signal, p, lam_next)
+            trace.records.append(TraceRecord(k, lam_next, n, g_next, correction))
+            if abs(lam_next - lam_k) < config.tol:
+                trace.status = "converged_tol"
+                _newton_finish(trace, signal, p, lam_next, gp, gpp)
+                break
+            if g_next <= g_k:
+                trace.status = "converged_objective"
+                break
+            lam_k, g_k = lam_next, g_next
     except BoundaryError:
         trace.status = "boundary"
-        return trace.best().lam, trace
-    except CurvatureError:
+    except (CurvatureError, DegenerateFrequencyError):
         trace.status = "degenerate"
-        return trace.best().lam, trace
-
-    # Stage 3: full-sample refinement.  Each iterate needs the criterion
-    # value (trace + objective stop) and both derivatives (next step), so
-    # they come from one pass over the moment blocks.
-    g_k, gp, gpp = g_with_derivatives(signal, p, lam1)
-    trace.records.append(TraceRecord(1, lam1, n1, g_k, corr1))
-    lam_k = lam1
-    trace.status = "max_iter"
-    for k in range(2, config.max_iter + 2):
-        if gpp == 0.0 or not math.isfinite(gpp) or not math.isfinite(gp):
-            trace.status = "degenerate"
-            break
-        correction = -config.step_factor * gp / gpp
-        lam_next = lam_k + correction
-        if not (0.0 < lam_next < math.pi / p):
-            trace.status = "boundary"
-            break
-        g_next, gp_next, gpp_next = g_with_derivatives(signal, p, lam_next)
-        trace.records.append(TraceRecord(k, lam_next, n, g_next, correction))
-        if abs(lam_next - lam_k) < config.tol:
-            trace.status = "converged_tol"
-            _newton_finish(trace, signal, p, lam_next, gp_next, gpp_next)
-            break
-        if g_next <= g_k:
-            trace.status = "converged_objective"
-            break
-        lam_k, g_k, gp, gpp = lam_next, g_next, gp_next, gpp_next
-
     return trace.best().lam, trace
+
+
+def _newton(
+    p: int, lam: float, gp: float, gpp: float, factor: float
+) -> tuple[float, float]:
+    """(lam + correction, correction) for correction = -factor * g'/g''.
+
+    Raises :class:`CurvatureError` when g'' is zero or g', g'' are not
+    finite, and :class:`BoundaryError` when the target leaves (0, pi/p).
+    """
+    if gpp == 0.0 or not math.isfinite(gpp) or not math.isfinite(gp):
+        raise CurvatureError(
+            f"degenerate curvature at lambda={lam:.8g}: g'={gp:.3e}, g''={gpp:.3e}"
+        )
+    correction = -factor * gp / gpp
+    lam_next = lam + correction
+    if not (0.0 < lam_next < math.pi / p):
+        raise BoundaryError(lam_next)
+    return lam_next, correction
 
 
 def _newton_finish(
@@ -203,16 +200,14 @@ def _newton_finish(
 ) -> None:
     """Record one full Newton step from the converged iterate ``lam``.
 
-    The best-g rule decides whether the step is kept; a step without a
-    finite curvature or outside (0, pi/p) is not taken.
+    The best-g rule decides whether the step is kept; a step that cannot
+    be taken leaves the trace and its ``converged_tol`` status as they are.
     """
-    if gpp == 0.0 or not math.isfinite(gpp) or not math.isfinite(gp):
+    try:
+        lam_next, correction = _newton(p, lam, gp, gpp, 1.0)
+        g_next = g(signal, p, lam_next)
+    except (BoundaryError, CurvatureError, DegenerateFrequencyError):
         return
-    correction = -gp / gpp
-    lam_next = lam + correction
-    if not (0.0 < lam_next < math.pi / p):
-        return
-    g_next = g(signal, p, lam_next)
     trace.records.append(
         TraceRecord(len(trace.records), lam_next, signal.n, g_next, correction)
     )

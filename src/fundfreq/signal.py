@@ -145,12 +145,11 @@ class LinearProcessSpec:
 IID = LinearProcessSpec((1.0,), 1.0)
 
 
-def harmonic_sum(model: HarmonicModel, t: np.ndarray) -> np.ndarray:
-    """Deterministic part sum_j A_j cos(j lam t) + B_j sin(j lam t)."""
-    t = np.asarray(t, dtype=float)
+def harmonic_sum(lam: float, amplitudes, t: np.ndarray) -> np.ndarray:
+    """Deterministic part sum_j A_j cos(j lam t) + B_j sin(j lam t) at float t."""
     out = np.zeros_like(t)
-    for j, (a, b) in enumerate(model.amplitudes, start=1):
-        out += a * np.cos(j * model.lam * t) + b * np.sin(j * model.lam * t)
+    for j, (a, b) in enumerate(amplitudes, start=1):
+        out += a * np.cos(j * lam * t) + b * np.sin(j * lam * t)
     return out
 
 
@@ -186,7 +185,7 @@ def synthesize(
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     t = np.arange(1, n + 1, dtype=float)
-    y = harmonic_sum(model, t)
+    y = harmonic_sum(model.lam, model.amplitudes, t)
     if noise is not None:
         y = y + generate_linear_process(noise, n, seed)
     return Signal(y, sample_rate=sample_rate)

@@ -81,6 +81,20 @@ class TestEstimate:
         assert code == 2
         assert "not found" in err
 
+    def test_singular_subsample_reports_degenerate(self, tmp_path, capsys):
+        # a 3-row stage-2 subsample cannot fit 8 design columns: the run
+        # ends with status degenerate and the report is still written
+        path = tmp_path / "noisy.txt"
+        run_cli(["synth", "--preset", "1", "--n", "100", "--noise", "ma:1,0.5",
+                 "--sigma2", "0.25", "--seed", "3", "--out", str(path)], capsys)
+        code, out, _ = run_cli(
+            ["estimate", "--input", str(path), "--p", "4",
+             "--subsample-exponent", "0.3", "--json"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["trace"]["status"] == "degenerate"
+
     def test_residuals_export(self, clean_file, tmp_path, capsys):
         res_path = tmp_path / "resid.txt"
         code, _, _ = run_cli(

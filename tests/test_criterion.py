@@ -18,7 +18,6 @@ from fundfreq import (
     compute_moments,
     g,
     g_derivatives,
-    r_j,
     synthesize,
 )
 from fundfreq.criterion import g_with_derivatives, lse_coefficients
@@ -68,8 +67,10 @@ class TestMoments:
 
 
 class TestProjection:
+    """g; harmonic j's own projection norm R_j is the p = 1 case at j*lam."""
+
     def test_zero_signal(self):
-        assert r_j(Signal(np.zeros(64)), 1, 0.5) == 0.0
+        assert g(Signal(np.zeros(64)), 1, 0.5) == 0.0
 
     def test_pure_tone_projection_norm(self):
         # R_1(lam) = (n/2)(A^2+B^2) + O(1) for a tone at lam
@@ -77,12 +78,12 @@ class TestProjection:
         t = np.arange(1, n + 1)
         sig = Signal(3.0 * np.cos(0.7 * t) + 1.5 * np.sin(0.7 * t))
         target = (n / 2.0) * (9.0 + 2.25)
-        assert r_j(sig, 1, 0.7) == pytest.approx(target, rel=1e-2)
+        assert g(sig, 1, 0.7) == pytest.approx(target, rel=1e-2)
 
     def test_sign_flip_invariance(self, m1_clean_1000):
         flipped = Signal(-m1_clean_1000.samples)
-        assert r_j(flipped, 2, 0.25) == pytest.approx(
-            r_j(m1_clean_1000, 2, 0.25), rel=1e-12
+        assert g(flipped, 1, 2 * 0.25) == pytest.approx(
+            g(m1_clean_1000, 1, 2 * 0.25), rel=1e-12
         )
         assert g(flipped, 4, 0.24) == pytest.approx(g(m1_clean_1000, 4, 0.24), rel=1e-12)
 
@@ -108,7 +109,7 @@ class TestProjection:
     def test_degenerate_frequency_guarded(self):
         sig = Signal(np.ones(100))
         with pytest.raises(DegenerateFrequencyError):
-            r_j(sig, 1, 1e-9)
+            g(sig, 1, 1e-9)
 
 
 class TestDerivatives:
@@ -196,6 +197,25 @@ class TestDenseOracle:
         assert np.abs(coef - coef_ref).max() < 1e-9 * np.abs(coef_ref).max()
 
 
+class TestMomentOracle:
+    """Per-harmonic moment blocks against direct O(n) cos/sin sums.
+
+    Sizes straddle the 1024-row chunk boundary of the kernel.
+    """
+
+    @pytest.mark.parametrize("n", [1000, 1023, 1025, 3 * 1024 + 7])
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_matches_direct_sums(self, model1, n, noisy):
+        noise = LinearProcessSpec((1.0, 0.5), 0.25) if noisy else None
+        sig = synthesize(model1, n, noise, seed=n)
+        for j in range(1, 5):
+            mom = compute_moments(sig, j, 0.2503)
+            ref = _direct_moments(sig.samples, j, 0.2503)
+            for name, want in ref.items():
+                got = getattr(mom, name)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
 class TestDegeneracyGuard:
     @pytest.mark.parametrize("lam", [1e-6, math.pi / 4 - 1e-9])
     @pytest.mark.parametrize("fn", [g, g_with_derivatives, lse_coefficients])
@@ -204,6 +224,27 @@ class TestDegeneracyGuard:
         sig = synthesize(model1, 3000, LinearProcessSpec((1.0, 0.5), 0.25), seed=3)
         with pytest.raises(DegenerateFrequencyError):
             fn(sig, 4, lam)
+
+
+def _direct_moments(y, j, lam):
+    """The six blocks of harmonic j from explicit cos/sin columns, D = diag(j t)."""
+    t = np.arange(1, y.size + 1, dtype=float)
+    c = np.cos((j * lam) * t)
+    s = np.sin((j * lam) * t)
+    d = j * t
+    dc = d * c
+    ds = d * s
+    cs = c @ s
+    dcs = dc @ s
+    d2cs = dc @ ds
+    return {
+        "m_xx": np.array([[c @ c, cs], [cs, s @ s]]),
+        "m_xdx": np.array([[dc @ c, dcs], [dcs, ds @ s]]),
+        "m_xd2x": np.array([[dc @ dc, d2cs], [d2cs, ds @ ds]]),
+        "v_xy": np.array([c @ y, s @ y]),
+        "v_dxy": np.array([dc @ y, ds @ y]),
+        "v_d2xy": np.array([(d * dc) @ y, (d * ds) @ y]),
+    }
 
 
 def _random_model(seed):

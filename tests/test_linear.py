@@ -15,10 +15,16 @@ from fundfreq import (
     sample_acf,
     synthesize,
 )
+from fundfreq.criterion import lse_coefficients
 
 
 def amplitude_matrix(pairs):
     return np.array([[a, b] for a, b in pairs])
+
+
+def per_harmonic(sig, lam, p):
+    """Each harmonic's own 2x2 solve: the p = 1 amplitudes at j*lam."""
+    return [tuple(lse_coefficients(sig, 1, j * lam)) for j in range(1, p + 1)]
 
 
 class TestLse:
@@ -37,14 +43,14 @@ class TestLse:
     def test_noiseless_model1_per_harmonic_leakage(self, model1, m1_clean_1000):
         # the per-harmonic solve ignores the O(1) cross-harmonic design
         # moments, leaving an O(1/n) leakage error (~5e-2 at n=1000)
-        got = amplitude_matrix(lse_linear(m1_clean_1000, 0.25, 4, joint=False))
+        got = amplitude_matrix(per_harmonic(m1_clean_1000, 0.25, 4))
         truth = amplitude_matrix(model1.amplitudes)
         err = np.abs(got - truth).max()
         assert 1e-3 < err < 0.1
 
     def test_noiseless_model1_joint_exact(self, model1, m1_clean_1000):
         # the 2p-column joint solve removes the leakage entirely
-        got = amplitude_matrix(lse_linear(m1_clean_1000, 0.25, 4, joint=True))
+        got = amplitude_matrix(lse_linear(m1_clean_1000, 0.25, 4))
         truth = amplitude_matrix(model1.amplitudes)
         assert np.abs(got - truth).max() < 1e-9
 
@@ -74,7 +80,7 @@ class TestAlse:
         # the per-harmonic LSE and the ALSE differ by O(1/n); at n=2000 the
         # worst pairwise Euclidean gap measures ~5.4e-3 on the clean
         # benchmark signal
-        lse = amplitude_matrix(lse_linear(m1_clean_2000, 0.25, 4, joint=False))
+        lse = amplitude_matrix(per_harmonic(m1_clean_2000, 0.25, 4))
         alse = amplitude_matrix(alse_linear(m1_clean_2000, 0.25, 4))
         gaps = np.linalg.norm(lse - alse, axis=1)
         assert gaps.max() < 1e-2
@@ -98,14 +104,14 @@ class TestResiduals:
     def test_noise_variance_recovered(self, model1):
         # MA(1) with sigma2 = 1 has process variance 1.25
         sig = synthesize(model1, 2000, LinearProcessSpec((1.0, 0.5), 1.0), seed=77)
-        amps = lse_linear(sig, 0.25, 4, joint=True)
+        amps = lse_linear(sig, 0.25, 4)
         res = residuals(sig, 0.25, amps)
         assert res.var() == pytest.approx(1.25, rel=0.15)
 
     def test_joint_fit_residuals_orthogonal(self, m1_clean_1000):
         # residuals of the joint fit are orthogonal to every design column
         sig = m1_clean_1000
-        amps = lse_linear(sig, 0.25, 4, joint=True)
+        amps = lse_linear(sig, 0.25, 4)
         res = residuals(sig, 0.25, amps)
         t = np.arange(1, sig.n + 1)
         for j in range(1, 5):
@@ -117,7 +123,7 @@ class TestResiduals:
         # harmonic j's two columns (the defining normal equations)
         sig = synthesize(model1, 800, LinearProcessSpec((1.0, 0.5), 0.25), seed=55)
         t = np.arange(1, sig.n + 1)
-        amps = lse_linear(sig, 0.2501, 4, joint=False)
+        amps = per_harmonic(sig, 0.2501, 4)
         for j, (a, b) in enumerate(amps, start=1):
             c = np.cos(j * 0.2501 * t)
             s = np.sin(j * 0.2501 * t)

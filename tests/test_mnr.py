@@ -126,6 +126,17 @@ class TestEstimateFundamental:
         assert trace.status == "degenerate"
         assert lam_hat == trace.records[0].lam
 
+    def test_singular_subsample_reports_degenerate(self, model1):
+        # the stage-2 subsample has int(100**0.3) = 3 rows, fewer than the
+        # 2p = 8 design columns, so its normal equations are singular; the
+        # run ends with the grid start and a degenerate status
+        sig = synthesize(model1, 100, LinearProcessSpec((1.0, 0.5), 0.25), seed=3)
+        cfg = MnrConfig(subsample_exponent=0.3)
+        lam_hat, trace = estimate_fundamental(sig, 4, cfg)
+        assert trace.status == "degenerate"
+        assert len(trace.records) == 1
+        assert lam_hat == trace.records[0].lam
+
     def test_subsample_offset_respected(self, model1):
         sig = synthesize(model1, 500, LinearProcessSpec((1.0, 0.5), 0.25), seed=33)
         cfg = MnrConfig(subsample_start=100)
