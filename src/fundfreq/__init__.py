@@ -1,11 +1,11 @@
 """Fundamental frequency estimation for harmonic signals in correlated noise.
 
 The package synthesizes p-harmonic signals with stationary moving-average
-noise, estimates the fundamental frequency with a step-reduced (factor 1/4)
-Newton-Raphson refinement of the least squares projection criterion, recovers
-amplitudes, evaluates closed-form asymptotic variances for both the least
-squares and the reduced-step estimators, and reproduces simulation tables
-with a deterministic Monte Carlo harness.
+noise, estimates the fundamental frequency with a Newton-Raphson refinement
+(a quarter step on a subsample, then full steps) of the least squares
+projection criterion, recovers amplitudes, evaluates closed-form asymptotic
+variances for both the least squares and the reduced-step estimators, and
+reproduces simulation tables with a deterministic Monte Carlo harness.
 """
 
 from .asymptotics import AsymptoticReport, asymptotic_variances, spectral_weight_c

@@ -143,6 +143,7 @@ def cmd_estimate(args) -> int:
         "asym": asym.as_dict(),
         "trace": {
             "status": trace.status,
+            "evaluations": trace.evaluations,
             "records": [
                 {
                     "iteration": r.iteration,
@@ -254,7 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--p", type=_positive_int, required=True)
     p_est.add_argument("--tol", type=_positive_float, default=1e-7)
     p_est.add_argument("--max-iter", type=_positive_int, default=50)
-    p_est.add_argument("--step-factor", type=_positive_float, default=0.25)
+    p_est.add_argument("--step-factor", type=_positive_float, default=0.25,
+                       help="Newton step factor of the stage-2 subsample step "
+                            "(default 0.25); stage 3 takes full steps")
     p_est.add_argument("--init-mode", choices=["plain", "harmonic_sum"],
                        default="harmonic_sum")
     p_est.add_argument("--subsample-exponent", type=_positive_float, default=6.0 / 7.0)

@@ -66,10 +66,14 @@ def harmonic_criterion_qn(signal: Signal, lam: float, p: int) -> float:
 
 
 def fourier_grid(n: int, p: int) -> np.ndarray:
-    """Fourier frequencies 2*pi*k/n, k = 1..floor(n/2), restricted to (0, pi/p)."""
-    ks = np.arange(1, n // 2 + 1)
-    lams = 2.0 * math.pi * ks / n
-    return lams[lams < math.pi / p]
+    """Fourier frequencies 2*pi*k/n in (0, pi/p): k = 1..floor((n-1)/(2p)).
+
+    Admissibility is the exact integer test 2pk < n; a float test on
+    2*pi*k/n would keep the inadmissible point pi/p whenever 2pk = n and
+    the product rounds below it.
+    """
+    ks = np.arange(1, (n - 1) // (2 * p) + 1)
+    return 2.0 * math.pi * ks / n
 
 
 def _grid_power(

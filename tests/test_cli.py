@@ -72,6 +72,9 @@ class TestEstimate:
         assert len(report["amplitudes"]) == 4
         assert isinstance(report["trace"]["records"], list)
         assert report["trace"]["records"][0]["iteration"] == 0
+        # record 0's g, the stage-2 step and one call per stage-3 record
+        # when no step is halved
+        assert report["trace"]["evaluations"] == len(report["trace"]["records"]) + 1
         assert 0.0 < report["lambda_hat"] < math.pi / 4
 
     def test_missing_file(self, capsys):
@@ -134,6 +137,14 @@ class TestPeriodogram:
             1 for k in range(1, n // 2 + 1) if 2 * math.pi * k / n < math.pi / p
         )
         assert len(lines) - 1 == expected
+
+    def test_no_row_at_pi_over_p(self, tmp_path, capsys):
+        # n = 44, p = 1: k = 22 is pi itself, which 2*pi*22/44 rounds below
+        path = tmp_path / "sig.txt"
+        run_cli(["synth", "--preset", "1", "--n", "44", "--out", str(path)], capsys)
+        code, out, _ = run_cli(["periodogram", "--input", str(path), "--p", "1"], capsys)
+        assert code == 0
+        assert len(out.strip().splitlines()) - 1 == 21
 
     @staticmethod
     def _exact_row(y, k, p):

@@ -143,6 +143,18 @@ class TestFourierGridInit:
         assert grid[-1] < math.pi / 4
         assert np.all(np.diff(grid) > 0)
 
+    @pytest.mark.parametrize(
+        "n, p, size", [(44, 1, 21), (44, 2, 10), (480, 1, 239), (480, 2, 119)]
+    )
+    def test_grid_excludes_pi_over_p(self, n, p, size):
+        # 2pk = n puts grid point k on pi/p itself; a float filter
+        # 2*pi*k/n < pi/p kept it where the product rounds below pi/p
+        grid = fourier_grid(n, p)
+        assert grid.size == size
+        assert np.all(2 * p * np.arange(1, size + 1) < n)
+        assert grid[-1] == 2.0 * math.pi * size / n
+        assert grid[-1] < math.pi / p
+
     @pytest.mark.parametrize("mode", ["plain", "harmonic_sum"])
     def test_padded_grid_matches_direct_scan(self, model2, mode):
         # oracle: direct exponential sums over the grid 2*pi*k/(pad*n)
