@@ -4,7 +4,8 @@ Each (n, sigma2) cell runs seeded replications whose streams derive from
 (master seed, n, sigma2, replication index), so rows are reproducible
 bit-for-bit on any machine, whether a cell runs alone or within the grid.
 The desk-scale default below uses 200 replications per cell; raise
-``REPS`` to 5000 for a full reproduction run (20-30 s per cell).
+``REPS`` to 5000 for a full reproduction run (about 3.5 s per cell at
+n = 100 and 4.5 s at n = 500 on a 2-core x86 host).
 """
 
 import time
@@ -23,10 +24,12 @@ spec = ExperimentSpec(
     master_seed=0,
 )
 
-t0 = time.time()
+t0 = time.perf_counter()
 rows = run_experiment(spec)
+elapsed = time.perf_counter() - t0
 print("\n".join(summary_csv_lines(rows)))
-print(f"\n{len(rows)} cells x {REPS} replications in {time.time() - t0:.1f}s")
+print(f"\n{len(rows)} cells x {REPS} replications in {elapsed:.1f}s "
+      f"({len(rows) * REPS / elapsed:.0f} replications/s)")
 print("the averages track the true frequency (0.25) to about 1e-5; the\n"
       "empirical variances land near the asym_var_lse column because the\n"
       "refinement, run to convergence, settles on the least squares\n"

@@ -27,6 +27,7 @@ moment blocks off the same kernel, with D = jT in place of T.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -129,16 +130,13 @@ def g_with_derivatives(signal: Signal, p: int, lam: float) -> tuple[float, float
     u, v, w = mom[:q, 2 * q], mom[q : 2 * q, 2 * q], mom[q : 2 * q, 2 * q + 1]
     linv = _inverse_factor(mom[:q, :q], signal.n, lam)
     a = linv.T @ (linv @ u)
-    # On (cos, sin) pairs read as complex numbers, K, K' = -K and J^2 are
-    # multiplications by -i j, i j and j^2.
-    j = np.arange(1.0, p + 1)
-    ka = (a.view(complex) * (-1j * j)).view(float)
-    ab = mom[: 2 * q, q : 2 * q]           # [A; B]
-    ab_a, ab_ka = ab @ a, ab @ ka
-    v_res = v - ab_a[:q]                   # X'T(Y - Xa)
-    z = linv @ ((v_res.view(complex) * (1j * j)).view(float) - ab_ka[:q])   # L^{-1} r
-    j2a = (a.view(complex) * (j * j)).view(float)
-    gpp = 2.0 * (z @ z - j2a @ (w - ab_a[q:]) - ka @ ab_ka[q:])
+    ik, k, j2 = _harmonic_operators(p)
+    a_ka = (ik @ a).reshape(2, q)                  # rows a, Ka
+    ab_a, ab_ka = a_ka @ mom[: 2 * q, q : 2 * q].T  # rows [A; B]a, [A; B]Ka
+    ka = a_ka[1]
+    v_res = v - ab_a[:q]                           # X'T(Y - Xa)
+    z = linv @ (v_res @ k - ab_ka[:q])             # L^{-1} r, with K'x = x @ K
+    gpp = 2.0 * (z @ z - (j2 * a) @ (w - ab_a[q:]) - ka @ ab_ka[q:])
     return float(u @ a), float(2.0 * (ka @ v_res)), float(gpp)
 
 
@@ -155,6 +153,20 @@ def _whitened(signal: Signal, p: int, lam: float) -> tuple[np.ndarray, np.ndarra
     mom = _moments(signal, p, lam, False)
     linv = _inverse_factor(mom[:q, :q], signal.n, lam)
     return linv, linv @ mom[:q, q]
+
+
+@functools.lru_cache(maxsize=None)
+def _harmonic_operators(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """([I; K], K, diag J^2) for p harmonics, read-only and built once per p."""
+    q = 2 * p
+    j = np.diag(np.arange(1.0, p + 1))
+    ik = np.vstack([np.eye(q), np.zeros((q, q))])
+    ik[q::2, 1::2] = j      # K maps each (cos, sin) pair (c, s) to j (s, -c)
+    ik[q + 1 :: 2, 0::2] = -j
+    j2 = np.repeat(np.diag(j) ** 2, 2)
+    ik.setflags(write=False)
+    j2.setflags(write=False)
+    return ik, ik[q:], j2
 
 
 def _moments(signal: Signal, p: int, lam: float, derivatives: bool) -> np.ndarray:

@@ -7,24 +7,28 @@ The estimator runs in three stages:
 2. one Newton step with step factor 1/4 computed on a consecutive
    subsample of size n1 = floor(n^(6/7)),
 3. full Newton steps -g'/g'' on the full sample.  A step that lowers the
-   criterion g is halved until g stops falling or the step is shorter than
-   ``tol``; an iterate with g'' >= 0 takes no step (the run ends
-   ``converged_objective``).  The run ends ``converged_tol`` once a step
-   shorter than ``tol`` has been taken, or ``max_iter`` after that many
-   Newton steps.
+   criterion g or leaves (0, pi/p) is halved until it does neither or is
+   shorter than ``tol``; an iterate with g'' >= 0 takes no step (the run
+   ends ``converged_objective``).  The run ends ``converged_tol`` once a
+   step shorter than ``tol`` has been taken, ``boundary`` if even that step
+   leaves (0, pi/p), or ``max_iter`` after that many Newton steps.
 
 Run to convergence, stage 3 returns the least squares estimate, the
 maximizer of g near the start.  Full steps converge to it quadratically,
 in about four full-sample criterion evaluations, and the step shorter than
 ``tol`` that ends a run lands on it to rounding accuracy, so no extra
-closing step follows (Nielsen et al., Signal Processing 135, 2017, on
-Newton refinement of the exact least squares pitch criterion).  The
+closing step follows and the landing point needs g alone (Nielsen et al.,
+Signal Processing 135, 2017, on Newton refinement of the exact least
+squares pitch criterion).  The
 quarter step of stage 2 damps the classical Newton update on the
 shrunken subsample, which widens the curvature basin around the start.
 On the padded grid harmonic j lies at most j/16 Fourier bin from the
 nearest grid multiple, against j/2 bin on the grid 2*pi*k/n, where an
 off-grid fundamental can lose the start to its octave 2*lambda.
-The returned estimate is the iterate with the largest g seen.
+A ``converged_tol`` run returns that landing point: within about 1e-10 of
+the maximizer g differs from its peak by less than its own rounding, so
+comparing g values there could keep the iterate before the last step.
+Every other status returns the iterate with the largest g seen.
 """
 
 from __future__ import annotations
@@ -101,12 +105,13 @@ class EstimationTrace:
     Statuses: ``converged_tol`` (a Newton step shorter than tol, taken from
     an iterate with g'' < 0), ``converged_objective`` (g'' >= 0 at an
     iterate, so no Newton step points uphill), ``max_iter``, ``boundary``
-    (a proposed iterate left (0, pi/p)), ``degenerate`` (curvature or
-    normal equations broke down).
+    (the stage-2 step, or a stage-3 step shorter than tol, left (0, pi/p)),
+    ``degenerate`` (curvature or normal equations broke down).
 
     ``records`` holds the start, the stage-2 iterate and each stage-3 step
     as finally taken; ``evaluations`` counts every criterion call, the
-    trial points of halved steps included.
+    trial points of halved steps included.  The estimate is the last
+    record on ``converged_tol`` and :meth:`best` otherwise.
     """
 
     records: list[TraceRecord] = field(default_factory=list)
@@ -131,7 +136,11 @@ def mnr_step(
     raw value) when the proposed iterate leaves (0, pi/p).
     """
     gp, gpp = g_derivatives(signal, p, lam)
-    return _newton(p, lam, gp, gpp, step_factor)
+    correction = _newton(lam, gp, gpp, step_factor)
+    lam_next = lam + correction
+    if not (0.0 < lam_next < math.pi / p):
+        raise BoundaryError(lam_next)
+    return lam_next, correction
 
 
 def estimate_fundamental(
@@ -139,10 +148,12 @@ def estimate_fundamental(
 ) -> tuple[float, EstimationTrace]:
     """Estimate the fundamental frequency of a p-harmonic signal.
 
-    Returns (lambda_hat, trace) where lambda_hat is the trace iterate with
-    the largest criterion value.  A boundary, curvature or normal-equation
-    breakdown after the start ends the run with the best iterate seen so
-    far rather than raising.
+    Returns (lambda_hat, trace).  On ``converged_tol`` lambda_hat is the
+    landing point of the closing step shorter than ``tol``, the last trace
+    record; on any other status it is the trace iterate with the largest
+    criterion value.  A boundary, curvature or normal-equation breakdown
+    after the start ends the run with the best iterate seen so far rather
+    than raising.
     """
     if config is None:
         config = MnrConfig()
@@ -168,7 +179,8 @@ def estimate_fundamental(
         lam_k, correction = mnr_step(subsample, p, lam0, config.step_factor)
         # Stage 3: full Newton steps on the full sample.  Each iterate needs
         # the criterion value (backtracking) and both derivatives (next
-        # step), so they come from one pass over the moment blocks.
+        # step), so they come from one pass over the moment blocks; the
+        # closing step's point needs the value alone.
         trace.evaluations += 1
         g_k, gp, gpp = g_with_derivatives(signal, p, lam_k)
         trace.records.append(TraceRecord(1, lam_k, n1, g_k, correction))
@@ -176,14 +188,24 @@ def estimate_fundamental(
             if gpp >= 0.0:
                 trace.status = "converged_objective"
                 break
-            factor = 1.0
+            # Halve a step that leaves (0, pi/p) or lowers g.  A step shorter
+            # than tol closes the run, and nothing reads its derivatives.
+            correction = _newton(lam_k, gp, gpp, 1.0)
             while True:
-                lam_next, correction = _newton(p, lam_k, gp, gpp, factor)
-                trace.evaluations += 1
-                g_next, gp_next, gpp_next = g_with_derivatives(signal, p, lam_next)
-                if g_next >= g_k or abs(correction) < config.tol:
+                lam_next = lam_k + correction
+                inside = 0.0 < lam_next < math.pi / p
+                if abs(correction) < config.tol:
+                    if not inside:
+                        raise BoundaryError(lam_next)
+                    trace.evaluations += 1
+                    g_next = g(signal, p, lam_next)
                     break
-                factor *= 0.5
+                if inside:
+                    trace.evaluations += 1
+                    g_next, gp_next, gpp_next = g_with_derivatives(signal, p, lam_next)
+                    if g_next >= g_k:
+                        break
+                correction *= 0.5
             trace.records.append(TraceRecord(k, lam_next, n, g_next, correction))
             if abs(correction) < config.tol:
                 trace.status = "converged_tol"
@@ -193,23 +215,19 @@ def estimate_fundamental(
         trace.status = "boundary"
     except (CurvatureError, DegenerateFrequencyError):
         trace.status = "degenerate"
+    if trace.status == "converged_tol":
+        return trace.records[-1].lam, trace
     return trace.best().lam, trace
 
 
-def _newton(
-    p: int, lam: float, gp: float, gpp: float, factor: float
-) -> tuple[float, float]:
-    """(lam + correction, correction) for correction = -factor * g'/g''.
+def _newton(lam: float, gp: float, gpp: float, factor: float) -> float:
+    """The correction -factor * g'/g''.
 
     Raises :class:`CurvatureError` when g'' is zero or g', g'' are not
-    finite, and :class:`BoundaryError` when the target leaves (0, pi/p).
+    finite.
     """
     if gpp == 0.0 or not math.isfinite(gpp) or not math.isfinite(gp):
         raise CurvatureError(
             f"degenerate curvature at lambda={lam:.8g}: g'={gp:.3e}, g''={gpp:.3e}"
         )
-    correction = -factor * gp / gpp
-    lam_next = lam + correction
-    if not (0.0 < lam_next < math.pi / p):
-        raise BoundaryError(lam_next)
-    return lam_next, correction
+    return -factor * gp / gpp

@@ -3,7 +3,10 @@
 Every replication draws its noise from a stream seed derived by hashing
 (master_seed, n, sigma2, replication index) with BLAKE2b, so a cell's
 results do not depend on execution order or on which other cells run in
-the same process.
+the same process.  The noiseless samples are built once per sample size
+and each replication adds its own noise draw to them, with the same
+arithmetic as :func:`~fundfreq.signal.synthesize`, so every replication's
+samples equal ``synthesize(model, n, noise, seed)`` bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +21,13 @@ import numpy as np
 from .asymptotics import asymptotic_variances
 from .errors import DomainError, FundfreqError
 from .mnr import MnrConfig, estimate_fundamental
-from .signal import HarmonicModel, LinearProcessSpec, synthesize
+from .signal import (
+    HarmonicModel,
+    LinearProcessSpec,
+    Signal,
+    generate_linear_process,
+    synthesize,
+)
 
 __all__ = [
     "MODEL1",
@@ -107,10 +116,13 @@ class SummaryRow:
         return self.failure_count > 0.1 * self.replications
 
 
-def _run_one(spec: ExperimentSpec, n: int, sigma2: float, rep: int) -> float | None:
-    noise = LinearProcessSpec(spec.noise_coeffs, sigma2)
-    seed = replication_seed(spec.master_seed, n, sigma2, rep)
-    y = synthesize(spec.model, n, noise, seed)
+def _run_one(
+    spec: ExperimentSpec, clean: np.ndarray, noise: LinearProcessSpec, rep: int
+) -> float | None:
+    n = clean.size
+    seed = replication_seed(spec.master_seed, n, noise.sigma2, rep)
+    # synthesize's arithmetic, with the noiseless part built once per n
+    y = Signal(clean + generate_linear_process(noise, n, seed))
     try:
         lam_hat, trace = estimate_fundamental(y, spec.model.p, spec.mnr_config)
     except FundfreqError:
@@ -126,11 +138,16 @@ def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
     Replications run one after another in index order and are aggregated
     in that order; each draws its noise from its own seed, so a
     cell's row is the same whether it runs alone or within a larger grid.
+    The noiseless samples are built once per n and the noise spec once per
+    (n, sigma2) cell; each replication is estimated by one call to
+    ``estimate_fundamental``.
     """
     rows = []
     for n in spec.sample_sizes:
+        clean = synthesize(spec.model, n).samples
         for sigma2 in spec.sigma2_values:
-            results = [_run_one(spec, n, sigma2, r) for r in range(spec.replications)]
+            noise = LinearProcessSpec(spec.noise_coeffs, sigma2)
+            results = [_run_one(spec, clean, noise, r) for r in range(spec.replications)]
             estimates = np.array([x for x in results if x is not None])
             failures = spec.replications - estimates.size
             if estimates.size >= 2:
@@ -140,9 +157,7 @@ def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
                 mean, var = float(estimates[0]), 0.0
             else:
                 mean, var = float("nan"), float("nan")
-            report = asymptotic_variances(
-                spec.model, LinearProcessSpec(spec.noise_coeffs, sigma2), n
-            )
+            report = asymptotic_variances(spec.model, noise, n)
             row = SummaryRow(
                 n=n,
                 sigma2=sigma2,

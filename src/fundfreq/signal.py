@@ -146,11 +146,17 @@ IID = LinearProcessSpec((1.0,), 1.0)
 
 
 def harmonic_sum(lam: float, amplitudes, t: np.ndarray) -> np.ndarray:
-    """Deterministic part sum_j A_j cos(j lam t) + B_j sin(j lam t) at float t."""
-    out = np.zeros_like(t)
-    for j, (a, b) in enumerate(amplitudes, start=1):
-        out += a * np.cos(j * lam * t) + b * np.sin(j * lam * t)
-    return out
+    """Deterministic part sum_j A_j cos(j lam t) + B_j sin(j lam t) at float t.
+
+    Evaluated as Re sum_j (A_j - i B_j) z^j with z = exp(i lam t), by
+    Horner's rule on the coefficients: one complex exponential per sample.
+    """
+    z = np.exp((1j * lam) * t)
+    out = np.zeros_like(z)
+    for a, b in reversed(amplitudes):
+        out += complex(a, -b)
+        out *= z
+    return out.real.copy()
 
 
 def generate_linear_process(spec: LinearProcessSpec, n: int, seed: int) -> np.ndarray:

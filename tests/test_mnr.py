@@ -96,9 +96,12 @@ class TestEstimateFundamental:
         sizes = [r.sample_size_used for r in trace.records]
         assert sizes[0] == 500 and sizes[1] == n1
         assert all(s == 500 for s in sizes[2:])
-        # the reported estimate is the best-g iterate
-        best = max(trace.records, key=lambda r: r.g_value)
-        assert lam_hat == best.lam
+        # a converged_tol run returns the landing point of its closing step,
+        # whose g ties the largest g seen to rounding
+        assert trace.status == "converged_tol"
+        assert lam_hat == trace.records[-1].lam
+        best = max(r.g_value for r in trace.records)
+        assert trace.records[-1].g_value >= best * (1 - 1e-12)
 
     def test_full_trace_scale_invariance(self, model1):
         # acceptance: y -> 1000 y must reproduce the iterate sequence
@@ -198,17 +201,43 @@ class TestStage3:
 
     def test_evaluations_count_every_criterion_call(self, monkeypatch):
         # pure noise, p = 1, n = 60, seed 1: three halved stage-3 steps, so
-        # the trace has fewer records than evaluations
+        # the trace has fewer records than evaluations.  The run ends
+        # converged_tol, whose closing point needs g alone: g runs for
+        # record 0 and for the closing step, and nothing after it
         calls = []
         for name in ("g", "g_derivatives", "g_with_derivatives"):
-            def counted(*args, _inner=getattr(mnr, name), **kwargs):
-                calls.append(1)
+            def counted(*args, _inner=getattr(mnr, name), _name=name, **kwargs):
+                calls.append(_name)
                 return _inner(*args, **kwargs)
             monkeypatch.setattr(mnr, name, counted)
         sig = Signal(np.random.default_rng(1).normal(0.0, 1.0, 60))
         _, trace = estimate_fundamental(sig, 1)
         assert trace.evaluations == len(calls)
         assert trace.evaluations > len(trace.records) + 1
+        assert trace.status == "converged_tol"
+        assert calls.count("g") == 2
+        assert calls[-1] == "g"
+
+    @pytest.mark.parametrize("preset", [1, 2])
+    def test_noiseless_sweep_returns_landing_point(self, model1, model2, preset):
+        # at preset 1, n = 500 the closing step lands on lambda exactly but its
+        # g rounds below the previous iterate's; a best-g rule returned that
+        # earlier iterate, 5.1e-11 off
+        model = model1 if preset == 1 else model2
+        for n in [*range(100, 2051, 50), 4000, 8000]:
+            lam_hat, trace = estimate_fundamental(synthesize(model, n), 4)
+            assert trace.status == "converged_tol", n
+            assert lam_hat == trace.records[-1].lam
+            assert abs(lam_hat - model.lam) <= 1e-12, n
+
+    def test_step_leaving_interval_is_halved(self):
+        # pure noise, p = 1, n = 60, seed 0: the first full stage-3 step
+        # overshoots 0; the halved steps reach a maximum of g inside (0, pi)
+        sig = Signal(np.random.default_rng(0).normal(0.0, 1.0, 60))
+        lam_hat, trace = estimate_fundamental(sig, 1)
+        assert trace.status == "converged_tol"
+        assert 0.0 < lam_hat < math.pi
+        assert g_with_derivatives(sig, 1, lam_hat)[2] < 0.0
 
     @pytest.mark.parametrize("preset", [1, 2])
     @pytest.mark.parametrize("n", [100, 512, 2000, 8000])

@@ -2,17 +2,20 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import fundfreq.montecarlo as mc
 from fundfreq import (
     ExperimentSpec,
+    LinearProcessSpec,
     SummaryRow,
     replication_seed,
     run_experiment,
     summary_csv_lines,
+    synthesize,
 )
-from fundfreq.montecarlo import MODEL1
+from fundfreq.montecarlo import MA1_NOISE_COEFFS, MODEL1, MODEL2
 
 
 def small_spec(**kw):
@@ -64,6 +67,31 @@ class TestDeterminism:
         ]
         assert whole[1:] == cells
         assert summary_csv_lines(run_experiment(spec)) == whole
+
+    @pytest.mark.parametrize("model", [MODEL1, MODEL2])
+    def test_replication_samples_match_synthesize(self, model, monkeypatch):
+        # the noiseless part is built once per cell; every replication must
+        # still see synthesize's samples bit for bit
+        seen = []
+        real = mc.estimate_fundamental
+
+        def capture(sig, p, config=None):
+            seen.append(sig)
+            return real(sig, p, config)
+
+        monkeypatch.setattr(mc, "estimate_fundamental", capture)
+        spec = small_spec(model=model, noise_coeffs=MA1_NOISE_COEFFS, sample_sizes=(100, 257),
+                          sigma2_values=(0.25, 1.0), replications=5)
+        run_experiment(spec)
+        expected = [
+            synthesize(model, n, LinearProcessSpec(MA1_NOISE_COEFFS, s2),
+                       replication_seed(spec.master_seed, n, s2, rep))
+            for n in spec.sample_sizes for s2 in spec.sigma2_values
+            for rep in range(spec.replications)
+        ]
+        assert len(seen) == len(expected) == 20
+        for sig, ref in zip(seen, expected):
+            assert np.array_equal(sig.samples, ref.samples)
 
     def test_master_seed_changes_results(self):
         a = run_experiment(small_spec())[0]

@@ -92,6 +92,22 @@ class TestSynthesize:
         with pytest.raises(DomainError):
             synthesize(model1, 0)
 
+    @pytest.mark.parametrize("model", [MODEL1, MODEL2])
+    @pytest.mark.parametrize("n", [1, 100, 8000, 100_000])
+    def test_matches_trig_form(self, model, n):
+        # reference: the 2p cos/sin arrays.  Both forms round the phase
+        # j*lam*t to relative eps, so they may differ by a few eps * j*lam*t
+        # times the amplitude; measured at n = 1e5: 7.1e-15 for lam = 0.25
+        # (exact in binary), 3.5e-11 for lam = 0.3141
+        t = np.arange(1, n + 1, dtype=float)
+        reference = np.zeros(n)
+        bound = 1e-13
+        for j, (a, b) in enumerate(model.amplitudes, start=1):
+            reference += a * np.cos(j * model.lam * t) + b * np.sin(j * model.lam * t)
+            bound += 2 * np.finfo(float).eps * j * model.lam * n * math.hypot(a, b)
+        samples = synthesize(model, n).samples
+        assert np.abs(samples - reference).max() <= bound
+
 
 class TestLinearProcess:
     def test_iid_variance(self):
