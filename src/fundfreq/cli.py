@@ -6,12 +6,17 @@ over the Fourier grid, read from one FFT by the same routine as the
 estimator's start), ``simulate`` (Monte Carlo summary CSV), ``asymvar``
 (closed-form variance report).
 
-Exit codes: 0 success, 1 runtime or numerical failure, 2 usage error.
+Exit codes: 0 success, 1 runtime or numerical failure (including a malformed
+signal file), 2 usage error.
+
+:func:`main` can be called many times in one process; the argument parser
+is built on the first call and reused by the later ones.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -30,6 +35,7 @@ from .montecarlo import (
 from .signal import (
     HarmonicModel,
     LinearProcessSpec,
+    Signal,
     mean_correct,
     read_signal,
     synthesize,
@@ -167,8 +173,7 @@ def cmd_estimate(args) -> int:
         },
     }
     if args.residuals_out:
-        with open(args.residuals_out, "w") as fh:
-            fh.write("\n".join(repr(float(v)) for v in resid) + "\n")
+        write_signal(Signal(resid), args.residuals_out)
     text = json.dumps(report, indent=2 if args.json else None)
     _write_text(args.out, text)
     return 0
@@ -232,7 +237,13 @@ def _add_model_flags(parser: argparse.ArgumentParser, with_model: bool = False) 
                            help="preset name (1|2) or a model JSON file path")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``fundfreq`` argument parser, built once per process.
+
+    Every call returns the same parser, so callers must not modify it;
+    each ``parse_args`` call still returns a fresh namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="fundfreq",
         description="Fundamental frequency estimation for harmonic signals",

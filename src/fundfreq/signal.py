@@ -218,54 +218,91 @@ def cartesian_to_polar(a: float, b: float) -> tuple[float, float]:
 
 
 def write_signal(signal: Signal, path: str, column: str = "y") -> None:
-    """Write a signal to ``path``.
+    """Write a signal to ``path``, one sample per line.
 
-    ``.csv`` paths get a one-column CSV with a named header; anything else
-    is plain text, one sample per line, with an optional
-    ``# sample_rate=<Hz>`` header comment.
+    Each sample is written as ``repr`` of its Python float, the shortest
+    text that reads back to the same double, so :func:`read_signal`
+    returns the samples bit for bit.  A ``# sample_rate=<Hz>`` comment
+    comes first when the signal has a sample rate; ``.csv`` paths then get
+    a one-column header named ``column``.
     """
     lines = []
-    if str(path).endswith(".csv"):
-        if signal.sample_rate is not None:
-            lines.append(f"# sample_rate={signal.sample_rate!r}")
-        lines.append(column)
-    elif signal.sample_rate is not None:
+    if signal.sample_rate is not None:
         lines.append(f"# sample_rate={signal.sample_rate!r}")
-    lines.extend(repr(float(v)) for v in signal.samples)
+    if str(path).endswith(".csv"):
+        lines.append(column)
+    lines.extend(map(repr, signal.samples.tolist()))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_signal(path: str, column: str = "y") -> Signal:
-    """Read a signal written by :func:`write_signal` (text or CSV)."""
-    sample_rate = None
-    rows: list[str] = []
+    """Read a signal written by :func:`write_signal` (text or CSV).
+
+    The file is read in one piece.  Blank lines are skipped; a line whose
+    first non-blank character is ``#`` is a comment, and
+    ``# sample_rate=<Hz>`` sets the sample rate.  Every other line of a
+    text file is one sample, read by Python's ``float`` rules in one numpy
+    call; a ``.csv`` file has a header naming ``column``, or one unnamed
+    column of numbers.  A line that cannot be read raises
+    :class:`DomainError` naming the file and the line.
+    """
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
+        text = fh.read()
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the newline that ends the last line
+    sample_rate = None
+    rows = lines
+    # a file write_signal wrote without a sample rate has neither comments
+    # nor blank lines, and skips this line-by-line pass
+    if "#" in text or not all(map(str.strip, lines)):
+        rows = []
+        for line in lines:
+            body = line.strip()
+            if body.startswith("#"):
+                body = body.lstrip("#").strip()
                 if body.startswith("sample_rate="):
-                    sample_rate = float(body.split("=", 1)[1])
-                continue
-            rows.append(line)
+                    try:
+                        sample_rate = float(body.split("=", 1)[1])
+                    except ValueError:
+                        raise _bad_line(path, lines, line) from None
+            elif body:
+                rows.append(line)
     if not rows:
         raise DomainError(f"{path}: no data rows")
     if str(path).endswith(".csv"):
         header = [c.strip() for c in rows[0].split(",")]
         if column in header:
-            idx = header.index(column)
-            data = rows[1:]
+            idx, data, start = header.index(column), rows[1:], lines.index(rows[0]) + 1
         elif len(header) == 1 and _is_number(header[0]):
-            idx, data = 0, rows
+            idx, data, start = 0, rows, 0
         else:
             raise DomainError(f"{path}: column {column!r} not found in header {header}")
-        values = [float(r.split(",")[idx]) for r in data]
-    else:
-        values = [float(r) for r in rows]
-    return Signal(np.array(values), sample_rate=sample_rate)
+        values = []
+        for row in data:
+            try:
+                values.append(float(row.split(",")[idx]))
+            except (IndexError, ValueError):
+                raise _bad_line(path, lines, row, start) from None
+        return Signal(np.array(values), sample_rate=sample_rate)
+    try:
+        # a list of str converts element by element through float(), so a
+        # row like "1.0 2.0" is rejected as float("1.0 2.0") is
+        samples = np.array(rows, dtype=float)
+    except ValueError:
+        raise _bad_line(path, lines, next(r for r in rows if not _is_number(r))) from None
+    return Signal(samples, sample_rate=sample_rate)
+
+
+def _bad_line(path: str, lines: list[str], line: str, start: int = 0) -> DomainError:
+    """A :class:`DomainError` naming the first line equal to ``line`` from ``start`` on.
+
+    Lines with equal text are read alike, so that is the first bad line
+    when ``line`` is.
+    """
+    number = lines.index(line, start) + 1
+    return DomainError(f"{path}: line {number}: cannot read a number from {line.strip()!r}")
 
 
 def _is_number(s: str) -> bool:

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fundfreq
+from fundfreq import Signal, read_signal, residuals, write_signal
 from fundfreq.cli import main
 
 
@@ -100,7 +105,7 @@ class TestEstimate:
 
     def test_residuals_export(self, clean_file, tmp_path, capsys):
         res_path = tmp_path / "resid.txt"
-        code, _, _ = run_cli(
+        code, out, _ = run_cli(
             ["estimate", "--input", str(clean_file), "--p", "4",
              "--residuals-out", str(res_path)],
             capsys,
@@ -108,6 +113,14 @@ class TestEstimate:
         assert code == 0
         values = [float(x) for x in res_path.read_text().split()]
         assert len(values) == 256
+        # the file is the signal file write_signal makes of the residuals
+        report = json.loads(out)
+        resid = residuals(read_signal(str(clean_file)), report["lambda_hat"],
+                          [tuple(ab) for ab in report["amplitudes"]])
+        assert report["residual_summary"]["variance"] == float(resid.var())
+        expected = tmp_path / "expected.txt"
+        write_signal(Signal(resid), str(expected))
+        assert res_path.read_bytes() == expected.read_bytes()
 
     def test_mean_correct_flag(self, tmp_path, capsys):
         # a large DC offset: removable preprocessing, the tone still found
@@ -209,6 +222,67 @@ class TestPeriodogram:
         assert "no Fourier frequency lies in (0, pi/4)" in err
         code, _, _ = run_cli(["estimate", "--input", str(path), "--p", "4"], capsys)
         assert code == 1
+
+
+@pytest.mark.parametrize("command", ["estimate", "periodogram"])
+@pytest.mark.parametrize("row", ["abc", "1.0 2.0"])
+def test_malformed_signal_file_is_runtime_error(tmp_path, capsys, command, row):
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(["0.5", "-1.0", row, "2.0"]) + "\n")
+    code, out, err = run_cli([command, "--input", str(path), "--p", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("fundfreq: ")
+    assert f"bad.txt: line 3: cannot read a number from {row!r}" in err
+
+
+class TestParserReuse:
+    """One parser serves every main() call; no value may carry over."""
+
+    def test_store_true_flag_does_not_carry_over(self, tmp_path, capsys):
+        path = tmp_path / "shifted.txt"
+        path.write_text("\n".join(str(5.0 + math.cos(0.3 * t)) for t in range(1, 151)))
+        args = ["estimate", "--input", str(path), "--p", "1"]
+        _, first, _ = run_cli(args + ["--mean-correct"], capsys)
+        _, second, _ = run_cli(args, capsys)
+        assert json.loads(first)["config"]["mean_correct"] is True
+        assert json.loads(second)["config"]["mean_correct"] is False
+
+    def test_noise_does_not_carry_over(self, tmp_path, capsys):
+        noisy, clean, fresh = (tmp_path / f"{k}.txt" for k in ("noisy", "clean", "fresh"))
+        args = ["synth", "--preset", "1", "--n", "80"]
+        assert main(args + ["--noise", "ma:1,0.5", "--seed", "2", "--out", str(noisy)]) == 0
+        assert main(args + ["--out", str(clean)]) == 0
+        write_signal(fundfreq.synthesize(fundfreq.MODEL1, 80), str(fresh))
+        assert clean.read_bytes() == fresh.read_bytes() != noisy.read_bytes()
+
+    def test_usage_error_after_a_successful_call(self, tmp_path, capsys):
+        assert main(["asymvar", "--preset", "1", "--sigma2", "0.25", "--n", "100"]) == 0
+        with pytest.raises(SystemExit) as exc_info:
+            main(["asymvar", "--preset", "1", "--n", "100"])  # --sigma2 is required
+        assert exc_info.value.code == 2
+        assert "--sigma2" in capsys.readouterr().err
+
+
+def test_module_entry_point_in_a_fresh_interpreter(tmp_path):
+    """``python -m fundfreq.cli`` end to end, outside the in-process parser."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fundfreq.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    sig, resid, est, per = (tmp_path / name for name in
+                            ("sig.txt", "resid.txt", "estimate.json", "periodogram.csv"))
+    for argv in (["synth", "--preset", "2", "--n", "200", "--noise", "ma:1,0.5",
+                  "--sigma2", "0.25", "--seed", "1", "--out", str(sig)],
+                 ["estimate", "--input", str(sig), "--p", "4", "--residuals-out", str(resid),
+                  "--out", str(est)],
+                 ["periodogram", "--input", str(sig), "--p", "4", "--out", str(per)]):
+        done = subprocess.run([sys.executable, "-m", "fundfreq.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+    assert read_signal(str(sig)).n == read_signal(str(resid)).n == 200
+    assert abs(json.loads(est.read_text())["lambda_hat"] - fundfreq.MODEL2.lam) < 1e-3
+    lines = per.read_text().splitlines()
+    assert lines[0] == "lambda,I,Q_N" and len(lines) - 1 == 24
 
 
 class TestSimulate:

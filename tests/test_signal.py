@@ -217,6 +217,89 @@ class TestSerialization:
         with pytest.raises(DomainError):
             read_signal(str(path), column="y")
 
+    def test_csv_row_without_the_column_rejected(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("x,y\n1,2\n3\n")
+        with pytest.raises(DomainError, match=r"short\.csv: line 3: .*'3'"):
+            read_signal(str(path), column="y")
+
+    def test_round_trip_bit_identical(self, tmp_path):
+        rng = np.random.default_rng(0)
+        scaled = rng.normal(size=1000) * 10.0 ** rng.integers(-30, 31, size=1000)
+        samples = np.concatenate(
+            [[5e-324, 1.7976931348623157e308, -0.0, 1e16, 1e-5], scaled]
+        )
+        path = tmp_path / "sig.txt"
+        write_signal(Signal(samples), str(path))
+        back = read_signal(str(path)).samples
+        assert back.tobytes() == samples.tobytes()  # bitwise: keeps -0.0 apart from 0.0
+
+    def test_written_format_is_one_repr_per_line(self, tmp_path):
+        samples = synthesize(MODEL2, 40, LinearProcessSpec((1.0, 0.5), 0.25), seed=3).samples
+        path = tmp_path / "sig.txt"
+        write_signal(Signal(samples), str(path))
+        assert path.read_text() == "\n".join(map(repr, samples.tolist())) + "\n"
+        write_signal(Signal(samples, sample_rate=8000.0), str(path))
+        assert path.read_text().split("\n", 1) == [
+            "# sample_rate=8000.0", "\n".join(map(repr, samples.tolist())) + "\n"]
+
+    @staticmethod
+    def _line_by_line(text):
+        """Reference reader: strip each line, skip blanks and comments, float the rest."""
+        sample_rate, values = None, []
+        for line in text.split("\n"):
+            line = line.strip()
+            if line.startswith("#"):
+                body = line.lstrip("#").strip()
+                if body.startswith("sample_rate="):
+                    sample_rate = float(body.split("=", 1)[1])
+            elif line:
+                values.append(float(line))
+        return sample_rate, values
+
+    def test_comments_blank_lines_whitespace_and_crlf(self, tmp_path):
+        text = ("# made by hand\n"
+                "\n"
+                "  1.5\n"
+                "\t-2.25e-3  \n"
+                "   \n"
+                "# sample_rate=44100.0\n"
+                "  # an indented comment\n"
+                "3\n"
+                "\x0c\n"
+                "-0.0")
+        expected_rate, expected = self._line_by_line(text)
+        assert expected_rate == 44100.0 and expected == [1.5, -2.25e-3, 3.0, -0.0]
+        for newline in ("\n", "\r\n"):
+            path = tmp_path / "hand.txt"
+            path.write_bytes(text.replace("\n", newline).encode())
+            back = read_signal(str(path))
+            assert back.sample_rate == expected_rate
+            assert back.samples.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("row", ["abc", "1.0 2.0", "1.0\t2.0", "1.0\x0c2.0", "1.0 # note"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# sample_rate=10.0\n0.5\n\n{row}\n-1.0\n{row}\n")
+        with pytest.raises(DomainError, match=r"bad\.txt: line 4: "):
+            read_signal(str(path))
+        path.write_text(f"0.5\n{row}\n")
+        with pytest.raises(DomainError, match=r"bad\.txt: line 2: "):
+            read_signal(str(path))
+
+    def test_malformed_sample_rate_header_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0.5\n# sample_rate=fast\n1.0\n")
+        with pytest.raises(DomainError, match=r"bad\.txt: line 2: "):
+            read_signal(str(path))
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        for text in ("", "\n\n", "# sample_rate=10.0\n"):
+            path.write_text(text)
+            with pytest.raises(DomainError, match="no data rows"):
+                read_signal(str(path))
+
 
 def test_presets_match_published_parameters():
     assert MODEL1.lam == 0.25 and MODEL2.lam == 0.3141
