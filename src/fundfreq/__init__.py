@@ -10,15 +10,9 @@ reproduces simulation tables with a deterministic Monte Carlo harness.
 
 from .asymptotics import AsymptoticReport, asymptotic_variances, spectral_weight_c
 from .criterion import HarmonicDesignMoments, compute_moments, g, g_derivatives
-from .errors import (
-    BoundaryError,
-    CurvatureError,
-    DegenerateFrequencyError,
-    DomainError,
-    FundfreqError,
-)
+from .errors import DegenerateFrequencyError, DomainError, FundfreqError
 from .linear import alse_linear, lse_linear, residuals, sample_acf
-from .mnr import EstimationTrace, MnrConfig, TraceRecord, estimate_fundamental, mnr_step
+from .mnr import EstimationTrace, MnrConfig, TraceRecord, estimate_fundamental
 from .montecarlo import (
     MA1_NOISE_COEFFS,
     MODEL1,
@@ -33,10 +27,8 @@ from .signal import (
     HarmonicModel,
     LinearProcessSpec,
     Signal,
-    cartesian_to_polar,
     generate_linear_process,
     mean_correct,
-    polar_to_cartesian,
     read_signal,
     synthesize,
     write_signal,
@@ -53,8 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticReport",
-    "BoundaryError",
-    "CurvatureError",
     "DegenerateFrequencyError",
     "DomainError",
     "EstimationTrace",
@@ -72,7 +62,6 @@ __all__ = [
     "TraceRecord",
     "alse_linear",
     "asymptotic_variances",
-    "cartesian_to_polar",
     "compute_moments",
     "estimate_fundamental",
     "fourier_grid",
@@ -84,9 +73,7 @@ __all__ = [
     "harmonic_criterion_qn",
     "lse_linear",
     "mean_correct",
-    "mnr_step",
     "periodogram",
-    "polar_to_cartesian",
     "read_signal",
     "replication_seed",
     "residuals",

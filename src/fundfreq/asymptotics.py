@@ -37,17 +37,6 @@ class AsymptoticReport:
     var_lse: float
     var_mnr: float
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "sigma2": self.sigma2,
-            "beta_star": self.beta_star,
-            "delta_g": self.delta_g,
-            "c_weights": list(self.c_weights),
-            "var_lse": self.var_lse,
-            "var_mnr": self.var_mnr,
-        }
-
 
 def spectral_weight_c(spec: LinearProcessSpec, j: int, lam: float) -> float:
     """c(j) = |sum_k a(k) exp(-i j k lambda)|^2 (i.i.d. noise gives 1)."""

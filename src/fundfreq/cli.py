@@ -16,6 +16,7 @@ is built on the first call and reused by the later ones.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -84,12 +85,7 @@ def _noise_spec(text: str) -> tuple[float, ...]:
 
 
 def _model_from_args(args) -> HarmonicModel:
-    model = getattr(args, "model", None)
-    if model is not None:
-        if model in _PRESETS:
-            return _PRESETS[model]
-        return _load_model_file(model)
-    if getattr(args, "model_file", None):
+    if args.model_file:
         return _load_model_file(args.model_file)
     return _PRESETS[args.preset]
 
@@ -146,7 +142,7 @@ def cmd_estimate(args) -> int:
             "variance": float(resid.var()),
             "sigma2_hat": sigma2_hat,
         },
-        "asym": asym.as_dict(),
+        "asym": dataclasses.asdict(asym),
         "trace": {
             "status": trace.status,
             "evaluations": trace.evaluations,
@@ -214,7 +210,7 @@ def cmd_asymvar(args) -> int:
             f"{report.delta_g:.5e},{report.var_lse:.5e},{report.var_mnr:.5e}"
         )
     else:
-        text = json.dumps(report.as_dict(), indent=2)
+        text = json.dumps(dataclasses.asdict(report), indent=2)
     _write_text(args.out, text)
     return 0
 
@@ -227,14 +223,11 @@ def _write_text(path: str | None, text: str) -> None:
         print(text)
 
 
-def _add_model_flags(parser: argparse.ArgumentParser, with_model: bool = False) -> None:
+def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--preset", choices=sorted(_PRESETS), default="1",
                        help="built-in benchmark model (default 1)")
     group.add_argument("--model-file", help="JSON file with p, lambda, amplitudes")
-    if with_model:
-        group.add_argument("--model",
-                           help="preset name (1|2) or a model JSON file path")
 
 
 @functools.cache
@@ -288,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_per.set_defaults(func=cmd_periodogram)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo summary CSV")
-    _add_model_flags(p_sim, with_model=True)
+    _add_model_flags(p_sim)
     p_sim.add_argument("--noise", type=_noise_spec, default=MA1_NOISE_COEFFS,
                        help="'iid' or 'ma:<a0,a1,...>' (default ma:1,0.5)")
     p_sim.add_argument("--n", type=_int_list, required=True,

@@ -22,11 +22,4 @@ class CurvatureError(FundfreqError):
 
 
 class BoundaryError(FundfreqError):
-    """A Newton iterate left the admissible interval (0, pi/p).
-
-    The rejected raw value is carried in ``value``.
-    """
-
-    def __init__(self, value: float, message: str | None = None):
-        self.value = value
-        super().__init__(message or f"iterate {value!r} left the admissible frequency interval")
+    """A Newton iterate left the admissible interval (0, pi/p)."""

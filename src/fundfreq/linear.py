@@ -8,11 +8,9 @@ j's own 2x2 solve is the p = 1 case at j*lambda_hat,
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .criterion import lse_coefficients
+from .criterion import _check_p_lam, lse_coefficients
 from .errors import DomainError
 from .signal import Signal, harmonic_sum
 
@@ -28,14 +26,13 @@ def lse_linear(signal: Signal, lambda_hat: float, p: int) -> list[tuple[float, f
     design moments X_j'X_k, which are O(1) rather than O(n), and leave an
     O(1/n) leakage error.
     """
-    _check(p, lambda_hat)
     theta = lse_coefficients(signal, p, lambda_hat)
     return [(float(theta[2 * i]), float(theta[2 * i + 1])) for i in range(p)]
 
 
 def alse_linear(signal: Signal, lambda_hat: float, p: int) -> list[tuple[float, float]]:
     """Approximate LS amplitudes: (2/n) correlations with the design columns."""
-    _check(p, lambda_hat)
+    _check_p_lam(p, lambda_hat)
     y = signal.samples
     n = signal.n
     t = np.arange(1, n + 1, dtype=float)
@@ -74,10 +71,3 @@ def sample_acf(series, max_lag: int) -> np.ndarray:
     for k in range(1, max_lag + 1):
         out[k] = float(xc[:-k] @ xc[k:]) / denom
     return out
-
-
-def _check(p: int, lam: float) -> None:
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
-    if not (0.0 < lam < math.pi / p):
-        raise DomainError(f"lambda_hat must lie in (0, pi/{p}), got {lam}")

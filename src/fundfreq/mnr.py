@@ -4,8 +4,9 @@ The estimator runs in three stages:
 
 1. coarse start: argmax of the harmonic criterion on the 8x zero-padded
    Fourier grid 2*pi*k/(8n),
-2. one Newton step with step factor 1/4 computed on a consecutive
-   subsample of size n1 = floor(n^(6/7)),
+2. one Newton step with step factor 1/4 computed on the first
+   n1 = floor(n^(6/7)) samples; the run ends ``boundary`` if it leaves
+   (0, pi/p),
 3. full Newton steps -g'/g'' on the full sample.  A step that lowers the
    criterion g or leaves (0, pi/p) is halved until it does neither or is
    shorter than ``tol``; an iterate with g'' >= 0 takes no step (the run
@@ -44,13 +45,7 @@ from .spectrum import fourier_grid_init
 # Zero-padding factor of the start grid 2*pi*k/(_START_PAD * n).
 _START_PAD = 8
 
-__all__ = [
-    "MnrConfig",
-    "TraceRecord",
-    "EstimationTrace",
-    "mnr_step",
-    "estimate_fundamental",
-]
+__all__ = ["MnrConfig", "TraceRecord", "EstimationTrace", "estimate_fundamental"]
 
 
 @dataclass(frozen=True)
@@ -67,7 +62,6 @@ class MnrConfig:
     tol: float = 1e-7
     max_iter: int = 50
     subsample_exponent: float = 6.0 / 7.0
-    subsample_start: int = 0
     init_mode: str = "harmonic_sum"
 
     def __post_init__(self):
@@ -81,8 +75,6 @@ class MnrConfig:
             raise DomainError(
                 f"subsample_exponent must be in (0, 1], got {self.subsample_exponent}"
             )
-        if self.subsample_start < 0:
-            raise DomainError(f"subsample_start must be >= 0, got {self.subsample_start}")
         if self.init_mode not in ("plain", "harmonic_sum"):
             raise DomainError(f"unknown init_mode {self.init_mode!r}")
 
@@ -121,27 +113,6 @@ class EstimationTrace:
     def best(self) -> TraceRecord:
         return max(self.records, key=lambda r: r.g_value)
 
-    @property
-    def iterations(self) -> int:
-        return len(self.records) - 1
-
-
-def mnr_step(
-    signal: Signal, p: int, lam: float, step_factor: float = 0.25
-) -> tuple[float, float]:
-    """One reduced-step Newton update: lam - step_factor * g'(lam)/g''(lam).
-
-    Returns (lam_next, correction).  Raises :class:`CurvatureError` when
-    g'' vanishes or is non-finite, and :class:`BoundaryError` (carrying the
-    raw value) when the proposed iterate leaves (0, pi/p).
-    """
-    gp, gpp = g_derivatives(signal, p, lam)
-    correction = _newton(lam, gp, gpp, step_factor)
-    lam_next = lam + correction
-    if not (0.0 < lam_next < math.pi / p):
-        raise BoundaryError(lam_next)
-    return lam_next, correction
-
 
 def estimate_fundamental(
     signal: Signal, p: int, config: MnrConfig | None = None
@@ -166,17 +137,16 @@ def estimate_fundamental(
     trace.records.append(TraceRecord(0, lam0, n, g(signal, p, lam0), 0.0))
 
     n1 = int(n**config.subsample_exponent)
-    start = config.subsample_start
-    if start + n1 > n:
-        raise DomainError(
-            f"subsample [{start}, {start + n1}) exceeds the sample length {n}"
-        )
-    subsample = Signal(signal.samples[start : start + n1], signal.sample_rate)
+    subsample = Signal(signal.samples[:n1], signal.sample_rate)
 
     try:
-        # Stage 2: one step on the shrunken sample.
+        # Stage 2: one reduced step on the first n1 samples.
         trace.evaluations += 1
-        lam_k, correction = mnr_step(subsample, p, lam0, config.step_factor)
+        gp, gpp = g_derivatives(subsample, p, lam0)
+        correction = _newton(lam0, gp, gpp, config.step_factor)
+        lam_k = lam0 + correction
+        if not (0.0 < lam_k < math.pi / p):
+            raise BoundaryError(lam_k)
         # Stage 3: full Newton steps on the full sample.  Each iterate needs
         # the criterion value (backtracking) and both derivatives (next
         # step), so they come from one pass over the moment blocks; the

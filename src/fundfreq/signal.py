@@ -26,8 +26,6 @@ __all__ = [
     "synthesize",
     "generate_linear_process",
     "mean_correct",
-    "polar_to_cartesian",
-    "cartesian_to_polar",
     "read_signal",
     "write_signal",
 ]
@@ -72,19 +70,9 @@ class HarmonicModel:
                 raise DomainError(f"harmonic {j} has zero amplitude")
 
     @property
-    def a(self) -> np.ndarray:
-        """Cosine amplitudes A_1..A_p."""
-        return np.array([ab[0] for ab in self.amplitudes])
-
-    @property
-    def b(self) -> np.ndarray:
-        """Sine amplitudes B_1..B_p."""
-        return np.array([ab[1] for ab in self.amplitudes])
-
-    @property
     def power_per_harmonic(self) -> np.ndarray:
         """A_j^2 + B_j^2 for j = 1..p."""
-        return self.a**2 + self.b**2
+        return np.array([a * a + b * b for a, b in self.amplitudes])
 
 
 @dataclass(frozen=True)
@@ -100,8 +88,11 @@ class Signal:
             raise DomainError("samples must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(samples)):
             raise DomainError("samples must all be finite")
-        if self.sample_rate is not None and not self.sample_rate > 0:
-            raise DomainError(f"sample_rate must be positive, got {self.sample_rate}")
+        if self.sample_rate is not None:
+            if not self.sample_rate > 0:
+                raise DomainError(f"sample_rate must be positive, got {self.sample_rate}")
+            # a numpy scalar would write as "np.float64(...)" in the file header
+            object.__setattr__(self, "sample_rate", float(self.sample_rate))
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
@@ -133,16 +124,9 @@ class LinearProcessSpec:
         object.__setattr__(self, "sigma2", float(self.sigma2))
 
     @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
     def process_variance(self) -> float:
         """Stationary variance sigma2 * sum a(k)^2."""
         return self.sigma2 * sum(c * c for c in self.coeffs)
-
-
-IID = LinearProcessSpec((1.0,), 1.0)
 
 
 def harmonic_sum(lam: float, amplitudes, t: np.ndarray) -> np.ndarray:
@@ -168,7 +152,7 @@ def generate_linear_process(spec: LinearProcessSpec, n: int, seed: int) -> np.nd
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    q = spec.order
+    q = len(spec.coeffs) - 1
     rng = np.random.default_rng(seed)
     eps = rng.normal(0.0, math.sqrt(spec.sigma2), size=n + q)
     # e[t] = sum_k a(k) eps[t-k]; with eps covering times 1-q..n this is the
@@ -202,49 +186,34 @@ def mean_correct(signal: Signal) -> Signal:
     return Signal(signal.samples - signal.samples.mean(), signal.sample_rate)
 
 
-def polar_to_cartesian(rho: float, phi: float) -> tuple[float, float]:
-    """Map amplitude/phase (rho, phi) to (A, B) = (rho cos phi, -rho sin phi)."""
-    if not rho > 0:
-        raise DomainError(f"rho must be positive, got {rho}")
-    return rho * math.cos(phi), -rho * math.sin(phi)
-
-
-def cartesian_to_polar(a: float, b: float) -> tuple[float, float]:
-    """Inverse of :func:`polar_to_cartesian`; phi is returned in (-pi, pi]."""
-    rho = math.hypot(a, b)
-    if rho == 0.0:
-        raise DomainError("(A, B) = (0, 0) has no polar representation")
-    return rho, math.atan2(-b, a)
-
-
-def write_signal(signal: Signal, path: str, column: str = "y") -> None:
+def write_signal(signal: Signal, path: str) -> None:
     """Write a signal to ``path``, one sample per line.
 
     Each sample is written as ``repr`` of its Python float, the shortest
     text that reads back to the same double, so :func:`read_signal`
     returns the samples bit for bit.  A ``# sample_rate=<Hz>`` comment
     comes first when the signal has a sample rate; ``.csv`` paths then get
-    a one-column header named ``column``.
+    a one-column header ``y``.
     """
     lines = []
     if signal.sample_rate is not None:
         lines.append(f"# sample_rate={signal.sample_rate!r}")
     if str(path).endswith(".csv"):
-        lines.append(column)
+        lines.append("y")
     lines.extend(map(repr, signal.samples.tolist()))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_signal(path: str, column: str = "y") -> Signal:
+def read_signal(path: str) -> Signal:
     """Read a signal written by :func:`write_signal` (text or CSV).
 
     The file is read in one piece.  Blank lines are skipped; a line whose
     first non-blank character is ``#`` is a comment, and
     ``# sample_rate=<Hz>`` sets the sample rate.  Every other line of a
     text file is one sample, read by Python's ``float`` rules in one numpy
-    call; a ``.csv`` file has a header naming ``column``, or one unnamed
-    column of numbers.  A line that cannot be read raises
+    call; a ``.csv`` file is read from the column its header names ``y``,
+    or is one unnamed column of numbers.  A line that cannot be read raises
     :class:`DomainError` naming the file and the line.
     """
     with open(path) as fh:
@@ -273,12 +242,12 @@ def read_signal(path: str, column: str = "y") -> Signal:
         raise DomainError(f"{path}: no data rows")
     if str(path).endswith(".csv"):
         header = [c.strip() for c in rows[0].split(",")]
-        if column in header:
-            idx, data, start = header.index(column), rows[1:], lines.index(rows[0]) + 1
+        if "y" in header:
+            idx, data, start = header.index("y"), rows[1:], lines.index(rows[0]) + 1
         elif len(header) == 1 and _is_number(header[0]):
             idx, data, start = 0, rows, 0
         else:
-            raise DomainError(f"{path}: column {column!r} not found in header {header}")
+            raise DomainError(f"{path}: column 'y' not found in header {header}")
         values = []
         for row in data:
             try:

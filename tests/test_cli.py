@@ -311,16 +311,21 @@ class TestSimulate:
     def test_model_flag_accepts_preset_and_file(self, tmp_path, capsys):
         args = ["--noise", "iid", "--n", "100", "--sigma2", "0.25",
                 "--reps", "2", "--seed", "3"]
-        _, via_preset, _ = run_cli(["simulate", "--model", "2"] + args, capsys)
+        _, via_preset, _ = run_cli(["simulate", "--preset", "2"] + args, capsys)
         model_file = tmp_path / "m2.json"
         model_file.write_text(json.dumps({
             "p": 4, "lambda": 0.3141,
             "amplitudes": [[4, 2], [3, 1.5], [2, 1.25], [1, 1]],
         }))
         _, via_file, _ = run_cli(
-            ["simulate", "--model", str(model_file)] + args, capsys
+            ["simulate", "--model-file", str(model_file)] + args, capsys
         )
         assert via_preset == via_file
+        # there is no --model flag: argparse takes "--model" as an
+        # abbreviation of --model-file, and no file is named "2"
+        code, _, err = run_cli(["simulate", "--model", "2"] + args, capsys)
+        assert code == 2
+        assert "file not found: 2" in err
 
 
 class TestAsymvar:

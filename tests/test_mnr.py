@@ -1,4 +1,4 @@
-"""Newton refinement: single steps, full runs, curvature guard, trace integrity."""
+"""Newton refinement: the stage-2 step, full runs, curvature guard, trace integrity."""
 
 import math
 
@@ -7,56 +7,47 @@ import pytest
 
 import fundfreq.mnr as mnr
 from fundfreq import (
-    BoundaryError,
     DomainError,
     LinearProcessSpec,
     MnrConfig,
     Signal,
     estimate_fundamental,
     g_derivatives,
-    mnr_step,
     synthesize,
 )
 from fundfreq.criterion import g_with_derivatives
 
 
-class TestMnrStep:
-    def test_zero_step_factor_is_identity(self, m1_clean_1000):
-        lam_next, corr = mnr_step(m1_clean_1000, 4, 0.24, step_factor=0.0)
-        assert lam_next == 0.24
-        assert corr == 0.0
+class TestStage2:
+    """The one reduced Newton step on the first n1 samples."""
 
-    def test_correction_is_quarter_newton(self, m1_clean_1000):
-        gp, gpp = g_derivatives(m1_clean_1000, 4, 0.24)
-        lam_next, corr = mnr_step(m1_clean_1000, 4, 0.24)
-        assert corr == pytest.approx(-0.25 * gp / gpp, rel=1e-12)
-        assert lam_next == pytest.approx(0.24 + corr, abs=1e-15)
+    @pytest.mark.parametrize("step_factor", [0.25, 0.5])
+    def test_correction_is_reduced_newton_on_prefix(self, model1, step_factor):
+        sig = synthesize(model1, 500, LinearProcessSpec((1.0, 0.5), 0.25), seed=30)
+        _, trace = estimate_fundamental(sig, 4, MnrConfig(step_factor=step_factor))
+        lam0 = trace.records[0].lam
+        n1 = int(500 ** (6.0 / 7.0))
+        gp, gpp = g_derivatives(Signal(sig.samples[:n1]), 4, lam0)
+        assert trace.records[1].correction == -step_factor * gp / gpp
+        assert trace.records[1].lam == lam0 + trace.records[1].correction
+        assert trace.records[1].sample_size_used == n1
 
-    def test_near_zero_correction_at_true_frequency(self, m1_clean_1000):
-        # noiseless data at the true frequency: the true frequency is the
-        # least squares maximizer, so the correction is tiny
-        _, corr = mnr_step(m1_clean_1000, 4, 0.25)
-        assert abs(corr) < 1e-5
+    def test_near_zero_correction_from_true_frequency(self, m1_clean_1000, monkeypatch):
+        # noiseless data: the true frequency maximizes g on the subsample
+        # too, so a start there barely moves
+        monkeypatch.setattr(mnr, "fourier_grid_init", lambda *args: 0.25)
+        _, trace = estimate_fundamental(m1_clean_1000, 4)
+        assert trace.records[0].lam == 0.25
+        assert abs(trace.records[1].correction) < 1e-5
 
-    def test_scale_invariance(self, model1):
-        sig = synthesize(model1, 400, LinearProcessSpec((1.0, 0.5), 0.25), seed=21)
-        scaled = Signal(1000.0 * sig.samples)
-        a, _ = mnr_step(sig, 4, 0.252)
-        b, _ = mnr_step(scaled, 4, 0.252)
-        assert b == pytest.approx(a, abs=1e-12)
-
-    def test_boundary_error_carries_raw_value(self):
-        # pure-noise signal near the interval edge: the Newton step ejects
-        # the iterate from (0, pi)
-        y = np.random.default_rng(7).normal(0.0, 1.0, 60)
-        with pytest.raises(BoundaryError) as exc_info:
-            mnr_step(Signal(y), 1, 0.05)
-        raw = exc_info.value.value
-        assert not (0.0 < raw < math.pi)
-
-    def test_domain(self, m1_clean_1000):
-        with pytest.raises(DomainError):
-            mnr_step(m1_clean_1000, 4, 0.8)  # outside (0, pi/4)
+    def test_step_leaving_interval_ends_boundary(self, model1, monkeypatch):
+        # unlike a stage-3 step, the stage-2 step is not halved: leaving
+        # (0, pi/p) ends the run with the grid start
+        monkeypatch.setattr(mnr, "g_derivatives", lambda signal, p, lam: (1.0, -1e-9))
+        lam_hat, trace = estimate_fundamental(synthesize(model1, 500), 4)
+        assert trace.status == "boundary"
+        assert len(trace.records) == 1
+        assert lam_hat == trace.records[0].lam
 
 
 class TestEstimateFundamental:
@@ -149,17 +140,6 @@ class TestEstimateFundamental:
         lam_hat, trace = estimate_fundamental(Signal(y), 1)
         assert 0.0 < trace.records[0].lam < math.pi
         assert 0.0 < lam_hat < math.pi
-
-    def test_subsample_offset_respected(self, model1):
-        sig = synthesize(model1, 500, LinearProcessSpec((1.0, 0.5), 0.25), seed=33)
-        cfg = MnrConfig(subsample_start=100)
-        lam_hat, _ = estimate_fundamental(sig, 4, cfg)
-        assert abs(lam_hat - 0.25) < 1e-3
-
-    def test_subsample_overflow_rejected(self, model1):
-        sig = synthesize(model1, 100)
-        with pytest.raises(DomainError):
-            estimate_fundamental(sig, 4, MnrConfig(subsample_start=90))
 
 
 class TestStage3:

@@ -10,10 +10,8 @@ from fundfreq import (
     HarmonicModel,
     LinearProcessSpec,
     Signal,
-    cartesian_to_polar,
     generate_linear_process,
     mean_correct,
-    polar_to_cartesian,
     read_signal,
     synthesize,
     write_signal,
@@ -173,27 +171,6 @@ class TestMeanCorrect:
         assert abs(once.samples.mean()) < 1e-15
 
 
-class TestPolar:
-    def test_quarter_turn(self):
-        a, b = polar_to_cartesian(1.0, math.pi / 2)
-        assert a == pytest.approx(0.0, abs=1e-15)
-        assert b == pytest.approx(-1.0)
-
-    def test_exact_trig_values(self):
-        a, b = polar_to_cartesian(2.0, math.pi / 3)
-        assert a == pytest.approx(1.0)
-        assert b == pytest.approx(-math.sqrt(3.0))
-
-    def test_round_trip(self):
-        rho, phi = cartesian_to_polar(*polar_to_cartesian(1.5, 0.7))
-        assert rho == pytest.approx(1.5, abs=1e-12)
-        assert phi == pytest.approx(0.7, abs=1e-12)
-
-    def test_rho_positive_required(self):
-        with pytest.raises(DomainError):
-            polar_to_cartesian(0.0, 0.3)
-
-
 class TestSerialization:
     def test_text_round_trip(self, tmp_path):
         sig = synthesize(MODEL1, 50, LinearProcessSpec((1.0, 0.5), 0.25), seed=5,
@@ -207,21 +184,21 @@ class TestSerialization:
     def test_csv_round_trip(self, tmp_path):
         sig = synthesize(MODEL2, 30, seed=1)
         path = tmp_path / "sig.csv"
-        write_signal(sig, str(path), column="y")
-        back = read_signal(str(path), column="y")
+        write_signal(sig, str(path))
+        back = read_signal(str(path))
         assert np.array_equal(back.samples, sig.samples)
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(DomainError):
-            read_signal(str(path), column="y")
+            read_signal(str(path))
 
     def test_csv_row_without_the_column_rejected(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("x,y\n1,2\n3\n")
         with pytest.raises(DomainError, match=r"short\.csv: line 3: .*'3'"):
-            read_signal(str(path), column="y")
+            read_signal(str(path))
 
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -242,6 +219,15 @@ class TestSerialization:
         write_signal(Signal(samples, sample_rate=8000.0), str(path))
         assert path.read_text().split("\n", 1) == [
             "# sample_rate=8000.0", "\n".join(map(repr, samples.tolist())) + "\n"]
+
+    def test_numpy_scalar_sample_rate_round_trips(self, tmp_path):
+        # the rate is stored as a Python float, so the header never reads
+        # "np.float64(8000.0)", which read_signal cannot parse
+        path = tmp_path / "sig.txt"
+        write_signal(Signal(np.ones(3), sample_rate=np.float64(8000.0)), str(path))
+        assert path.read_text().split("\n", 1)[0] == "# sample_rate=8000.0"
+        back = read_signal(str(path))
+        assert type(back.sample_rate) is float and back.sample_rate == 8000.0
 
     @staticmethod
     def _line_by_line(text):
@@ -303,7 +289,5 @@ class TestSerialization:
 
 def test_presets_match_published_parameters():
     assert MODEL1.lam == 0.25 and MODEL2.lam == 0.3141
-    assert np.allclose(MODEL1.a, [5.0, 4.0, 3.0, 2.0])
-    assert np.allclose(MODEL1.b, [3.0, 2.5, 2.25, 2.0])
-    assert np.allclose(MODEL2.a, [4.0, 3.0, 2.0, 1.0])
-    assert np.allclose(MODEL2.b, [2.0, 1.5, 1.25, 1.0])
+    assert MODEL1.amplitudes == ((5.0, 3.0), (4.0, 2.5), (3.0, 2.25), (2.0, 2.0))
+    assert MODEL2.amplitudes == ((4.0, 2.0), (3.0, 1.5), (2.0, 1.25), (1.0, 1.0))
