@@ -20,7 +20,7 @@ from fundfreq import (
 from fundfreq.montecarlo import MODEL1
 
 noise = LinearProcessSpec(coeffs=(1.0, 0.5), sigma2=0.25)
-sig = synthesize(MODEL1, n=500, noise=noise, seed=42, sample_rate=10_000.0)
+sig = synthesize(MODEL1, n=500, noise=noise, seed=42)
 
 print("model: p =", MODEL1.p, " lambda =", MODEL1.lam)
 print("amplitude pairs:", MODEL1.amplitudes)
@@ -34,11 +34,10 @@ print(f"noise variance: theoretical {noise.process_variance:.4f}, "
 # Signal power dwarfs the noise here: per-harmonic powers A_j^2 + B_j^2.
 print("per-harmonic power:", MODEL1.power_per_harmonic)
 
-# Serialization round trip (text with a sample-rate header).
-write_signal(sig, "/tmp/demo_signal.txt")
-back = read_signal("/tmp/demo_signal.txt")
-print("round trip exact:", bool(np.array_equal(back.samples, sig.samples)),
-      "| sample rate:", back.sample_rate)
+# Serialization round trip through a text file in the working directory.
+write_signal(sig, "demo_signal.txt")
+back = read_signal("demo_signal.txt")
+print("round trip exact:", bool(np.array_equal(back.samples, sig.samples)))
 
 # Mean correction is the standard preprocessing step for recorded data.
 centered = mean_correct(sig)

@@ -11,7 +11,6 @@ import numpy as np
 
 from fundfreq import (
     LinearProcessSpec,
-    alse_linear,
     estimate_fundamental,
     lse_linear,
     residuals,
@@ -37,12 +36,10 @@ for r in trace.records:
 # O(1/n) between harmonics.
 per = [lse_coefficients(sig, 1, j * lam_hat) for j in range(1, 5)]
 full = lse_linear(sig, lam_hat, 4)
-approx = alse_linear(sig, lam_hat, 4)
-print("\nharmonic   truth            per-harmonic      2p-column         approx(2/n)")
-for j, (truth, a, b, c) in enumerate(zip(MODEL1.amplitudes, per, full, approx), 1):
+print("\nharmonic   truth            per-harmonic      2p-column")
+for j, (truth, a, b) in enumerate(zip(MODEL1.amplitudes, per, full), 1):
     print(f"  {j}      ({truth[0]:.2f}, {truth[1]:.2f})   "
-          f"({a[0]:5.2f}, {a[1]:5.2f})   ({b[0]:5.2f}, {b[1]:5.2f})   "
-          f"({c[0]:5.2f}, {c[1]:5.2f})")
+          f"({a[0]:5.2f}, {a[1]:5.2f})   ({b[0]:5.2f}, {b[1]:5.2f})")
 
 # Residual diagnostics: variance near the noise process variance (0.3125)
 # and short-memory autocorrelation (MA(1) lag-1 correlation 0.4).

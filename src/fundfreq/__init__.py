@@ -11,7 +11,7 @@ reproduces simulation tables with a deterministic Monte Carlo harness.
 from .asymptotics import AsymptoticReport, asymptotic_variances, spectral_weight_c
 from .criterion import HarmonicDesignMoments, compute_moments, g, g_derivatives
 from .errors import DegenerateFrequencyError, DomainError, FundfreqError
-from .linear import alse_linear, lse_linear, residuals, sample_acf
+from .linear import lse_linear, residuals, sample_acf
 from .mnr import EstimationTrace, MnrConfig, TraceRecord, estimate_fundamental
 from .montecarlo import (
     MA1_NOISE_COEFFS,
@@ -60,7 +60,6 @@ __all__ = [
     "Signal",
     "SummaryRow",
     "TraceRecord",
-    "alse_linear",
     "asymptotic_variances",
     "compute_moments",
     "estimate_fundamental",

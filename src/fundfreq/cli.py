@@ -22,7 +22,7 @@ import json
 import sys
 
 from .asymptotics import asymptotic_variances
-from .errors import FundfreqError
+from .errors import DomainError, FundfreqError
 from .linear import lse_linear, residuals
 from .mnr import MnrConfig, estimate_fundamental
 from .montecarlo import (
@@ -93,11 +93,15 @@ def _model_from_args(args) -> HarmonicModel:
 def _load_model_file(path: str) -> HarmonicModel:
     with open(path) as fh:
         raw = json.load(fh)
-    return HarmonicModel(
-        p=int(raw["p"]),
-        lam=float(raw["lambda"]),
-        amplitudes=tuple((float(a), float(b)) for a, b in raw["amplitudes"]),
-    )
+    try:
+        p, lam = int(raw["p"]), float(raw["lambda"])
+        amplitudes = tuple((float(a), float(b)) for a, b in raw["amplitudes"])
+    except (TypeError, ValueError, KeyError) as exc:
+        raise DomainError(
+            f"{path}: expected a JSON object with p, lambda and amplitudes "
+            f"[[A_1, B_1], ...] ({type(exc).__name__}: {exc})"
+        ) from None
+    return HarmonicModel(p, lam, amplitudes)
 
 
 def cmd_synth(args) -> int:
@@ -105,33 +109,26 @@ def cmd_synth(args) -> int:
     noise = None
     if args.noise is not None:
         noise = LinearProcessSpec(args.noise, args.sigma2)
-    sig = synthesize(model, args.n, noise, args.seed, sample_rate=args.sample_rate)
+    sig = synthesize(model, args.n, noise, args.seed)
     write_signal(sig, args.out)
     return 0
 
 
 def cmd_estimate(args) -> int:
+    noise = LinearProcessSpec(args.noise)  # sigma2 = 1: the noise shape alone
     sig = read_signal(args.input)
     if args.mean_correct:
         sig = mean_correct(sig)
-    config = MnrConfig(
-        step_factor=args.step_factor,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        subsample_exponent=args.subsample_exponent,
-        init_mode=args.init_mode,
-    )
+    config = MnrConfig(step_factor=args.step_factor, tol=args.tol, max_iter=args.max_iter)
     lam_hat, trace = estimate_fundamental(sig, args.p, config)
     amps = lse_linear(sig, lam_hat, args.p)
     resid = residuals(sig, lam_hat, amps)
-    noise_coeffs = args.noise if args.noise is not None else (1.0,)
     # innovation variance from the residuals: var(e) = sigma2 * sum a(k)^2
-    ssq = float(sum(c * c for c in noise_coeffs))
-    sigma2_hat = float(resid.var()) / ssq
+    sigma2_hat = float(resid.var()) / noise.process_variance
     model_hat = HarmonicModel(args.p, lam_hat, tuple(amps))
     # a perfect noiseless fit gives sigma2_hat == 0; keep the spec valid
     asym = asymptotic_variances(
-        model_hat, LinearProcessSpec(noise_coeffs, max(sigma2_hat, 1e-300)), sig.n
+        model_hat, LinearProcessSpec(noise.coeffs, max(sigma2_hat, 1e-300)), sig.n
     )
     report = {
         "lambda_hat": lam_hat,
@@ -159,13 +156,9 @@ def cmd_estimate(args) -> int:
         },
         "config": {
             "p": args.p,
-            "step_factor": config.step_factor,
-            "tol": config.tol,
-            "max_iter": config.max_iter,
-            "subsample_exponent": config.subsample_exponent,
-            "init_mode": config.init_mode,
+            **dataclasses.asdict(config),
             "mean_correct": bool(args.mean_correct),
-            "noise_coeffs": list(noise_coeffs),
+            "noise_coeffs": list(noise.coeffs),
         },
     }
     if args.residuals_out:
@@ -237,36 +230,36 @@ def build_parser() -> argparse.ArgumentParser:
     Every call returns the same parser, so callers must not modify it;
     each ``parse_args`` call still returns a fresh namespace.
     """
+    # allow_abbrev=False on every parser: a prefix such as --model must not
+    # stand for --model-file
     parser = argparse.ArgumentParser(
         prog="fundfreq",
         description="Fundamental frequency estimation for harmonic signals",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p_synth = sub.add_parser("synth", help="write a synthetic signal file")
+    p_synth = add_parser("synth", help="write a synthetic signal file")
     _add_model_flags(p_synth)
     p_synth.add_argument("--n", type=_positive_int, required=True)
     p_synth.add_argument("--noise", type=_noise_spec, default=None,
                          help="'iid' or 'ma:<a0,a1,...>' (omit for noiseless)")
     p_synth.add_argument("--sigma2", type=_positive_float, default=1.0)
     p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--sample-rate", type=_positive_float, default=None)
     p_synth.add_argument("--out", required=True)
     p_synth.set_defaults(func=cmd_synth)
 
-    p_est = sub.add_parser("estimate", help="estimate frequency and amplitudes")
+    p_est = add_parser("estimate", help="estimate frequency and amplitudes")
     p_est.add_argument("--input", required=True)
     p_est.add_argument("--p", type=_positive_int, required=True)
-    p_est.add_argument("--tol", type=_positive_float, default=1e-7)
-    p_est.add_argument("--max-iter", type=_positive_int, default=50)
-    p_est.add_argument("--step-factor", type=_positive_float, default=0.25,
+    p_est.add_argument("--tol", type=_positive_float, default=MnrConfig.tol)
+    p_est.add_argument("--max-iter", type=_positive_int, default=MnrConfig.max_iter)
+    p_est.add_argument("--step-factor", type=_positive_float, default=MnrConfig.step_factor,
                        help="Newton step factor of the stage-2 subsample step "
-                            "(default 0.25); stage 3 takes full steps")
-    p_est.add_argument("--init-mode", choices=["plain", "harmonic_sum"],
-                       default="harmonic_sum")
-    p_est.add_argument("--subsample-exponent", type=_positive_float, default=6.0 / 7.0)
+                            "(default %(default)s); stage 3 takes full steps")
     p_est.add_argument("--mean-correct", action="store_true")
-    p_est.add_argument("--noise", type=_noise_spec, default=None,
+    p_est.add_argument("--noise", type=_noise_spec, default=(1.0,),
                        help="noise shape for the variance report (default iid)")
     p_est.add_argument("--json", action="store_true", help="pretty-print the report")
     p_est.add_argument("--residuals-out", default=None,
@@ -274,13 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--out", default=None)
     p_est.set_defaults(func=cmd_estimate)
 
-    p_per = sub.add_parser("periodogram", help="spectral CSV over the Fourier grid")
+    p_per = add_parser("periodogram", help="spectral CSV over the Fourier grid")
     p_per.add_argument("--input", required=True)
     p_per.add_argument("--p", type=_positive_int, default=1)
     p_per.add_argument("--out", default=None)
     p_per.set_defaults(func=cmd_periodogram)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo summary CSV")
+    p_sim = add_parser("simulate", help="Monte Carlo summary CSV")
     _add_model_flags(p_sim)
     p_sim.add_argument("--noise", type=_noise_spec, default=MA1_NOISE_COEFFS,
                        help="'iid' or 'ma:<a0,a1,...>' (default ma:1,0.5)")
@@ -293,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_av = sub.add_parser("asymvar", help="closed-form asymptotic variances")
+    p_av = add_parser("asymvar", help="closed-form asymptotic variances")
     _add_model_flags(p_av)
     p_av.add_argument("--noise", type=_noise_spec, default=(1.0,),
                       help="'iid' or 'ma:<a0,a1,...>' (default iid)")
@@ -317,7 +310,7 @@ def main(argv=None) -> int:
     except FundfreqError as exc:
         print(f"fundfreq: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         print(f"fundfreq: {exc}", file=sys.stderr)
         return 1
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .criterion import _check_p_lam, lse_coefficients
+from .criterion import lse_coefficients
 from .errors import DomainError
 from .signal import Signal, harmonic_sum
 
-__all__ = ["lse_linear", "alse_linear", "residuals", "sample_acf"]
+__all__ = ["lse_linear", "residuals", "sample_acf"]
 
 
 def lse_linear(signal: Signal, lambda_hat: float, p: int) -> list[tuple[float, float]]:
@@ -28,20 +28,6 @@ def lse_linear(signal: Signal, lambda_hat: float, p: int) -> list[tuple[float, f
     """
     theta = lse_coefficients(signal, p, lambda_hat)
     return [(float(theta[2 * i]), float(theta[2 * i + 1])) for i in range(p)]
-
-
-def alse_linear(signal: Signal, lambda_hat: float, p: int) -> list[tuple[float, float]]:
-    """Approximate LS amplitudes: (2/n) correlations with the design columns."""
-    _check_p_lam(p, lambda_hat)
-    y = signal.samples
-    n = signal.n
-    t = np.arange(1, n + 1, dtype=float)
-    out = []
-    for j in range(1, p + 1):
-        a = 2.0 / n * float(y @ np.cos(j * lambda_hat * t))
-        b = 2.0 / n * float(y @ np.sin(j * lambda_hat * t))
-        out.append((a, b))
-    return out
 
 
 def residuals(

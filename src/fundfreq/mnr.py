@@ -44,6 +44,8 @@ from .spectrum import fourier_grid_init
 
 # Zero-padding factor of the start grid 2*pi*k/(_START_PAD * n).
 _START_PAD = 8
+# Stage 2 runs on the first floor(n ** _SUBSAMPLE_EXPONENT) samples.
+_SUBSAMPLE_EXPONENT = 6.0 / 7.0
 
 __all__ = ["MnrConfig", "TraceRecord", "EstimationTrace", "estimate_fundamental"]
 
@@ -61,8 +63,6 @@ class MnrConfig:
     step_factor: float = 0.25
     tol: float = 1e-7
     max_iter: int = 50
-    subsample_exponent: float = 6.0 / 7.0
-    init_mode: str = "harmonic_sum"
 
     def __post_init__(self):
         if not (0.0 < self.step_factor <= 1.0):
@@ -71,12 +71,6 @@ class MnrConfig:
             raise DomainError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not (0.0 < self.subsample_exponent <= 1.0):
-            raise DomainError(
-                f"subsample_exponent must be in (0, 1], got {self.subsample_exponent}"
-            )
-        if self.init_mode not in ("plain", "harmonic_sum"):
-            raise DomainError(f"unknown init_mode {self.init_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -124,20 +118,18 @@ def estimate_fundamental(
     record; on any other status it is the trace iterate with the largest
     criterion value.  A boundary, curvature or normal-equation breakdown
     after the start ends the run with the best iterate seen so far rather
-    than raising.
+    than raising; the start search raises :class:`DomainError` when
+    n < 10*p.
     """
     if config is None:
         config = MnrConfig()
     n = signal.n
-    if n < 10 * p:
-        raise DomainError(f"need n >= 10*p = {10 * p}, got n = {n}")
-
-    lam0 = fourier_grid_init(signal, p, config.init_mode, _START_PAD)
+    lam0 = fourier_grid_init(signal, p, "harmonic_sum", _START_PAD)
     trace = EstimationTrace(evaluations=1)
     trace.records.append(TraceRecord(0, lam0, n, g(signal, p, lam0), 0.0))
 
-    n1 = int(n**config.subsample_exponent)
-    subsample = Signal(signal.samples[:n1], signal.sample_rate)
+    n1 = int(n**_SUBSAMPLE_EXPONENT)
+    subsample = Signal(signal.samples[:n1])
 
     try:
         # Stage 2: one reduced step on the first n1 samples.

@@ -95,6 +95,9 @@ class ExperimentSpec:
         object.__setattr__(self, "noise_coeffs", tuple(float(c) for c in self.noise_coeffs))
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
         object.__setattr__(self, "sigma2_values", tuple(float(s) for s in self.sigma2_values))
+        n_min, p = min(self.sample_sizes), self.model.p
+        if n_min < 10 * p:
+            raise DomainError(f"need n >= 10*p = {10 * p} in every cell, got n = {n_min}")
 
 
 @dataclass(frozen=True)

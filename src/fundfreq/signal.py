@@ -77,10 +77,9 @@ class HarmonicModel:
 
 @dataclass(frozen=True)
 class Signal:
-    """A finite sample y(1..n) with optional sampling-rate metadata."""
+    """A finite sample y(1..n)."""
 
     samples: np.ndarray
-    sample_rate: float | None = None
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
@@ -88,11 +87,6 @@ class Signal:
             raise DomainError("samples must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(samples)):
             raise DomainError("samples must all be finite")
-        if self.sample_rate is not None:
-            if not self.sample_rate > 0:
-                raise DomainError(f"sample_rate must be positive, got {self.sample_rate}")
-            # a numpy scalar would write as "np.float64(...)" in the file header
-            object.__setattr__(self, "sample_rate", float(self.sample_rate))
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
@@ -118,6 +112,8 @@ class LinearProcessSpec:
             raise DomainError("coeffs must be nonempty")
         if not all(math.isfinite(c) for c in coeffs):
             raise DomainError("coeffs must all be finite")
+        if not any(coeffs):
+            raise DomainError("coeffs must not all be zero")
         if not (self.sigma2 > 0 and math.isfinite(self.sigma2)):
             raise DomainError(f"sigma2 must be positive and finite, got {self.sigma2}")
         object.__setattr__(self, "coeffs", coeffs)
@@ -166,7 +162,6 @@ def synthesize(
     n: int,
     noise: LinearProcessSpec | None = None,
     seed: int = 0,
-    sample_rate: float | None = None,
 ) -> Signal:
     """Generate y(1..n) from the harmonic model, optionally plus noise.
 
@@ -178,12 +173,12 @@ def synthesize(
     y = harmonic_sum(model.lam, model.amplitudes, t)
     if noise is not None:
         y = y + generate_linear_process(noise, n, seed)
-    return Signal(y, sample_rate=sample_rate)
+    return Signal(y)
 
 
 def mean_correct(signal: Signal) -> Signal:
     """Subtract the arithmetic mean from every sample."""
-    return Signal(signal.samples - signal.samples.mean(), signal.sample_rate)
+    return Signal(signal.samples - signal.samples.mean())
 
 
 def write_signal(signal: Signal, path: str) -> None:
@@ -191,13 +186,10 @@ def write_signal(signal: Signal, path: str) -> None:
 
     Each sample is written as ``repr`` of its Python float, the shortest
     text that reads back to the same double, so :func:`read_signal`
-    returns the samples bit for bit.  A ``# sample_rate=<Hz>`` comment
-    comes first when the signal has a sample rate; ``.csv`` paths then get
-    a one-column header ``y``.
+    returns the samples bit for bit.  ``.csv`` paths get a one-column
+    header ``y``.
     """
     lines = []
-    if signal.sample_rate is not None:
-        lines.append(f"# sample_rate={signal.sample_rate!r}")
     if str(path).endswith(".csv"):
         lines.append("y")
     lines.extend(map(repr, signal.samples.tolist()))
@@ -208,36 +200,23 @@ def write_signal(signal: Signal, path: str) -> None:
 def read_signal(path: str) -> Signal:
     """Read a signal written by :func:`write_signal` (text or CSV).
 
-    The file is read in one piece.  Blank lines are skipped; a line whose
-    first non-blank character is ``#`` is a comment, and
-    ``# sample_rate=<Hz>`` sets the sample rate.  Every other line of a
-    text file is one sample, read by Python's ``float`` rules in one numpy
-    call; a ``.csv`` file is read from the column its header names ``y``,
-    or is one unnamed column of numbers.  A line that cannot be read raises
-    :class:`DomainError` naming the file and the line.
+    The file is read in one piece.  Blank lines are skipped, and so is a
+    line whose first non-blank character is ``#``, a comment.  Every other
+    line of a text file is one sample, read by Python's ``float`` rules in
+    one numpy call; a ``.csv`` file is read from the column its header
+    names ``y``, or is one unnamed column of numbers.  A line that cannot
+    be read raises :class:`DomainError` naming the file and the line.
     """
     with open(path) as fh:
         text = fh.read()
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()  # the newline that ends the last line
-    sample_rate = None
     rows = lines
-    # a file write_signal wrote without a sample rate has neither comments
-    # nor blank lines, and skips this line-by-line pass
+    # a file write_signal wrote has neither comments nor blank lines, and
+    # skips this line-by-line pass
     if "#" in text or not all(map(str.strip, lines)):
-        rows = []
-        for line in lines:
-            body = line.strip()
-            if body.startswith("#"):
-                body = body.lstrip("#").strip()
-                if body.startswith("sample_rate="):
-                    try:
-                        sample_rate = float(body.split("=", 1)[1])
-                    except ValueError:
-                        raise _bad_line(path, lines, line) from None
-            elif body:
-                rows.append(line)
+        rows = [line for line in lines if (body := line.strip()) and not body.startswith("#")]
     if not rows:
         raise DomainError(f"{path}: no data rows")
     if str(path).endswith(".csv"):
@@ -254,14 +233,14 @@ def read_signal(path: str) -> Signal:
                 values.append(float(row.split(",")[idx]))
             except (IndexError, ValueError):
                 raise _bad_line(path, lines, row, start) from None
-        return Signal(np.array(values), sample_rate=sample_rate)
+        return Signal(np.array(values))
     try:
         # a list of str converts element by element through float(), so a
         # row like "1.0 2.0" is rejected as float("1.0 2.0") is
         samples = np.array(rows, dtype=float)
     except ValueError:
         raise _bad_line(path, lines, next(r for r in rows if not _is_number(r))) from None
-    return Signal(samples, sample_rate=sample_rate)
+    return Signal(samples)
 
 
 def _bad_line(path: str, lines: list[str], line: str, start: int = 0) -> DomainError:

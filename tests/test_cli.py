@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import fundfreq
-from fundfreq import Signal, read_signal, residuals, write_signal
+import fundfreq.mnr as mnr
+from fundfreq import DegenerateFrequencyError, Signal, read_signal, residuals, write_signal
 from fundfreq.cli import main
 
 
@@ -57,6 +58,23 @@ class TestSynth:
         assert code == 1
         assert "lambda" in err
 
+    @pytest.mark.parametrize("model", [
+        {"p": 2, "lambda": 0.25, "amplitudes": [1, 2]},
+        {"p": "two", "lambda": 0.25, "amplitudes": [[1, 0], [1, 0]]},
+        [2, 0.25, [[1, 0], [1, 0]]],
+        {"lambda": 0.25, "amplitudes": [[1, 0], [1, 0]]},
+    ], ids=["flat-amplitudes", "p-not-a-number", "top-level-list", "missing-p"])
+    def test_malformed_model_file_is_runtime_error(self, tmp_path, capsys, model):
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(model))
+        code, _, err = run_cli(
+            ["synth", "--model-file", str(bad), "--n", "50",
+             "--out", str(tmp_path / "y")],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith(f"fundfreq: {bad}: expected a JSON object")
+
 
 class TestEstimate:
     @pytest.fixture()
@@ -89,19 +107,39 @@ class TestEstimate:
         assert code == 2
         assert "not found" in err
 
-    def test_singular_subsample_reports_degenerate(self, tmp_path, capsys):
-        # a 3-row stage-2 subsample cannot fit 8 design columns: the run
-        # ends with status degenerate and the report is still written
+    def test_singular_subsample_reports_degenerate(self, tmp_path, capsys, monkeypatch):
+        # singular normal equations on the stage-2 subsample: the run ends
+        # with status degenerate and the report is still written
+        def singular(*args):
+            raise DegenerateFrequencyError("singular subsample normal equations")
+
         path = tmp_path / "noisy.txt"
         run_cli(["synth", "--preset", "1", "--n", "100", "--noise", "ma:1,0.5",
                  "--sigma2", "0.25", "--seed", "3", "--out", str(path)], capsys)
+        monkeypatch.setattr(mnr, "g_derivatives", singular)
         code, out, _ = run_cli(
-            ["estimate", "--input", str(path), "--p", "4",
-             "--subsample-exponent", "0.3", "--json"],
-            capsys,
+            ["estimate", "--input", str(path), "--p", "4", "--json"], capsys
         )
         assert code == 0
         assert json.loads(out)["trace"]["status"] == "degenerate"
+
+    def test_all_zero_noise_coefficients_are_runtime_error(self, clean_file, capsys):
+        code, out, err = run_cli(
+            ["estimate", "--input", str(clean_file), "--p", "4", "--noise", "ma:0"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert "coeffs must not all be zero" in err
+
+    def test_config_block_holds_the_mnr_config(self, clean_file, capsys):
+        code, out, _ = run_cli(
+            ["estimate", "--input", str(clean_file), "--p", "4", "--tol", "1e-9"], capsys
+        )
+        assert code == 0
+        assert list(json.loads(out)["config"].items()) == [
+            ("p", 4), ("step_factor", 0.25), ("tol", 1e-9), ("max_iter", 50),
+            ("mean_correct", False), ("noise_coeffs", [1.0]),
+        ]
 
     def test_residuals_export(self, clean_file, tmp_path, capsys):
         res_path = tmp_path / "resid.txt"
@@ -236,6 +274,18 @@ def test_malformed_signal_file_is_runtime_error(tmp_path, capsys, command, row):
     assert f"bad.txt: line 3: cannot read a number from {row!r}" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--preset", "1", "--n", "100", "--out", "x.txt", "--sample-rate", "8000"],
+    ["estimate", "--input", "x.txt", "--p", "4", "--init-mode", "plain"],
+    ["estimate", "--input", "x.txt", "--p", "4", "--subsample-exponent", "0.3"],
+])
+def test_removed_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
 class TestParserReuse:
     """One parser serves every main() call; no value may carry over."""
 
@@ -321,11 +371,19 @@ class TestSimulate:
             ["simulate", "--model-file", str(model_file)] + args, capsys
         )
         assert via_preset == via_file
-        # there is no --model flag: argparse takes "--model" as an
-        # abbreviation of --model-file, and no file is named "2"
-        code, _, err = run_cli(["simulate", "--model", "2"] + args, capsys)
-        assert code == 2
-        assert "file not found: 2" in err
+        # there is no --model flag, and no prefix stands for --model-file
+        with pytest.raises(SystemExit) as exc_info:
+            main(["simulate", "--model", "2"] + args)
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: --model 2" in capsys.readouterr().err
+
+    def test_sample_size_below_ten_p_is_runtime_error(self, capsys):
+        code, out, err = run_cli(
+            ["simulate", "--n", "100,20", "--sigma2", "1", "--reps", "3"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert "need n >= 10*p = 40 in every cell, got n = 20" in err
 
 
 class TestAsymvar:
@@ -351,6 +409,14 @@ class TestAsymvar:
         assert header == "n,sigma2,beta_star,delta_g,var_lse,var_mnr"
         fields = row.split(",")
         assert float(fields[4]) == pytest.approx(3.09e-10, rel=0.01)
+
+    def test_all_zero_noise_coefficients_are_runtime_error(self, capsys):
+        code, out, err = run_cli(
+            ["asymvar", "--noise", "ma:0,0", "--sigma2", "1", "--n", "100"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert "coeffs must not all be zero" in err
 
     def test_idempotent(self, capsys):
         args = ["asymvar", "--preset", "1", "--noise", "iid", "--sigma2", "0.25",

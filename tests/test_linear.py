@@ -9,7 +9,6 @@ from fundfreq import (
     DomainError,
     LinearProcessSpec,
     Signal,
-    alse_linear,
     lse_linear,
     residuals,
     sample_acf,
@@ -63,33 +62,6 @@ class TestLse:
     def test_domain(self, m1_clean_1000):
         with pytest.raises(DomainError):
             lse_linear(m1_clean_1000, 0.8, 4)
-
-
-class TestAlse:
-    def test_zero_signal(self):
-        assert alse_linear(Signal(np.zeros(50)), 0.3, 1) == [(0.0, 0.0)]
-
-    def test_pure_tone_near_recovery(self):
-        t = np.arange(1, 1001)
-        sig = Signal(2.0 * np.cos(0.3 * t))
-        (a, b), = alse_linear(sig, 0.3, 1)
-        assert abs(a - 2.0) < 0.01  # O(1/n) orthogonality remainder
-        assert abs(b) < 0.01
-
-    def test_alse_close_to_lse(self, m1_clean_2000):
-        # the per-harmonic LSE and the ALSE differ by O(1/n); at n=2000 the
-        # worst pairwise Euclidean gap measures ~5.4e-3 on the clean
-        # benchmark signal
-        lse = amplitude_matrix(per_harmonic(m1_clean_2000, 0.25, 4))
-        alse = amplitude_matrix(alse_linear(m1_clean_2000, 0.25, 4))
-        gaps = np.linalg.norm(lse - alse, axis=1)
-        assert gaps.max() < 1e-2
-
-    def test_linearity(self, model1):
-        sig = synthesize(model1, 300, LinearProcessSpec((1.0,), 1.0), seed=3)
-        base = amplitude_matrix(alse_linear(sig, 0.25, 4))
-        scaled = amplitude_matrix(alse_linear(Signal(3.0 * sig.samples), 0.25, 4))
-        assert np.allclose(scaled, 3.0 * base, rtol=1e-10)
 
 
 class TestResiduals:

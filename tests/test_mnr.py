@@ -7,6 +7,7 @@ import pytest
 
 import fundfreq.mnr as mnr
 from fundfreq import (
+    DegenerateFrequencyError,
     DomainError,
     LinearProcessSpec,
     MnrConfig,
@@ -122,13 +123,15 @@ class TestEstimateFundamental:
         assert trace.status == "degenerate"
         assert lam_hat == trace.records[0].lam
 
-    def test_singular_subsample_reports_degenerate(self, model1):
-        # the stage-2 subsample has int(100**0.3) = 3 rows, fewer than the
-        # 2p = 8 design columns, so its normal equations are singular; the
-        # run ends with the grid start and a degenerate status
+    def test_singular_subsample_reports_degenerate(self, model1, monkeypatch):
+        # singular normal equations on the stage-2 subsample: the run ends
+        # with the grid start and a degenerate status
+        def singular(*args):
+            raise DegenerateFrequencyError("singular subsample normal equations")
+
+        monkeypatch.setattr(mnr, "g_derivatives", singular)
         sig = synthesize(model1, 100, LinearProcessSpec((1.0, 0.5), 0.25), seed=3)
-        cfg = MnrConfig(subsample_exponent=0.3)
-        lam_hat, trace = estimate_fundamental(sig, 4, cfg)
+        lam_hat, trace = estimate_fundamental(sig, 4)
         assert trace.status == "degenerate"
         assert len(trace.records) == 1
         assert lam_hat == trace.records[0].lam
@@ -239,18 +242,12 @@ class TestConfig:
         assert cfg.step_factor == 0.25
         assert cfg.tol == 1e-7
         assert cfg.max_iter == 50
-        assert cfg.subsample_exponent == pytest.approx(6.0 / 7.0)
-        assert cfg.init_mode == "harmonic_sum"
 
     def test_validation(self):
         with pytest.raises(DomainError):
             MnrConfig(step_factor=0.0)
         with pytest.raises(DomainError):
             MnrConfig(tol=-1.0)
-        with pytest.raises(DomainError):
-            MnrConfig(subsample_exponent=1.5)
-        with pytest.raises(DomainError):
-            MnrConfig(init_mode="fancy")
 
 
 class TestStatisticalGuards:

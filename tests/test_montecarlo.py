@@ -7,6 +7,7 @@ import pytest
 
 import fundfreq.montecarlo as mc
 from fundfreq import (
+    DomainError,
     ExperimentSpec,
     LinearProcessSpec,
     SummaryRow,
@@ -162,6 +163,13 @@ class TestAggregation:
             small_spec(replications=0)
         with pytest.raises(Exception):
             small_spec(sample_sizes=())
+
+    def test_sample_size_below_ten_p_rejected(self):
+        # every replication of such a cell would fail the estimator's own
+        # n >= 10*p check, leaving a row of nan
+        with pytest.raises(DomainError, match=r"need n >= 10\*p = 40 in every cell, got n = 39"):
+            small_spec(sample_sizes=(100, 39))
+        assert small_spec(sample_sizes=(40,)).sample_sizes == (40,)
 
 
 class TestCsv:

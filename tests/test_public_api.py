@@ -27,7 +27,6 @@ PUBLIC = [
     "Signal",
     "SummaryRow",
     "TraceRecord",
-    "alse_linear",
     "asymptotic_variances",
     "compute_moments",
     "estimate_fundamental",
@@ -53,7 +52,7 @@ PUBLIC = [
 ]
 
 REMOVED = ["BoundaryError", "CurvatureError", "mnr_step", "polar_to_cartesian",
-           "cartesian_to_polar"]
+           "cartesian_to_polar", "alse_linear"]
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -85,7 +84,9 @@ def test_removed_name_is_not_importable(name):
 
 def test_removed_members_stay_removed():
     assert [f.name for f in dataclasses.fields(fundfreq.MnrConfig)] == [
-        "step_factor", "tol", "max_iter", "subsample_exponent", "init_mode"]
+        "step_factor", "tol", "max_iter"]
+    assert [f.name for f in dataclasses.fields(fundfreq.Signal)] == ["samples"]
+    assert "sample_rate" not in inspect.signature(fundfreq.synthesize).parameters
     for params in (inspect.signature(fundfreq.read_signal).parameters,
                    inspect.signature(fundfreq.write_signal).parameters):
         assert "column" not in params
