@@ -94,7 +94,9 @@ def _load_model_file(path: str) -> HarmonicModel:
     with open(path) as fh:
         raw = json.load(fh)
     try:
-        p, lam = int(raw["p"]), float(raw["lambda"])
+        p, lam = raw["p"], float(raw["lambda"])
+        if type(p) is not int:  # rejects 1.9 and "2", and true, a bool
+            raise TypeError(f"p must be a JSON integer, got {json.dumps(p)}")
         amplitudes = tuple((float(a), float(b)) for a, b in raw["amplitudes"])
     except (TypeError, ValueError, KeyError) as exc:
         raise DomainError(

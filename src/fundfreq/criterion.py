@@ -17,7 +17,10 @@ pitch criterion).  All of them are blocks of one Gram-type product, summed
 over chunks of samples; each chunk takes one complex exponential
 e^{i lam t} per sample, whose running powers give every harmonic's cos and
 sin.  X'X is factored once by Cholesky, and the inverse factor serves
-every solve.
+every solve.  The kernel pass can split after a sample n1: the moments
+over y(1..n1) then carry the derivative blocks while the rest adds only
+to X'X and X'Y, so one pass gives g over all n samples and g', g'' over
+the first n1 (:func:`g_and_prefix_derivatives`).
 
 A single harmonic j is the p = 1 case at frequency j*lam: its projection
 norm R_j is g(signal, 1, j*lam), its own 2x2 amplitude solve is
@@ -29,9 +32,11 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # the gufuncs behind np.linalg
 
 from .errors import DegenerateFrequencyError, DomainError
 from .signal import Signal
@@ -40,6 +45,7 @@ __all__ = [
     "HarmonicDesignMoments",
     "compute_moments",
     "g",
+    "g_and_prefix_derivatives",
     "g_derivatives",
     "g_with_derivatives",
     "lse_coefficients",
@@ -88,19 +94,20 @@ def compute_moments(signal: Signal, j: int, lam: float) -> HarmonicDesignMoments
         raise DomainError(f"j must be >= 1, got {j}")
     if not (0.0 < j * lam < math.pi):
         raise DomainError(f"need 0 < j*lambda < pi, got j={j}, lambda={lam}")
-    # Rows (c, s, tc, ts) against columns (c, s, tc, ts, y, ty).
-    mom = _moments(signal, 1, j * lam, True)
-    blocks = (mom[:2, :2], j * mom[:2, 2:4], j * j * mom[2:, 2:4])
+    # Rows (tc, ts, c, s) against columns (tc, ts, c, s, y, ty).
+    mom = _moments(signal.samples, 1, j * lam, signal.n)[0]
+    blocks = (mom[2:4, 2:4], j * mom[2:4, :2], j * j * mom[:2, :2])
     for b in blocks:
         b[1, 0] = b[0, 1]   # the product's two triangles differ in the last bit
     return HarmonicDesignMoments(
-        j, lam, signal.n, *blocks, mom[:2, 4], j * mom[:2, 5], j * j * mom[2:, 5]
+        j, lam, signal.n, *blocks, mom[2:4, 4], j * mom[2:4, 5], j * j * mom[:2, 5]
     )
 
 
 def g(signal: Signal, p: int, lam: float) -> float:
     """Criterion g(lam) = Y'X (X'X)^{-1} X'Y over all 2p design columns."""
-    z = _whitened(signal, p, lam)[1]
+    _check_p_lam(p, lam)
+    z = _whitened(_moments(signal.samples, p, lam, 0)[1], signal.n, lam)[1]
     return float(z @ z)
 
 
@@ -125,34 +132,67 @@ def g_with_derivatives(signal: Signal, p: int, lam: float) -> tuple[float, float
         g'' = 2 [r'M^{-1}r - (J^2 a)'(w - Ba) - (Ka)'B(Ka)].
     """
     _check_p_lam(p, lam)
+    return _with_derivatives(_moments(signal.samples, p, lam, signal.n)[0], p, signal.n, lam)
+
+
+def g_and_prefix_derivatives(
+    signal: Signal, p: int, lam: float, n1: int
+) -> tuple[float, Callable[[], tuple[float, float]]]:
+    """g over all n samples and (g', g'') over the first n1, from one pass.
+
+    Returns ``(g, prefix_derivatives)``.  A singular X'X over all n
+    samples raises :class:`DegenerateFrequencyError` here; the derivatives
+    of the subsample y(1..n1) are solved, and raise, only when
+    ``prefix_derivatives()`` is called.  They come from the same chunk
+    products as ``g_derivatives(Signal(signal.samples[:n1]), p, lam)``,
+    and g agrees with :func:`g` to rounding.
+    """
+    _check_p_lam(p, lam)
+    n = signal.n
+    if not 0 < n1 < n:
+        raise DomainError(f"need 0 < n1 < n = {n}, got n1 = {n1}")
+    head, tail = _moments(signal.samples, p, lam, n1)
     q = 2 * p
-    mom = _moments(signal, p, lam, True)
-    u, v, w = mom[:q, 2 * q], mom[q : 2 * q, 2 * q], mom[q : 2 * q, 2 * q + 1]
-    linv = _inverse_factor(mom[:q, :q], signal.n, lam)
-    a = linv.T @ (linv @ u)
-    ik, k, j2 = _harmonic_operators(p)
-    a_ka = (ik @ a).reshape(2, q)                  # rows a, Ka
-    ab_a, ab_ka = a_ka @ mom[: 2 * q, q : 2 * q].T  # rows [A; B]a, [A; B]Ka
-    ka = a_ka[1]
-    v_res = v - ab_a[:q]                           # X'T(Y - Xa)
-    z = linv @ (v_res @ k - ab_ka[:q])             # L^{-1} r, with K'x = x @ K
-    gpp = 2.0 * (z @ z - (j2 * a) @ (w - ab_a[q:]) - ka @ ab_ka[q:])
-    return float(u @ a), float(2.0 * (ka @ v_res)), float(gpp)
+    tail += head[q : 2 * q, q:]  # X'X, X'Y and X'TY over all n samples
+    z = _whitened(tail, n, lam)[1]
+    return float(z @ z), lambda: _with_derivatives(head, p, n1, lam)[1:]
 
 
 def lse_coefficients(signal: Signal, p: int, lam: float) -> np.ndarray:
     """Joint least squares coefficients (A_1, B_1, .., A_p, B_p) at ``lam``."""
-    linv, z = _whitened(signal, p, lam)
+    _check_p_lam(p, lam)
+    linv, z = _whitened(_moments(signal.samples, p, lam, 0)[1], signal.n, lam)
     return linv.T @ z
 
 
-def _whitened(signal: Signal, p: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """(L^{-1}, L^{-1} X'Y) for the Cholesky factor L of X'X = LL'."""
-    _check_p_lam(p, lam)
+def _whitened(mom: np.ndarray, n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """(L^{-1}, L^{-1} X'Y) for the Cholesky factor L of X'X = LL'.
+
+    ``mom`` holds X'X in its leading square block and X'Y in the next
+    column, as the tail product of :func:`_moments` does.
+    """
+    q = mom.shape[0]
+    linv = _inverse_factor(mom[:, :q], n, lam)
+    return linv, linv @ mom[:, q]
+
+
+def _with_derivatives(
+    mom: np.ndarray, p: int, n: int, lam: float
+) -> tuple[float, float, float]:
+    """:func:`g_with_derivatives` from the head product of :func:`_moments`
+    over n samples."""
     q = 2 * p
-    mom = _moments(signal, p, lam, False)
-    linv = _inverse_factor(mom[:q, :q], signal.n, lam)
-    return linv, linv @ mom[:q, q]
+    u, v, w = mom[q : 2 * q, 2 * q], mom[:q, 2 * q], mom[:q, 2 * q + 1]
+    linv = _inverse_factor(mom[q : 2 * q, q : 2 * q], n, lam)
+    a = linv.T @ (linv @ u)
+    ik, k, j2 = _harmonic_operators(p)
+    a_ka = (ik @ a).reshape(2, q)                  # rows a, Ka
+    ba_a, ba_ka = a_ka @ mom[: 2 * q, :q].T         # rows [B; A]a, [B; A]Ka
+    ka = a_ka[1]
+    v_res = v - ba_a[q:]                           # X'T(Y - Xa)
+    z = linv @ (v_res @ k - ba_ka[q:])             # L^{-1} r, with K'x = x @ K
+    gpp = 2.0 * (z @ z - (j2 * a) @ (w - ba_a[:q]) - ka @ ba_ka[:q])
+    return float(u @ a), float(2.0 * (ka @ v_res)), float(gpp)
 
 
 @functools.lru_cache(maxsize=None)
@@ -169,50 +209,63 @@ def _harmonic_operators(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ik, ik[q:], j2
 
 
-def _moments(signal: Signal, p: int, lam: float, derivatives: bool) -> np.ndarray:
-    """Products D S' of the design rows D = [X'; (TX)'] with S = [D; Y'; (TY)'].
+def _moments(
+    y: np.ndarray, p: int, lam: float, n1: int
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Products of the design rows with the data, split after sample n1.
 
-    X'X, X'TX and X'T^2X are its square blocks, X'Y, X'TY and X'T^2Y its
-    last two columns; the (TX)' rows are left out unless ``derivatives``.
+    Returns ``(head, tail)``.  The head sums, over t <= n1, the products
+    D S' of the rows D = [(TX)'; X'] with S = [D; Y'; (TY)']: X'T^2X, X'TX
+    and X'X are its square blocks, X'T^2Y, X'TY and X'Y its last two
+    columns.  The tail sums X'[X Y TY] over t > n1; the T-weighted design
+    rows are filled only for the head.  Either is None when its range is
+    empty.  Chunks start at t = 1 + _CHUNK*k whatever n1 is, and the
+    product of the chunk holding n1 is split there, so the head sums the
+    same chunk products as a pass over y[:n1] alone.
     """
-    y = signal.samples
     q = 2 * p
-    rows = 2 * q if derivatives else q
-    mom = 0.0
+    head = tail = None
     for lo in range(0, y.size, _CHUNK):
         t = np.arange(lo + 1, min(lo + _CHUNK, y.size) + 1, dtype=float)
         z = np.empty((p, t.size), dtype=complex)
         np.exp((1j * lam) * t, out=z[0])
         for j in range(1, p):
             np.multiply(z[j - 1], z[0], out=z[j])
-        s = np.empty((rows + 2, t.size))
-        s[0:q:2] = z.real
-        s[1:q:2] = z.imag
-        if derivatives:
-            np.multiply(s[:q], t, out=s[q:rows])
+        s = np.empty((2 * q + 2, t.size))  # rows TX, X, Y, TY
+        s[q : 2 * q : 2] = z.real
+        s[q + 1 : 2 * q : 2] = z.imag
         s[-2] = y[lo : lo + t.size]
         np.multiply(t, s[-2], out=s[-1])
-        mom = mom + s[:rows] @ s.T
-    return mom
+        m = min(max(n1 - lo, 0), t.size)  # columns of this chunk in the head
+        if m:
+            np.multiply(s[q : 2 * q, :m], t[:m], out=s[:q, :m])
+            product = s[: 2 * q, :m] @ s[:, :m].T
+            head = product if head is None else head + product
+        if m < t.size:
+            product = s[q : 2 * q, m:] @ s[q:, m:].T
+            tail = product if tail is None else tail + product
+    return head, tail
 
 
 def _inverse_factor(m: np.ndarray, n: int, lam: float) -> np.ndarray:
     """Inverse L^{-1} of the lower Cholesky factor of X'X = LL'.
 
     X'X is singular when some j*lam nears 0 or pi; the guard is a floor on
-    every squared pivot, scaled by n.
+    every squared pivot, scaled by n.  The factor and its inverse come from
+    the gufuncs that np.linalg.cholesky and np.linalg.inv call, with the
+    same results bit for bit: at 2p x 2p those wrappers' argument checks
+    cost more than the LAPACK work.  Where the factorization fails, the
+    gufunc returns NaN, which fails the floor.
     """
     floor = _PIVOT_FLOOR * n
-    try:
-        chol = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        chol = None
-    if chol is None or not chol.diagonal().min() ** 2 >= floor:
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        chol = _umath_linalg.cholesky_lo(m)
+    if not all(d * d >= floor for d in chol.diagonal().tolist()):
         raise DegenerateFrequencyError(
             f"X'X singular at lambda={lam:.6g} over {m.shape[0]} columns "
             f"(pivot floor {floor:.3e})"
         )
-    return np.linalg.inv(chol)
+    return _umath_linalg.inv(chol)
 
 
 def _check_p_lam(p: int, lam: float) -> None:

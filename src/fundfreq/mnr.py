@@ -37,15 +37,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .criterion import g, g_derivatives, g_with_derivatives
+from .criterion import g, g_and_prefix_derivatives, g_with_derivatives
 from .errors import BoundaryError, CurvatureError, DegenerateFrequencyError, DomainError
 from .signal import Signal
 from .spectrum import fourier_grid_init
 
 # Zero-padding factor of the start grid 2*pi*k/(_START_PAD * n).
 _START_PAD = 8
-# Stage 2 runs on the first floor(n ** _SUBSAMPLE_EXPONENT) samples.
-_SUBSAMPLE_EXPONENT = 6.0 / 7.0
 
 __all__ = ["MnrConfig", "TraceRecord", "EstimationTrace", "estimate_fundamental"]
 
@@ -125,16 +123,17 @@ def estimate_fundamental(
         config = MnrConfig()
     n = signal.n
     lam0 = fourier_grid_init(signal, p, "harmonic_sum", _START_PAD)
-    trace = EstimationTrace(evaluations=1)
-    trace.records.append(TraceRecord(0, lam0, n, g(signal, p, lam0), 0.0))
-
-    n1 = int(n**_SUBSAMPLE_EXPONENT)
-    subsample = Signal(signal.samples[:n1])
+    n1 = _subsample_size(n)
+    # Record 0's g over all n samples and the stage-2 derivatives over the
+    # first n1 come from one pass over the design: two evaluations.  A
+    # singular full sample raises here, a singular subsample in stage 2.
+    g0, prefix_derivatives = g_and_prefix_derivatives(signal, p, lam0, n1)
+    trace = EstimationTrace(evaluations=2)
+    trace.records.append(TraceRecord(0, lam0, n, g0, 0.0))
 
     try:
         # Stage 2: one reduced step on the first n1 samples.
-        trace.evaluations += 1
-        gp, gpp = g_derivatives(subsample, p, lam0)
+        gp, gpp = prefix_derivatives()
         correction = _newton(lam0, gp, gpp, config.step_factor)
         lam_k = lam0 + correction
         if not (0.0 < lam_k < math.pi / p):
@@ -180,6 +179,20 @@ def estimate_fundamental(
     if trace.status == "converged_tol":
         return trace.records[-1].lam, trace
     return trace.best().lam, trace
+
+
+def _subsample_size(n: int) -> int:
+    """n1 = floor(n^(6/7)), from the integer test n1^7 <= n^6 < (n1 + 1)^7.
+
+    The float power alone rounds down past exact roots: int(128 ** (6/7))
+    is 63, not 64.
+    """
+    n1 = int(n ** (6.0 / 7.0))
+    while n1**7 > n**6:
+        n1 -= 1
+    while (n1 + 1) ** 7 <= n**6:
+        n1 += 1
+    return n1
 
 
 def _newton(lam: float, gp: float, gpp: float, factor: float) -> float:

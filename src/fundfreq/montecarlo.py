@@ -98,6 +98,8 @@ class ExperimentSpec:
         n_min, p = min(self.sample_sizes), self.model.p
         if n_min < 10 * p:
             raise DomainError(f"need n >= 10*p = {10 * p} in every cell, got n = {n_min}")
+        for sigma2 in self.sigma2_values:  # fail before any cell runs
+            LinearProcessSpec(self.noise_coeffs, sigma2)
 
 
 @dataclass(frozen=True)

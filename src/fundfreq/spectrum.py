@@ -97,12 +97,10 @@ def _grid_power(
     # time origin and the sign of the exponent drop out of the modulus.
     # Every j*k with j <= p stays below pad*n/2 because lams < pi/p.
     power = np.abs(np.fft.rfft(signal.samples, pad * n)) ** 2
-    ks = np.arange(1, lams.size + 1)
-    plain = power[ks]
-    harmonic = plain
-    for j in range(2, p + 1):
-        harmonic = harmonic + power[j * ks]
-    return lams, plain, harmonic
+    # Row j-1 holds the bins j*k; summing over axis 0 adds the rows in
+    # order j = 1..p, at every k.
+    bins = power[np.arange(1, p + 1)[:, None] * np.arange(1, lams.size + 1)]
+    return lams, bins[0], bins.sum(axis=0)
 
 
 def grid_spectrum(

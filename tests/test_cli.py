@@ -58,6 +58,22 @@ class TestSynth:
         assert code == 1
         assert "lambda" in err
 
+    @pytest.mark.parametrize("p", [1.9, True, "2"])
+    def test_model_file_p_must_be_a_json_integer(self, tmp_path, capsys, p):
+        # int() read 1.9 and true as p = 1 and "2" as 2, each with exit 0
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps({"p": p, "lambda": 0.25, "amplitudes": [[1, 0]] * 2}))
+        for argv in (["synth", "--model-file", str(bad), "--n", "50",
+                      "--out", str(tmp_path / "y")],
+                     ["asymvar", "--model-file", str(bad), "--sigma2", "1",
+                      "--n", "100", "--csv"]):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 1
+            assert out == ""
+            assert err.startswith(f"fundfreq: {bad}: expected a JSON object")
+            assert f"p must be a JSON integer, got {json.dumps(p)}" in err
+        assert not (tmp_path / "y").exists()
+
     @pytest.mark.parametrize("model", [
         {"p": 2, "lambda": 0.25, "amplitudes": [1, 2]},
         {"p": "two", "lambda": 0.25, "amplitudes": [[1, 0], [1, 0]]},
@@ -110,13 +126,18 @@ class TestEstimate:
     def test_singular_subsample_reports_degenerate(self, tmp_path, capsys, monkeypatch):
         # singular normal equations on the stage-2 subsample: the run ends
         # with status degenerate and the report is still written
-        def singular(*args):
-            raise DegenerateFrequencyError("singular subsample normal equations")
+        start = mnr.g_and_prefix_derivatives
+
+        def singular_prefix(signal, p, lam, n1):
+            def singular():
+                raise DegenerateFrequencyError("singular subsample normal equations")
+
+            return start(signal, p, lam, n1)[0], singular
 
         path = tmp_path / "noisy.txt"
         run_cli(["synth", "--preset", "1", "--n", "100", "--noise", "ma:1,0.5",
                  "--sigma2", "0.25", "--seed", "3", "--out", str(path)], capsys)
-        monkeypatch.setattr(mnr, "g_derivatives", singular)
+        monkeypatch.setattr(mnr, "g_and_prefix_derivatives", singular_prefix)
         code, out, _ = run_cli(
             ["estimate", "--input", str(path), "--p", "4", "--json"], capsys
         )
@@ -376,6 +397,18 @@ class TestSimulate:
             main(["simulate", "--model", "2"] + args)
         assert exc_info.value.code == 2
         assert "unrecognized arguments: --model 2" in capsys.readouterr().err
+
+    def test_invalid_sigma2_fails_before_any_cell_runs(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fundfreq.montecarlo, "estimate_fundamental",
+                            lambda *args: calls.append(args))
+        code, out, err = run_cli(
+            ["simulate", "--n", "100", "--sigma2", "0.25,-1", "--reps", "3"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert "sigma2 must be positive and finite, got -1.0" in err
+        assert calls == []
 
     def test_sample_size_below_ten_p_is_runtime_error(self, capsys):
         code, out, err = run_cli(

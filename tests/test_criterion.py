@@ -6,10 +6,12 @@ independently of the moment-block assembly under test.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import fundfreq.criterion as criterion
 from fundfreq import (
     DegenerateFrequencyError,
     DomainError,
@@ -20,7 +22,7 @@ from fundfreq import (
     g_derivatives,
     synthesize,
 )
-from fundfreq.criterion import g_with_derivatives, lse_coefficients
+from fundfreq.criterion import g_and_prefix_derivatives, g_with_derivatives, lse_coefficients
 from conftest import fd_derivatives
 
 BETA_STAR_1 = 377.5625  # sum j^2 (A_j^2+B_j^2) for benchmark model 1
@@ -197,6 +199,39 @@ class TestDenseOracle:
         assert np.abs(coef - coef_ref).max() < 1e-9 * np.abs(coef_ref).max()
 
 
+class TestPrefixPass:
+    """g over all n and (g', g'') over the first n1 samples from one pass.
+
+    The split n1 falls inside the first chunk, on a chunk boundary, just
+    past one, and inside a later chunk.
+    """
+
+    @pytest.mark.parametrize("n, n1", [(100, 51), (500, 205), (3251, 1024),
+                                       (3300, 1025), (4000, 1223), (9000, 2450)])
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_matches_separate_passes(self, model1, n, n1, p):
+        sig = synthesize(model1, n, LinearProcessSpec((1.0, 0.5), 0.25), seed=n)
+        lam = 0.2503
+        g_full, prefix_derivatives = g_and_prefix_derivatives(sig, p, lam, n1)
+        assert prefix_derivatives() == g_derivatives(Signal(sig.samples[:n1]), p, lam)
+        assert g_full == pytest.approx(g(sig, p, lam), rel=1e-13)
+
+    @pytest.mark.parametrize("n1", [0, 500, -1])
+    def test_split_must_leave_both_parts_nonempty(self, model1, n1):
+        with pytest.raises(DomainError):
+            g_and_prefix_derivatives(synthesize(model1, 500), 4, 0.25, n1)
+
+    def test_singular_prefix_raises_only_when_read(self, model1):
+        # harmonic 4 near pi: 25 samples leave X'X below its pivot floor,
+        # 3000 samples do not
+        sig = synthesize(model1, 3000, LinearProcessSpec((1.0, 0.5), 0.25), seed=3)
+        lam = math.pi / 4 - 1e-7
+        g_full, prefix_derivatives = g_and_prefix_derivatives(sig, 4, lam, 25)
+        assert g_full == pytest.approx(g(sig, 4, lam), rel=1e-13)
+        with pytest.raises(DegenerateFrequencyError):
+            prefix_derivatives()
+
+
 class TestMomentOracle:
     """Per-harmonic moment blocks against direct O(n) cos/sin sums.
 
@@ -216,9 +251,33 @@ class TestMomentOracle:
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
 
+def _start_pass(signal, p, lam):
+    """The shared start pass with its subsample split at n1 = 1000."""
+    return g_and_prefix_derivatives(signal, p, lam, 1000)
+
+
 class TestDegeneracyGuard:
+    def test_inverse_factor_matches_numpy_linalg(self, model1):
+        # the gufuncs called directly give np.linalg's results bit for bit
+        sig = synthesize(model1, 700, LinearProcessSpec((1.0, 0.5), 0.25), seed=5)
+        for p, lam in [(1, 0.4), (4, 0.2503)]:
+            m = criterion._moments(sig.samples, p, lam, 0)[1][:, : 2 * p]
+            want = np.linalg.inv(np.linalg.cholesky(m))
+            assert np.array_equal(criterion._inverse_factor(m, sig.n, lam), want)
+
+    @pytest.mark.parametrize("m", [-np.eye(4), np.zeros((4, 4)), np.full((4, 4), np.nan),
+                                   np.diag([1.0, 1.0, 1.0, 1e-12])],
+                             ids=["negative", "zero", "nan", "below-floor"])
+    def test_inverse_factor_rejects_without_warning(self, m):
+        # a failed factorization leaves NaN pivots; they, like a small
+        # pivot, must fail the floor, and nothing may warn on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateFrequencyError):
+                criterion._inverse_factor(m, 100, 0.25)
+
     @pytest.mark.parametrize("lam", [1e-6, math.pi / 4 - 1e-9])
-    @pytest.mark.parametrize("fn", [g, g_with_derivatives, lse_coefficients])
+    @pytest.mark.parametrize("fn", [g, g_with_derivatives, lse_coefficients, _start_pass])
     def test_joint_criterion_raises_near_edges(self, model1, fn, lam):
         # harmonic 1 near frequency 0, or harmonic 4 near pi: X'X is singular
         sig = synthesize(model1, 3000, LinearProcessSpec((1.0, 0.5), 0.25), seed=3)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import fundfreq.criterion as criterion
 import fundfreq.mnr as mnr
 from fundfreq import (
     DegenerateFrequencyError,
@@ -13,6 +14,7 @@ from fundfreq import (
     MnrConfig,
     Signal,
     estimate_fundamental,
+    g,
     g_derivatives,
     synthesize,
 )
@@ -41,10 +43,38 @@ class TestStage2:
         assert trace.records[0].lam == 0.25
         assert abs(trace.records[1].correction) < 1e-5
 
+    @pytest.mark.parametrize("n", [500, 4000])
+    def test_shared_start_pass(self, model1, n):
+        # record 0's g and the stage-2 derivatives share one pass; at n = 500
+        # it is one chunk, at n = 4000 the 1223-sample prefix crosses a chunk
+        # boundary.  The step equals the one from a separate subsample pass.
+        sig = synthesize(model1, n, LinearProcessSpec((1.0, 0.5), 0.25), seed=30)
+        _, trace = estimate_fundamental(sig, 4)
+        lam0 = trace.records[0].lam
+        n1 = trace.records[1].sample_size_used
+        assert n1 == int(n ** (6.0 / 7.0))
+        gp, gpp = g_derivatives(Signal(sig.samples[:n1]), 4, lam0)
+        assert trace.records[1].correction == -0.25 * gp / gpp
+        assert trace.records[0].g_value == pytest.approx(g(sig, 4, lam0), rel=1e-13)
+
+    @pytest.mark.parametrize("n, n1", [(128, 64), (2187, 729), (16384, 4096), (127, 63), (500, 205)])
+    def test_subsample_size_is_exact_floor(self, n, n1):
+        # int(128 ** (6/7)) is 63: the float power rounds down past the root
+        assert mnr._subsample_size(n) == n1
+
+    def test_subsample_at_a_seventh_power(self, model1):
+        _, trace = estimate_fundamental(synthesize(model1, 128), 4)
+        assert trace.records[1].sample_size_used == 64
+
     def test_step_leaving_interval_ends_boundary(self, model1, monkeypatch):
         # unlike a stage-3 step, the stage-2 step is not halved: leaving
         # (0, pi/p) ends the run with the grid start
-        monkeypatch.setattr(mnr, "g_derivatives", lambda signal, p, lam: (1.0, -1e-9))
+        start = mnr.g_and_prefix_derivatives
+
+        def steep(signal, p, lam, n1):
+            return start(signal, p, lam, n1)[0], lambda: (1.0, -1e-9)
+
+        monkeypatch.setattr(mnr, "g_and_prefix_derivatives", steep)
         lam_hat, trace = estimate_fundamental(synthesize(model1, 500), 4)
         assert trace.status == "boundary"
         assert len(trace.records) == 1
@@ -126,15 +156,47 @@ class TestEstimateFundamental:
     def test_singular_subsample_reports_degenerate(self, model1, monkeypatch):
         # singular normal equations on the stage-2 subsample: the run ends
         # with the grid start and a degenerate status
-        def singular(*args):
-            raise DegenerateFrequencyError("singular subsample normal equations")
+        start = mnr.g_and_prefix_derivatives
 
-        monkeypatch.setattr(mnr, "g_derivatives", singular)
+        def singular_prefix(signal, p, lam, n1):
+            def singular():
+                raise DegenerateFrequencyError("singular subsample normal equations")
+
+            return start(signal, p, lam, n1)[0], singular
+
+        monkeypatch.setattr(mnr, "g_and_prefix_derivatives", singular_prefix)
         sig = synthesize(model1, 100, LinearProcessSpec((1.0, 0.5), 0.25), seed=3)
         lam_hat, trace = estimate_fundamental(sig, 4)
         assert trace.status == "degenerate"
         assert len(trace.records) == 1
+        assert trace.evaluations == 2
         assert lam_hat == trace.records[0].lam
+
+    @pytest.mark.parametrize("failing", [100, 51])
+    def test_factors_of_the_start_pass(self, model1, monkeypatch, failing):
+        # the shared pass factors X'X twice, full sample first: a singular
+        # full sample raises out of the estimate, a singular 51-sample
+        # prefix ends the run degenerate after record 0
+        inverse_factor = criterion._inverse_factor
+        sizes = []
+
+        def guarded(m, n, lam):
+            sizes.append(n)
+            if n == failing:
+                raise DegenerateFrequencyError(f"singular over {n} samples")
+            return inverse_factor(m, n, lam)
+
+        monkeypatch.setattr(criterion, "_inverse_factor", guarded)
+        sig = synthesize(model1, 100, LinearProcessSpec((1.0, 0.5), 0.25), seed=3)
+        if failing == 100:
+            with pytest.raises(DegenerateFrequencyError):
+                estimate_fundamental(sig, 4)
+            assert sizes == [100]
+        else:
+            _, trace = estimate_fundamental(sig, 4)
+            assert trace.status == "degenerate"
+            assert len(trace.records) == 1
+            assert sizes == [100, 51]
 
     def test_inadmissible_grid_point_not_used_as_start(self):
         # pure noise whose spectrum peaks at the top of the grid: the start
@@ -188,17 +250,32 @@ class TestStage3:
         # converged_tol, whose closing point needs g alone: g runs for
         # record 0 and for the closing step, and nothing after it
         calls = []
-        for name in ("g", "g_derivatives", "g_with_derivatives"):
+        for name in ("g", "g_with_derivatives"):
             def counted(*args, _inner=getattr(mnr, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _inner(*args, **kwargs)
             monkeypatch.setattr(mnr, name, counted)
+        start = mnr.g_and_prefix_derivatives
+
+        def counted_start(*args):
+            # record 0's g, then the stage-2 derivatives when they are read
+            g_value, prefix_derivatives = start(*args)
+            calls.append("g")
+
+            def counted_prefix():
+                calls.append("g_derivatives")
+                return prefix_derivatives()
+
+            return g_value, counted_prefix
+
+        monkeypatch.setattr(mnr, "g_and_prefix_derivatives", counted_start)
         sig = Signal(np.random.default_rng(1).normal(0.0, 1.0, 60))
         _, trace = estimate_fundamental(sig, 1)
         assert trace.evaluations == len(calls)
         assert trace.evaluations > len(trace.records) + 1
         assert trace.status == "converged_tol"
         assert calls.count("g") == 2
+        assert calls[:2] == ["g", "g_derivatives"]
         assert calls[-1] == "g"
 
     @pytest.mark.parametrize("preset", [1, 2])

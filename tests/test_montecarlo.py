@@ -164,6 +164,12 @@ class TestAggregation:
         with pytest.raises(Exception):
             small_spec(sample_sizes=())
 
+    @pytest.mark.parametrize("sigma2_values", [(0.25, -1), (0.25, 0.0), (float("nan"),)])
+    def test_every_sigma2_validated_at_construction(self, sigma2_values):
+        # run_experiment used to finish the first cell before raising
+        with pytest.raises(DomainError, match="sigma2 must be positive and finite"):
+            small_spec(sigma2_values=sigma2_values)
+
     def test_sample_size_below_ten_p_rejected(self):
         # every replication of such a cell would fail the estimator's own
         # n >= 10*p check, leaving a row of nan
