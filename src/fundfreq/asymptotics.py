@@ -45,7 +45,7 @@ def spectral_weight_c(spec: LinearProcessSpec, j: int, lam: float) -> float:
     if not (0.0 < j * lam < math.pi):
         raise DomainError(f"need 0 < j*lambda < pi, got {j * lam}")
     z = sum(a * cmath.exp(-1j * j * k * lam) for k, a in enumerate(spec.coeffs))
-    return abs(z) ** 2
+    return abs(z) * abs(z)  # ** raises OverflowError where * gives inf
 
 
 def asymptotic_variances(
@@ -64,12 +64,15 @@ def asymptotic_variances(
         beta_star += j * j * power[j - 1]
         delta_g += j * j * power[j - 1] * cj
     base = spec.sigma2 * delta_g / (beta_star**2 * float(n) ** 3)
+    var_lse = 24.0 * base
+    if not math.isfinite(var_lse):
+        raise DomainError(f"var_lse is not finite ({var_lse}) at n = {n}")
     return AsymptoticReport(
         n=n,
         sigma2=spec.sigma2,
         beta_star=beta_star,
         delta_g=delta_g,
         c_weights=tuple(weights),
-        var_lse=24.0 * base,
+        var_lse=var_lse,
         var_mnr=6.0 * base,
     )

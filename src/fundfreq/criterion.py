@@ -13,14 +13,14 @@ K = blockdiag(j E), E = [[0,1],[-1,0]], the frequency derivatives of the
 design are dX/dlam = T X K and d2X/dlam2 = T^2 X K^2, so g' and g'' contract
 to the 2p x 2p moments X'T^kX and the 2p-vectors X'T^kY, k = 0, 1, 2
 (Nielsen et al., Signal Processing 135, 2017, on the exact least squares
-pitch criterion).  All of them are blocks of one Gram-type product, summed
-over chunks of samples; each chunk takes one complex exponential
-e^{i lam t} per sample, whose running powers give every harmonic's cos and
-sin.  X'X is factored once by Cholesky, and the inverse factor serves
-every solve.  The kernel pass can split after a sample n1: the moments
-over y(1..n1) then carry the derivative blocks while the rest adds only
-to X'X and X'Y, so one pass gives g over all n samples and g', g'' over
-the first n1 (:func:`g_and_prefix_derivatives`).
+pitch criterion).  All of them are blocks of one Gram-type product over
+the samples, built in one pass: one complex exponential e^{i lam t} per
+sample, whose running powers give every harmonic's cos and sin.  X'X is
+factored once by Cholesky, and the inverse factor serves every solve.
+The pass can split after a sample n1: the moments over y(1..n1) then
+carry the derivative blocks while the rest adds only to X'X and X'Y, so
+one pass gives g over all n samples and g', g'' over the first n1
+(:func:`g_and_prefix_derivatives`).
 
 A single harmonic j is the p = 1 case at frequency j*lam: its projection
 norm R_j is g(signal, 1, j*lam), its own 2x2 amplitude solve is
@@ -54,9 +54,6 @@ __all__ = [
 # Floor on each squared Cholesky pivot of X'X, relative to n (a squared
 # pivot is ~ n/2 away from degenerate frequencies).
 _PIVOT_FLOOR = 1e-10
-
-# Rows of the design built at a time; bounds the working memory at large n.
-_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -143,8 +140,8 @@ def g_and_prefix_derivatives(
     Returns ``(g, prefix_derivatives)``.  A singular X'X over all n
     samples raises :class:`DegenerateFrequencyError` here; the derivatives
     of the subsample y(1..n1) are solved, and raise, only when
-    ``prefix_derivatives()`` is called.  They come from the same chunk
-    products as ``g_derivatives(Signal(signal.samples[:n1]), p, lam)``,
+    ``prefix_derivatives()`` is called.  They come from the same product
+    as ``g_derivatives(Signal(signal.samples[:n1]), p, lam)``,
     and g agrees with :func:`g` to rounding.
     """
     _check_p_lam(p, lam)
@@ -219,31 +216,24 @@ def _moments(
     and X'X are its square blocks, X'T^2Y, X'TY and X'Y its last two
     columns.  The tail sums X'[X Y TY] over t > n1; the T-weighted design
     rows are filled only for the head.  Either is None when its range is
-    empty.  Chunks start at t = 1 + _CHUNK*k whatever n1 is, and the
-    product of the chunk holding n1 is split there, so the head sums the
-    same chunk products as a pass over y[:n1] alone.
+    empty.  The head is the product that a pass over y[:n1] alone takes.
     """
     q = 2 * p
-    head = tail = None
-    for lo in range(0, y.size, _CHUNK):
-        t = np.arange(lo + 1, min(lo + _CHUNK, y.size) + 1, dtype=float)
-        z = np.empty((p, t.size), dtype=complex)
-        np.exp((1j * lam) * t, out=z[0])
-        for j in range(1, p):
-            np.multiply(z[j - 1], z[0], out=z[j])
-        s = np.empty((2 * q + 2, t.size))  # rows TX, X, Y, TY
-        s[q : 2 * q : 2] = z.real
-        s[q + 1 : 2 * q : 2] = z.imag
-        s[-2] = y[lo : lo + t.size]
-        np.multiply(t, s[-2], out=s[-1])
-        m = min(max(n1 - lo, 0), t.size)  # columns of this chunk in the head
-        if m:
-            np.multiply(s[q : 2 * q, :m], t[:m], out=s[:q, :m])
-            product = s[: 2 * q, :m] @ s[:, :m].T
-            head = product if head is None else head + product
-        if m < t.size:
-            product = s[q : 2 * q, m:] @ s[q:, m:].T
-            tail = product if tail is None else tail + product
+    n = y.size
+    t = np.arange(1, n + 1, dtype=float)
+    z = np.empty((p, n), dtype=complex)
+    np.exp((1j * lam) * t, out=z[0])
+    for j in range(1, p):
+        np.multiply(z[j - 1], z[0], out=z[j])
+    s = np.empty((2 * q + 2, n))  # rows TX, X, Y, TY
+    s[q : 2 * q : 2] = z.real
+    s[q + 1 : 2 * q : 2] = z.imag
+    s[-2] = y
+    np.multiply(t, y, out=s[-1])
+    if n1:
+        np.multiply(s[q : 2 * q, :n1], t[:n1], out=s[:q, :n1])
+    head = s[: 2 * q, :n1] @ s[:, :n1].T if n1 else None
+    tail = s[q : 2 * q, n1:] @ s[q:, n1:].T if n1 < n else None
     return head, tail
 
 

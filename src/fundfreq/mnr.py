@@ -2,8 +2,7 @@
 
 The estimator runs in three stages:
 
-1. coarse start: argmax of the harmonic criterion on the 8x zero-padded
-   Fourier grid 2*pi*k/(8n),
+1. coarse start: argmax of the harmonic criterion Q_N on the grid 2*pi*k/(8n),
 2. one Newton step with step factor 1/4 computed on the first
    n1 = floor(n^(6/7)) samples; the run ends ``boundary`` if it leaves
    (0, pi/p),
@@ -20,16 +19,13 @@ in about four full-sample criterion evaluations, and the step shorter than
 ``tol`` that ends a run lands on it to rounding accuracy, so no extra
 closing step follows and the landing point needs g alone (Nielsen et al.,
 Signal Processing 135, 2017, on Newton refinement of the exact least
-squares pitch criterion).  The
-quarter step of stage 2 damps the classical Newton update on the
-shrunken subsample, which widens the curvature basin around the start.
-On the padded grid harmonic j lies at most j/16 Fourier bin from the
-nearest grid multiple, against j/2 bin on the grid 2*pi*k/n, where an
-off-grid fundamental can lose the start to its octave 2*lambda.
-A ``converged_tol`` run returns that landing point: within about 1e-10 of
-the maximizer g differs from its peak by less than its own rounding, so
-comparing g values there could keep the iterate before the last step.
-Every other status returns the iterate with the largest g seen.
+squares pitch criterion).  The quarter step of stage 2 damps the
+classical Newton update on the shrunken subsample, which widens the
+curvature basin around the start.  A ``converged_tol`` run returns that
+landing point: within about 1e-10 of the maximizer g differs from its
+peak by less than its own rounding, so comparing g values there could
+keep the iterate before the last step.  Every other status returns the
+iterate with the largest g seen.
 """
 
 from __future__ import annotations
@@ -41,9 +37,6 @@ from .criterion import g, g_and_prefix_derivatives, g_with_derivatives
 from .errors import BoundaryError, CurvatureError, DegenerateFrequencyError, DomainError
 from .signal import Signal
 from .spectrum import fourier_grid_init
-
-# Zero-padding factor of the start grid 2*pi*k/(_START_PAD * n).
-_START_PAD = 8
 
 __all__ = ["MnrConfig", "TraceRecord", "EstimationTrace", "estimate_fundamental"]
 
@@ -122,7 +115,7 @@ def estimate_fundamental(
     if config is None:
         config = MnrConfig()
     n = signal.n
-    lam0 = fourier_grid_init(signal, p, "harmonic_sum", _START_PAD)
+    lam0 = fourier_grid_init(signal, p)
     n1 = _subsample_size(n)
     # Record 0's g over all n samples and the stage-2 derivatives over the
     # first n1 come from one pass over the design: two evaluations.  A

@@ -88,6 +88,8 @@ class ExperimentSpec:
     mnr_config: MnrConfig = field(default_factory=MnrConfig)
 
     def __post_init__(self):
+        if not -(2**63) <= self.master_seed < 2**63:  # packed as int64 per replication
+            raise DomainError(f"master_seed must fit in int64, got {self.master_seed}")
         if self.replications < 1:
             raise DomainError(f"replications must be >= 1, got {self.replications}")
         if not self.sample_sizes or not self.sigma2_values:

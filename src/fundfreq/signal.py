@@ -100,7 +100,7 @@ class LinearProcessSpec:
     """Finite moving-average representation of the noise process.
 
     ``coeffs`` are a(0..q); ``sigma2`` is the innovation variance.  The
-    process variance is sigma2 * sum(a(k)^2).
+    process variance is sigma2 * sum(a(k)^2), and must be finite.
     """
 
     coeffs: tuple[float, ...] = (1.0,)
@@ -118,6 +118,11 @@ class LinearProcessSpec:
             raise DomainError(f"sigma2 must be positive and finite, got {self.sigma2}")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "sigma2", float(self.sigma2))
+        if not math.isfinite(self.process_variance):
+            raise DomainError(
+                f"noise variance sigma2 * sum(a(k)^2) is not finite: sigma2 = {self.sigma2}, "
+                f"coeffs = {coeffs}"
+            )
 
     @property
     def process_variance(self) -> float:
@@ -144,10 +149,12 @@ def generate_linear_process(spec: LinearProcessSpec, n: int, seed: int) -> np.nd
 
     A burn-in of q = len(coeffs)-1 pre-samples makes e(1) use a full
     innovation history, so the output is stationary from the first sample.
-    Deterministic in ``seed``.
+    Deterministic in ``seed``, which must be >= 0.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     q = len(spec.coeffs) - 1
     rng = np.random.default_rng(seed)
     eps = rng.normal(0.0, math.sqrt(spec.sigma2), size=n + q)

@@ -6,10 +6,10 @@ at any admissible frequency by direct exponential sums.  On the grid
 harmonic j of grid point k from FFT bin j*k.  L = 1 is the Fourier grid
 2*pi*k/n itself: :func:`grid_spectrum` returns the spectrum there (the
 ``fundfreq periodogram`` CSV), and :func:`fourier_grid_init` takes its
-start from the same FFT code on any L.  A padded grid (L >= 4) keeps every
-harmonic within a fraction of a bin of its peak, so an off-grid
-fundamental does not lose the start to its octave 2*lambda (Rife &
-Boorstyn, 1974, on padded-DFT starts).
+start from the same FFT code at L = 8.  There harmonic j lies at most
+j/16 Fourier bin from the nearest grid multiple, against j/2 bin at
+L = 1, where an off-grid fundamental can lose the start to its octave
+2*lambda (Rife & Boorstyn, 1974, on padded-DFT starts).
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ __all__ = [
     "fourier_grid_init",
     "grid_spectrum",
 ]
+
+# Zero-padding factor of the start grid 2*pi*k/(_START_PAD * n).
+_START_PAD = 8
 
 
 def periodogram(signal: Signal, lam: float) -> float:
@@ -87,8 +90,6 @@ def _grid_power(
     """
     if p < 1:
         raise DomainError(f"p must be >= 1, got {p}")
-    if not (isinstance(pad, int) and pad >= 1):
-        raise DomainError(f"pad must be an integer >= 1, got {pad!r}")
     n = signal.n
     lams = fourier_grid(pad * n, p)
     if lams.size == 0:
@@ -119,25 +120,16 @@ def grid_spectrum(
     return lams, plain / n, harmonic / n**2
 
 
-def fourier_grid_init(
-    signal: Signal, p: int, mode: str = "harmonic_sum", pad: int = 1
-) -> float:
-    """Coarse initializer: argmax over the grid 2*pi*k/(pad*n) restricted to (0, pi/p).
+def fourier_grid_init(signal: Signal, p: int) -> float:
+    """Coarse initializer: argmax of Q_N over the grid 2*pi*k/(8n) in (0, pi/p).
 
-    ``mode="plain"`` maximizes the periodogram I; ``mode="harmonic_sum"``
-    (default) maximizes Q_N, which cannot lock onto a bare harmonic of the
-    fundamental the way a plain periodogram can.  Both are read from the
-    FFT code of :func:`grid_spectrum`, zero-padded to length ``pad*n`` and
-    taken before the scaling by 1/n or 1/n^2 (which could round two
-    neighbours into a tie); ``pad=1`` is the Fourier grid of
-    :func:`fourier_grid`.  The result is exactly a grid point; ties
+    Q_N, unlike the plain periodogram, cannot lock onto a bare harmonic of
+    the fundamental.  It is read from the FFT code of :func:`grid_spectrum`
+    at length ``_START_PAD*n``, before the scaling by 1/n^2 that could round
+    two neighbours into a tie.  The result is exactly a grid point; ties
     break toward the smaller frequency.
     """
-    if mode not in ("plain", "harmonic_sum"):
-        raise DomainError(f"unknown init mode {mode!r}")
-    n = signal.n
-    if n < 10 * p:
-        raise DomainError(f"need n >= 10*p = {10 * p}, got n = {n}")
-    lams, plain, harmonic = _grid_power(signal, p, pad)
-    vals = plain if mode == "plain" else harmonic
-    return float(lams[int(np.argmax(vals))])  # argmax keeps the first of ties
+    if signal.n < 10 * p:
+        raise DomainError(f"need n >= 10*p = {10 * p}, got n = {signal.n}")
+    lams, _, harmonic = _grid_power(signal, p, _START_PAD)
+    return float(lams[int(np.argmax(harmonic))])  # argmax keeps the first of ties

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fundfreq import (
+    DomainError,
     HarmonicModel,
     LinearProcessSpec,
     asymptotic_variances,
@@ -45,6 +46,14 @@ class TestSpectralWeight:
         direct = abs(sum(a * cmath.exp(-1j * j * k * lam)
                          for k, a in enumerate(spec.coeffs))) ** 2
         assert spectral_weight_c(spec, j, lam) == pytest.approx(direct, rel=1e-14)
+
+    def test_overflowing_weight_is_inf_and_variance_rejected(self):
+        # sum a(k)^2 is finite, but |a(0) + a(1) e^{-i lam}|^2 ~ 3.2e308 is
+        # not: ** raised OverflowError there
+        spec = LinearProcessSpec((9e153, 9e153), 1e-300)
+        assert spectral_weight_c(spec, 1, 0.01) == math.inf
+        with pytest.raises(DomainError, match="var_lse is not finite"):
+            asymptotic_variances(MODEL1, spec, 100)
 
 
 class TestBetaStar:

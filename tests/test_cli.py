@@ -41,6 +41,14 @@ class TestSynth:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_seed_is_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "sig.txt"
+        code, _, err = run_cli(["synth", "--n", "50", "--noise", "iid", "--seed", "-1",
+                                "--out", str(out)], capsys)
+        assert code == 1
+        assert "seed must be >= 0, got -1" in err
+        assert not out.exists()
+
     def test_n_zero_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["synth", "--preset", "1", "--n", "0", "--out", str(tmp_path / "x")])
@@ -410,6 +418,23 @@ class TestSimulate:
         assert "sigma2 must be positive and finite, got -1.0" in err
         assert calls == []
 
+    def test_master_seed_outside_int64_is_runtime_error(self, capsys):
+        code, out, err = run_cli(
+            ["simulate", "--n", "100", "--sigma2", "1", "--reps", "1",
+             "--seed", "99999999999999999999"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert "master_seed must fit in int64, got 99999999999999999999" in err
+
+    def test_negative_master_seed_runs(self, capsys):
+        code, out, _ = run_cli(
+            ["simulate", "--n", "100", "--sigma2", "1", "--reps", "1", "--seed", "-5"],
+            capsys,
+        )
+        assert code == 0
+        assert len(out.strip().splitlines()) == 2
+
     def test_sample_size_below_ten_p_is_runtime_error(self, capsys):
         code, out, err = run_cli(
             ["simulate", "--n", "100,20", "--sigma2", "1", "--reps", "3"], capsys
@@ -450,6 +475,17 @@ class TestAsymvar:
         assert code == 1
         assert out == ""
         assert "coeffs must not all be zero" in err
+
+    @pytest.mark.parametrize("args", [
+        ["--sigma2", "1", "--noise", "ma:1e200"],
+        ["--sigma2", "1e300", "--noise", "ma:1e10,1", "--csv"],
+    ], ids=["weight-overflows", "variance-overflows"])
+    def test_overflowing_noise_variance_is_runtime_error(self, capsys, args):
+        # an OverflowError traceback, and an exit 0 with inf variances
+        code, out, err = run_cli(["asymvar", "--n", "100"] + args, capsys)
+        assert code == 1
+        assert out == ""
+        assert "sum(a(k)^2) is not finite" in err
 
     def test_idempotent(self, capsys):
         args = ["asymvar", "--preset", "1", "--noise", "iid", "--sigma2", "0.25",

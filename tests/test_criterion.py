@@ -165,11 +165,8 @@ class TestDerivatives:
 
 
 class TestDenseOracle:
-    """The chunked 2p-column criterion against one dense n x 2p solve.
-
-    Sizes straddle the 1024-row chunk boundary, so the moments of the last
-    chunk and the sums across chunks are both exercised.
-    """
+    """The 2p-column criterion against one dense n x 2p solve, at sizes
+    from 1023 to 3079."""
 
     @pytest.mark.parametrize("n", [1023, 1024, 1025, 3 * 1024 + 7])
     @pytest.mark.parametrize("p", [1, 4])
@@ -200,11 +197,7 @@ class TestDenseOracle:
 
 
 class TestPrefixPass:
-    """g over all n and (g', g'') over the first n1 samples from one pass.
-
-    The split n1 falls inside the first chunk, on a chunk boundary, just
-    past one, and inside a later chunk.
-    """
+    """g over all n and (g', g'') over the first n1 samples from one pass."""
 
     @pytest.mark.parametrize("n, n1", [(100, 51), (500, 205), (3251, 1024),
                                        (3300, 1025), (4000, 1223), (9000, 2450)])
@@ -233,10 +226,7 @@ class TestPrefixPass:
 
 
 class TestMomentOracle:
-    """Per-harmonic moment blocks against direct O(n) cos/sin sums.
-
-    Sizes straddle the 1024-row chunk boundary of the kernel.
-    """
+    """Per-harmonic moment blocks against direct O(n) cos/sin sums."""
 
     @pytest.mark.parametrize("n", [1000, 1023, 1025, 3 * 1024 + 7])
     @pytest.mark.parametrize("noisy", [False, True])

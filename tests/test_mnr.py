@@ -45,9 +45,8 @@ class TestStage2:
 
     @pytest.mark.parametrize("n", [500, 4000])
     def test_shared_start_pass(self, model1, n):
-        # record 0's g and the stage-2 derivatives share one pass; at n = 500
-        # it is one chunk, at n = 4000 the 1223-sample prefix crosses a chunk
-        # boundary.  The step equals the one from a separate subsample pass.
+        # record 0's g and the stage-2 derivatives share one pass; the step
+        # equals the one from a separate subsample pass.
         sig = synthesize(model1, n, LinearProcessSpec((1.0, 0.5), 0.25), seed=30)
         _, trace = estimate_fundamental(sig, 4)
         lam0 = trace.records[0].lam

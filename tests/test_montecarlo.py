@@ -50,6 +50,16 @@ class TestSeeding:
             s = replication_seed(0, 100, 0.01, rep)
             assert 0 <= s < 2**64
 
+    @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1, 10**20])
+    def test_master_seed_outside_int64_rejected(self, seed):
+        # replication_seed packs it as int64, which raised struct.error
+        with pytest.raises(DomainError, match="master_seed must fit in int64"):
+            small_spec(master_seed=seed)
+
+    @pytest.mark.parametrize("seed", [-5, 2**63 - 1, -(2**63)])
+    def test_int64_master_seeds_accepted(self, seed):
+        assert small_spec(master_seed=seed).master_seed == seed
+
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self):

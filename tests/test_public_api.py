@@ -87,6 +87,7 @@ def test_removed_members_stay_removed():
         "step_factor", "tol", "max_iter"]
     assert [f.name for f in dataclasses.fields(fundfreq.Signal)] == ["samples"]
     assert "sample_rate" not in inspect.signature(fundfreq.synthesize).parameters
+    assert list(inspect.signature(fundfreq.fourier_grid_init).parameters) == ["signal", "p"]
     for params in (inspect.signature(fundfreq.read_signal).parameters,
                    inspect.signature(fundfreq.write_signal).parameters):
         assert "column" not in params

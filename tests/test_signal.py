@@ -159,6 +159,16 @@ class TestLinearProcess:
         with pytest.raises(DomainError, match="must not all be zero"):
             LinearProcessSpec(coeffs, 1.0)
 
+    @pytest.mark.parametrize("coeffs, sigma2", [((1e200,), 1.0), ((1e10, 1.0), 1e300)])
+    def test_overflowing_process_variance_rejected(self, coeffs, sigma2):
+        with pytest.raises(DomainError, match="is not finite"):
+            LinearProcessSpec(coeffs, sigma2)
+
+    def test_negative_seed_rejected(self):
+        # default_rng raised a bare ValueError
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            generate_linear_process(LinearProcessSpec(), 10, seed=-1)
+
 
 class TestMeanCorrect:
     def test_simple(self):

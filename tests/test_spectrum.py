@@ -108,7 +108,9 @@ class TestFourierGridInit:
         t = np.arange(1, n + 1)
         sig = Signal(np.cos(lam0 * t))
         assert fourier_grid_init(sig, 1) == lam0
-        assert fourier_grid_init(sig, 1, "plain") == lam0
+        lams, i_vals, q_vals = grid_spectrum(sig, 1)
+        assert lams[int(np.argmax(i_vals))] == lam0
+        assert lams[int(np.argmax(q_vals))] == lam0
 
     def test_model1_noisy_within_one_bin(self, model1):
         sig = synthesize(model1, 500, LinearProcessSpec((1.0, 0.5), 0.01), seed=3)
@@ -117,18 +119,20 @@ class TestFourierGridInit:
 
     def test_dominant_second_harmonic_separates_modes(self):
         # fundamental on the grid with a tiny first and huge second harmonic:
-        # the harmonic-sum mode finds lambda, the plain mode locks onto 2*lambda
+        # the Q_N argmax finds lambda, the plain periodogram's locks onto 2*lambda
         n = 256
         lam = 2 * math.pi * 12 / n
         model = HarmonicModel(2, lam, ((0.1, 0.0), (5.0, 0.0)))
         sig = synthesize(model, n)
-        assert fourier_grid_init(sig, 2, "harmonic_sum") == pytest.approx(lam, abs=1e-12)
-        assert fourier_grid_init(sig, 2, "plain") == pytest.approx(2 * lam, abs=1e-12)
+        assert fourier_grid_init(sig, 2) == pytest.approx(lam, abs=1e-12)
+        lams, i_vals, q_vals = grid_spectrum(sig, 2)
+        assert lams[int(np.argmax(q_vals))] == pytest.approx(lam, abs=1e-12)
+        assert lams[int(np.argmax(i_vals))] == pytest.approx(2 * lam, abs=1e-12)
 
     def test_result_is_grid_point(self, model1):
         sig = synthesize(model1, 300, LinearProcessSpec((1.0,), 1.0), seed=9)
         lam0 = fourier_grid_init(sig, 4)
-        k = lam0 * 300 / (2 * math.pi)
+        k = lam0 * 8 * 300 / (2 * math.pi)
         assert k == pytest.approx(round(k), abs=1e-9)
         assert lam0 < math.pi / 4
 
@@ -157,20 +161,23 @@ class TestFourierGridInit:
 
     @pytest.mark.parametrize("mode", ["plain", "harmonic_sum"])
     def test_padded_grid_matches_direct_scan(self, model2, mode):
-        # oracle: direct exponential sums over the grid 2*pi*k/(pad*n)
+        # oracle: direct exponential sums over the grid 2*pi*k/(pad*n); the
+        # start takes the Q_N argmax at pad 8, grid_spectrum gives I and Q_N
+        # at pad 1
         sig = synthesize(model2, 250, LinearProcessSpec((1.0, 0.5), 0.25), seed=6)
-        for p, pad in ((4, 8), (4, 1), (1, 8), (1, 1)):
+        cases = ((4, 1), (1, 1)) if mode == "plain" else ((4, 8), (4, 1), (1, 8), (1, 1))
+        for p, pad in cases:
             grid = fourier_grid(pad * sig.n, p)
             if mode == "plain":
                 vals = [periodogram(sig, float(lam)) for lam in grid]
             else:
                 vals = [harmonic_criterion_qn(sig, float(lam), p) for lam in grid]
-            assert fourier_grid_init(sig, p, mode, pad=pad) == grid[int(np.argmax(vals))]
-
-    def test_pad_validation(self, m1_clean_512):
-        for pad in (0, 2.0):
-            with pytest.raises(DomainError):
-                fourier_grid_init(m1_clean_512, 4, pad=pad)
+            if pad == 8:
+                got = fourier_grid_init(sig, p)
+            else:
+                lams, i_vals, q_vals = grid_spectrum(sig, p)
+                got = lams[int(np.argmax(i_vals if mode == "plain" else q_vals))]
+            assert got == grid[int(np.argmax(vals))]
 
     def test_too_small_sample_rejected(self):
         sig = Signal(np.ones(20))
