@@ -12,7 +12,7 @@ from .asymptotics import AsymptoticReport, asymptotic_variances, spectral_weight
 from .criterion import HarmonicDesignMoments, compute_moments, g, g_derivatives
 from .errors import DegenerateFrequencyError, DomainError, FundfreqError
 from .linear import lse_linear, residuals, sample_acf
-from .mnr import EstimationTrace, MnrConfig, TraceRecord, estimate_fundamental
+from .mnr import EstimationTrace, TraceRecord, estimate_fundamental
 from .montecarlo import (
     MA1_NOISE_COEFFS,
     MODEL1,
@@ -56,7 +56,6 @@ __all__ = [
     "MA1_NOISE_COEFFS",
     "MODEL1",
     "MODEL2",
-    "MnrConfig",
     "Signal",
     "SummaryRow",
     "TraceRecord",

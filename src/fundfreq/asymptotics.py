@@ -54,7 +54,7 @@ def asymptotic_variances(
     """Populate an :class:`AsymptoticReport` by direct summation over j."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    power = model.power_per_harmonic
+    power = model.power_per_harmonic.tolist()
     beta_star = 0.0
     delta_g = 0.0
     weights = []
@@ -63,7 +63,13 @@ def asymptotic_variances(
         weights.append(cj)
         beta_star += j * j * power[j - 1]
         delta_g += j * j * power[j - 1] * cj
-    base = spec.sigma2 * delta_g / (beta_star**2 * float(n) ** 3)
+    try:  # Python floats and *, not **: out of range gives inf or 0, no warning
+        denom = beta_star * beta_star * (float(n) * float(n) * float(n))
+    except OverflowError:  # float(n) past the float range
+        denom = math.inf
+    if not 0.0 < denom < math.inf:
+        raise DomainError(f"beta*^2 n^3 is out of the float range (beta* = {beta_star:.3e})")
+    base = spec.sigma2 * delta_g / denom
     var_lse = 24.0 * base
     if not math.isfinite(var_lse):
         raise DomainError(f"var_lse is not finite ({var_lse}) at n = {n}")

@@ -24,7 +24,7 @@ import sys
 from .asymptotics import asymptotic_variances
 from .errors import DomainError, FundfreqError
 from .linear import lse_linear, residuals
-from .mnr import MnrConfig, estimate_fundamental
+from .mnr import estimate_fundamental
 from .montecarlo import (
     MA1_NOISE_COEFFS,
     MODEL1,
@@ -121,8 +121,7 @@ def cmd_estimate(args) -> int:
     sig = read_signal(args.input)
     if args.mean_correct:
         sig = mean_correct(sig)
-    config = MnrConfig(step_factor=args.step_factor, tol=args.tol, max_iter=args.max_iter)
-    lam_hat, trace = estimate_fundamental(sig, args.p, config)
+    lam_hat, trace = estimate_fundamental(sig, args.p)
     amps = lse_linear(sig, lam_hat, args.p)
     resid = residuals(sig, lam_hat, amps)
     # innovation variance from the residuals: var(e) = sigma2 * sum a(k)^2
@@ -158,7 +157,6 @@ def cmd_estimate(args) -> int:
         },
         "config": {
             "p": args.p,
-            **dataclasses.asdict(config),
             "mean_correct": bool(args.mean_correct),
             "noise_coeffs": list(noise.coeffs),
         },
@@ -255,11 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = add_parser("estimate", help="estimate frequency and amplitudes")
     p_est.add_argument("--input", required=True)
     p_est.add_argument("--p", type=_positive_int, required=True)
-    p_est.add_argument("--tol", type=_positive_float, default=MnrConfig.tol)
-    p_est.add_argument("--max-iter", type=_positive_int, default=MnrConfig.max_iter)
-    p_est.add_argument("--step-factor", type=_positive_float, default=MnrConfig.step_factor,
-                       help="Newton step factor of the stage-2 subsample step "
-                            "(default %(default)s); stage 3 takes full steps")
     p_est.add_argument("--mean-correct", action="store_true")
     p_est.add_argument("--noise", type=_noise_spec, default=(1.0,),
                        help="noise shape for the variance report (default iid)")

@@ -8,15 +8,15 @@ The estimator runs in three stages:
    (0, pi/p),
 3. full Newton steps -g'/g'' on the full sample.  A step that lowers the
    criterion g or leaves (0, pi/p) is halved until it does neither or is
-   shorter than ``tol``; an iterate with g'' >= 0 takes no step (the run
+   shorter than ``_TOL``; an iterate with g'' >= 0 takes no step (the run
    ends ``converged_objective``).  The run ends ``converged_tol`` once a
-   step shorter than ``tol`` has been taken, ``boundary`` if even that step
-   leaves (0, pi/p), or ``max_iter`` after that many Newton steps.
+   step shorter than ``_TOL`` has been taken, ``boundary`` if even that step
+   leaves (0, pi/p), or ``max_iter`` after ``_MAX_ITER`` Newton steps.
 
 Run to convergence, stage 3 returns the least squares estimate, the
 maximizer of g near the start.  Full steps converge to it quadratically,
 in about four full-sample criterion evaluations, and the step shorter than
-``tol`` that ends a run lands on it to rounding accuracy, so no extra
+``_TOL`` that ends a run lands on it to rounding accuracy, so no extra
 closing step follows and the landing point needs g alone (Nielsen et al.,
 Signal Processing 135, 2017, on Newton refinement of the exact least
 squares pitch criterion).  The quarter step of stage 2 damps the
@@ -34,34 +34,17 @@ import math
 from dataclasses import dataclass, field
 
 from .criterion import g, g_and_prefix_derivatives, g_with_derivatives
-from .errors import BoundaryError, CurvatureError, DegenerateFrequencyError, DomainError
+from .errors import BoundaryError, CurvatureError, DegenerateFrequencyError
 from .signal import Signal
 from .spectrum import fourier_grid_init
 
-__all__ = ["MnrConfig", "TraceRecord", "EstimationTrace", "estimate_fundamental"]
+__all__ = ["TraceRecord", "EstimationTrace", "estimate_fundamental"]
 
-
-@dataclass(frozen=True)
-class MnrConfig:
-    """Tunables for :func:`estimate_fundamental`.
-
-    ``step_factor`` scales the stage-2 subsample Newton step; stage 3 takes
-    full steps.  ``max_iter`` caps the stage-3 Newton steps, backtracking
-    halvings excluded; the stage-2 step is always taken and does not count
-    against it.
-    """
-
-    step_factor: float = 0.25
-    tol: float = 1e-7
-    max_iter: int = 50
-
-    def __post_init__(self):
-        if not (0.0 < self.step_factor <= 1.0):
-            raise DomainError(f"step_factor must be in (0, 1], got {self.step_factor}")
-        if not self.tol > 0:
-            raise DomainError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
+# Constants, not options: stage 3 runs to the least squares maximizer, so
+# these set how a run gets there, not where it lands.
+_STEP_FACTOR = 0.25  # stage-2 subsample step; stage 3 takes full steps
+_TOL = 1e-7
+_MAX_ITER = 50  # stage-3 Newton steps, halvings excluded
 
 
 @dataclass(frozen=True)
@@ -79,10 +62,10 @@ class TraceRecord:
 class EstimationTrace:
     """Iterate history, terminal status and criterion evaluation count.
 
-    Statuses: ``converged_tol`` (a Newton step shorter than tol, taken from
+    Statuses: ``converged_tol`` (a Newton step shorter than _TOL, taken from
     an iterate with g'' < 0), ``converged_objective`` (g'' >= 0 at an
     iterate, so no Newton step points uphill), ``max_iter``, ``boundary``
-    (the stage-2 step, or a stage-3 step shorter than tol, left (0, pi/p)),
+    (the stage-2 step, or a stage-3 step shorter than _TOL, left (0, pi/p)),
     ``degenerate`` (curvature or normal equations broke down).
 
     ``records`` holds the start, the stage-2 iterate and each stage-3 step
@@ -99,21 +82,17 @@ class EstimationTrace:
         return max(self.records, key=lambda r: r.g_value)
 
 
-def estimate_fundamental(
-    signal: Signal, p: int, config: MnrConfig | None = None
-) -> tuple[float, EstimationTrace]:
+def estimate_fundamental(signal: Signal, p: int) -> tuple[float, EstimationTrace]:
     """Estimate the fundamental frequency of a p-harmonic signal.
 
     Returns (lambda_hat, trace).  On ``converged_tol`` lambda_hat is the
-    landing point of the closing step shorter than ``tol``, the last trace
+    landing point of the closing step shorter than ``_TOL``, the last trace
     record; on any other status it is the trace iterate with the largest
     criterion value.  A boundary, curvature or normal-equation breakdown
     after the start ends the run with the best iterate seen so far rather
     than raising; the start search raises :class:`DomainError` when
     n < 10*p.
     """
-    if config is None:
-        config = MnrConfig()
     n = signal.n
     lam0 = fourier_grid_init(signal, p)
     n1 = _subsample_size(n)
@@ -127,7 +106,7 @@ def estimate_fundamental(
     try:
         # Stage 2: one reduced step on the first n1 samples.
         gp, gpp = prefix_derivatives()
-        correction = _newton(lam0, gp, gpp, config.step_factor)
+        correction = _newton(lam0, gp, gpp, _STEP_FACTOR)
         lam_k = lam0 + correction
         if not (0.0 < lam_k < math.pi / p):
             raise BoundaryError(lam_k)
@@ -138,17 +117,17 @@ def estimate_fundamental(
         trace.evaluations += 1
         g_k, gp, gpp = g_with_derivatives(signal, p, lam_k)
         trace.records.append(TraceRecord(1, lam_k, n1, g_k, correction))
-        for k in range(2, config.max_iter + 2):
+        for k in range(2, _MAX_ITER + 2):
             if gpp >= 0.0:
                 trace.status = "converged_objective"
                 break
             # Halve a step that leaves (0, pi/p) or lowers g.  A step shorter
-            # than tol closes the run, and nothing reads its derivatives.
+            # than _TOL closes the run, and nothing reads its derivatives.
             correction = _newton(lam_k, gp, gpp, 1.0)
             while True:
                 lam_next = lam_k + correction
                 inside = 0.0 < lam_next < math.pi / p
-                if abs(correction) < config.tol:
+                if abs(correction) < _TOL:
                     if not inside:
                         raise BoundaryError(lam_next)
                     trace.evaluations += 1
@@ -161,7 +140,7 @@ def estimate_fundamental(
                         break
                 correction *= 0.5
             trace.records.append(TraceRecord(k, lam_next, n, g_next, correction))
-            if abs(correction) < config.tol:
+            if abs(correction) < _TOL:
                 trace.status = "converged_tol"
                 break
             lam_k, g_k, gp, gpp = lam_next, g_next, gp_next, gpp_next

@@ -14,13 +14,13 @@ from __future__ import annotations
 import hashlib
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .asymptotics import asymptotic_variances
 from .errors import DomainError, FundfreqError
-from .mnr import MnrConfig, estimate_fundamental
+from .mnr import estimate_fundamental
 from .signal import (
     HarmonicModel,
     LinearProcessSpec,
@@ -85,7 +85,6 @@ class ExperimentSpec:
     sigma2_values: tuple[float, ...]
     replications: int = 500
     master_seed: int = 0
-    mnr_config: MnrConfig = field(default_factory=MnrConfig)
 
     def __post_init__(self):
         if not -(2**63) <= self.master_seed < 2**63:  # packed as int64 per replication
@@ -131,7 +130,7 @@ def _run_one(
     # synthesize's arithmetic, with the noiseless part built once per n
     y = Signal(clean + generate_linear_process(noise, n, seed))
     try:
-        lam_hat, trace = estimate_fundamental(y, spec.model.p, spec.mnr_config)
+        lam_hat, trace = estimate_fundamental(y, spec.model.p)
     except FundfreqError:
         return None
     if trace.status in ("boundary", "degenerate"):

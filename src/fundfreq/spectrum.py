@@ -41,8 +41,7 @@ def periodogram(signal: Signal, lam: float) -> float:
     n = y.size
     if n < 2:
         raise DomainError("periodogram needs n >= 2")
-    t = np.arange(1, n + 1)
-    z = y @ np.exp(-1j * lam * t)
+    z = y @ _exp_i(-lam, np.arange(1.0, n + 1))
     return float(abs(z) ** 2) / n
 
 
@@ -60,12 +59,17 @@ def harmonic_criterion_qn(signal: Signal, lam: float, p: int) -> float:
         )
     y = signal.samples
     n = y.size
-    t = np.arange(1, n + 1)
-    total = 0.0
-    for j in range(1, p + 1):
-        z = y @ np.exp(1j * (j * lam) * t)
-        total += float(abs(z) ** 2)
-    return total / n**2
+    t = np.arange(1.0, n + 1)
+    return float(sum(abs(y @ _exp_i(lam, j * t)) ** 2 for j in range(1, p + 1))) / n**2
+
+
+def _exp_i(lam: float, t: np.ndarray) -> np.ndarray:
+    """exp(i lam t) at integers t < 2**29, the phase rounded only in lo*t.
+
+    lam = hi + lo with hi rounded to 24 bits, so hi*t is exact.
+    """
+    hi = float(np.float32(lam))
+    return np.exp(1j * (hi * t)) * np.exp(1j * ((lam - hi) * t))
 
 
 def fourier_grid(n: int, p: int) -> np.ndarray:

@@ -56,6 +56,23 @@ class TestSpectralWeight:
             asymptotic_variances(MODEL1, spec, 100)
 
 
+OUT_OF_RANGE = [
+    (MODEL1, 10**102),   # var_lse read 0.0, after a numpy RuntimeWarning
+    (MODEL1, 10**103),   # ** raised OverflowError
+    (MODEL1, 10**400),   # float(n) raised OverflowError
+    (HarmonicModel(1, 0.25, ((1e160, 0.0),)), 100),   # beta* overflows
+    (HarmonicModel(1, 0.25, ((1e-160, 0.0),)), 100),  # beta*^2 underflows
+]
+OUT_OF_RANGE_IDS = ["n-1e102", "n-1e103", "n-1e400", "amplitude-1e160", "amplitude-1e-160"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("model, n", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
+def test_out_of_range_denominator_is_domain_error(model, n):
+    with pytest.raises(DomainError, match=r"beta\*\^2 n\^3 is out of the float range"):
+        asymptotic_variances(model, IID, n)
+
+
 class TestBetaStar:
     def test_model1(self):
         rep = asymptotic_variances(MODEL1, IID, 100)

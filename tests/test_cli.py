@@ -161,13 +161,11 @@ class TestEstimate:
         assert "coeffs must not all be zero" in err
 
     def test_config_block_holds_the_mnr_config(self, clean_file, capsys):
-        code, out, _ = run_cli(
-            ["estimate", "--input", str(clean_file), "--p", "4", "--tol", "1e-9"], capsys
-        )
+        # the estimator has no settings; the block holds the run's inputs
+        code, out, _ = run_cli(["estimate", "--input", str(clean_file), "--p", "4"], capsys)
         assert code == 0
         assert list(json.loads(out)["config"].items()) == [
-            ("p", 4), ("step_factor", 0.25), ("tol", 1e-9), ("max_iter", 50),
-            ("mean_correct", False), ("noise_coeffs", [1.0]),
+            ("p", 4), ("mean_correct", False), ("noise_coeffs", [1.0]),
         ]
 
     def test_residuals_export(self, clean_file, tmp_path, capsys):
@@ -307,6 +305,9 @@ def test_malformed_signal_file_is_runtime_error(tmp_path, capsys, command, row):
     ["synth", "--preset", "1", "--n", "100", "--out", "x.txt", "--sample-rate", "8000"],
     ["estimate", "--input", "x.txt", "--p", "4", "--init-mode", "plain"],
     ["estimate", "--input", "x.txt", "--p", "4", "--subsample-exponent", "0.3"],
+    ["estimate", "--input", "x.txt", "--p", "4", "--tol", "1e-9"],
+    ["estimate", "--input", "x.txt", "--p", "4", "--max-iter", "10"],
+    ["estimate", "--input", "x.txt", "--p", "4", "--step-factor", "0.5"],
 ])
 def test_removed_flags_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc_info:
@@ -486,6 +487,24 @@ class TestAsymvar:
         assert code == 1
         assert out == ""
         assert "sum(a(k)^2) is not finite" in err
+
+    @pytest.mark.parametrize("n, amplitude", [
+        ("1" + "0" * 102, None), ("1" + "0" * 103, None), ("1" + "0" * 400, None),
+        ("100", 1e160), ("100", 1e-160),
+    ], ids=["n-1e102", "n-1e103", "n-1e400", "amplitude-1e160", "amplitude-1e-160"])
+    def test_out_of_range_denominator_is_runtime_error(self, tmp_path, capsys, n, amplitude):
+        # a zero variance, an OverflowError traceback or a RuntimeWarning
+        # before the exit; the preset has beta* = 377.6
+        model = ["--preset", "1"]
+        if amplitude is not None:
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps({"p": 1, "lambda": 0.25, "amplitudes": [[amplitude, 0]]}))
+            model = ["--model-file", str(path)]
+        code, out, err = run_cli(["asymvar", *model, "--sigma2", "1", "--n", n], capsys)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("fundfreq: beta*^2 n^3 is out of the float range")
 
     def test_idempotent(self, capsys):
         args = ["asymvar", "--preset", "1", "--noise", "iid", "--sigma2", "0.25",

@@ -11,7 +11,6 @@ from fundfreq import (
     DegenerateFrequencyError,
     DomainError,
     LinearProcessSpec,
-    MnrConfig,
     Signal,
     estimate_fundamental,
     g,
@@ -25,9 +24,10 @@ class TestStage2:
     """The one reduced Newton step on the first n1 samples."""
 
     @pytest.mark.parametrize("step_factor", [0.25, 0.5])
-    def test_correction_is_reduced_newton_on_prefix(self, model1, step_factor):
+    def test_correction_is_reduced_newton_on_prefix(self, model1, step_factor, monkeypatch):
+        monkeypatch.setattr(mnr, "_STEP_FACTOR", step_factor)
         sig = synthesize(model1, 500, LinearProcessSpec((1.0, 0.5), 0.25), seed=30)
-        _, trace = estimate_fundamental(sig, 4, MnrConfig(step_factor=step_factor))
+        _, trace = estimate_fundamental(sig, 4)
         lam0 = trace.records[0].lam
         n1 = int(500 ** (6.0 / 7.0))
         gp, gpp = g_derivatives(Signal(sig.samples[:n1]), 4, lam0)
@@ -243,11 +243,9 @@ class TestStage3:
         assert trace.status == "converged_objective" or gpp < 0.0
         assert lam_hat == trace.best().lam
 
-    def test_evaluations_count_every_criterion_call(self, monkeypatch):
-        # pure noise, p = 1, n = 60, seed 1: three halved stage-3 steps, so
-        # the trace has fewer records than evaluations.  The run ends
-        # converged_tol, whose closing point needs g alone: g runs for
-        # record 0 and for the closing step, and nothing after it
+    @staticmethod
+    def _count_calls(monkeypatch) -> list[str]:
+        """Log every criterion call that ``estimate_fundamental`` makes."""
         calls = []
         for name in ("g", "g_with_derivatives"):
             def counted(*args, _inner=getattr(mnr, name), _name=name, **kwargs):
@@ -268,6 +266,14 @@ class TestStage3:
             return g_value, counted_prefix
 
         monkeypatch.setattr(mnr, "g_and_prefix_derivatives", counted_start)
+        return calls
+
+    def test_evaluations_count_every_criterion_call(self, monkeypatch):
+        # pure noise, p = 1, n = 60, seed 1: three halved stage-3 steps, so
+        # the trace has fewer records than evaluations.  The run ends
+        # converged_tol, whose closing point needs g alone: g runs for
+        # record 0 and for the closing step, and nothing after it
+        calls = self._count_calls(monkeypatch)
         sig = Signal(np.random.default_rng(1).normal(0.0, 1.0, 60))
         _, trace = estimate_fundamental(sig, 1)
         assert trace.evaluations == len(calls)
@@ -276,6 +282,19 @@ class TestStage3:
         assert calls.count("g") == 2
         assert calls[:2] == ["g", "g_derivatives"]
         assert calls[-1] == "g"
+
+    def test_step_cap_ends_max_iter(self, model1, monkeypatch):
+        # one stage-3 step allowed, and it is longer than _TOL: the run stops
+        # there and returns the best iterate
+        monkeypatch.setattr(mnr, "_MAX_ITER", 1)
+        calls = self._count_calls(monkeypatch)
+        sig = synthesize(model1, 500, LinearProcessSpec((1.0, 0.5), 0.25), seed=30)
+        lam_hat, trace = estimate_fundamental(sig, 4)
+        assert abs(trace.records[2].correction) >= mnr._TOL
+        assert trace.status == "max_iter"
+        assert len(trace.records) == 3
+        assert lam_hat == trace.best().lam
+        assert trace.evaluations == len(calls)
 
     @pytest.mark.parametrize("preset", [1, 2])
     def test_noiseless_sweep_returns_landing_point(self, model1, model2, preset):
@@ -312,20 +331,6 @@ class TestStage3:
         assert trace.evaluations <= 8
 
 
-class TestConfig:
-    def test_defaults(self):
-        cfg = MnrConfig()
-        assert cfg.step_factor == 0.25
-        assert cfg.tol == 1e-7
-        assert cfg.max_iter == 50
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            MnrConfig(step_factor=0.0)
-        with pytest.raises(DomainError):
-            MnrConfig(tol=-1.0)
-
-
 class TestStatisticalGuards:
     """Seeded regression guards over many replications (slower)."""
 
@@ -359,7 +364,7 @@ class TestStatisticalGuards:
         rows = {r.n: r for r in run_experiment(spec)}
         assert rows[250].empirical_variance / rows[1000].empirical_variance >= 8.0
 
-    def test_step_factor_quarter_not_worse(self, model1):
+    def test_step_factor_quarter_not_worse(self, model1, monkeypatch):
         # Regression guard, not a theorem-level claim: stage-2 factors 1/8
         # and 1/2 must not beat 1/4 materially.  The factor scales only the
         # subsample step; stage 3 then takes full Newton steps to the same
@@ -370,6 +375,7 @@ class TestStatisticalGuards:
 
         mse = {}
         for sf in (0.125, 0.25, 0.5):
+            monkeypatch.setattr(mnr, "_STEP_FACTOR", sf)
             spec = ExperimentSpec(
                 model=model1,
                 noise_coeffs=(1.0, 0.5),
@@ -377,7 +383,6 @@ class TestStatisticalGuards:
                 sigma2_values=(0.25,),
                 replications=300,
                 master_seed=200,
-                mnr_config=MnrConfig(step_factor=sf),
             )
             row = run_experiment(spec)[0]
             mse[sf] = row.empirical_variance + (row.mean_estimate - 0.25) ** 2

@@ -86,9 +86,9 @@ class TestDeterminism:
         seen = []
         real = mc.estimate_fundamental
 
-        def capture(sig, p, config=None):
+        def capture(sig, p):
             seen.append(sig)
-            return real(sig, p, config)
+            return real(sig, p)
 
         monkeypatch.setattr(mc, "estimate_fundamental", capture)
         spec = small_spec(model=model, noise_coeffs=MA1_NOISE_COEFFS, sample_sizes=(100, 257),
@@ -145,13 +145,13 @@ class TestAggregation:
         real = mc.estimate_fundamental
         calls = {"i": 0}
 
-        def flaky(sig, p, config=None):
+        def flaky(sig, p):
             calls["i"] += 1
             if calls["i"] % 3 == 0:
                 from fundfreq.errors import BoundaryError
 
                 raise BoundaryError(9.9)
-            return real(sig, p, config)
+            return real(sig, p)
 
         monkeypatch.setattr(mc, "estimate_fundamental", flaky)
         row = run_experiment(small_spec(replications=12))[0]

@@ -23,7 +23,6 @@ PUBLIC = [
     "MA1_NOISE_COEFFS",
     "MODEL1",
     "MODEL2",
-    "MnrConfig",
     "Signal",
     "SummaryRow",
     "TraceRecord",
@@ -52,7 +51,7 @@ PUBLIC = [
 ]
 
 REMOVED = ["BoundaryError", "CurvatureError", "mnr_step", "polar_to_cartesian",
-           "cartesian_to_polar", "alse_linear"]
+           "cartesian_to_polar", "alse_linear", "MnrConfig"]
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -83,8 +82,10 @@ def test_removed_name_is_not_importable(name):
 
 
 def test_removed_members_stay_removed():
-    assert [f.name for f in dataclasses.fields(fundfreq.MnrConfig)] == [
-        "step_factor", "tol", "max_iter"]
+    assert list(inspect.signature(fundfreq.estimate_fundamental).parameters) == ["signal", "p"]
+    assert [f.name for f in dataclasses.fields(fundfreq.ExperimentSpec)] == [
+        "model", "noise_coeffs", "sample_sizes", "sigma2_values", "replications",
+        "master_seed"]
     assert [f.name for f in dataclasses.fields(fundfreq.Signal)] == ["samples"]
     assert "sample_rate" not in inspect.signature(fundfreq.synthesize).parameters
     assert list(inspect.signature(fundfreq.fourier_grid_init).parameters) == ["signal", "p"]

@@ -17,7 +17,7 @@ from fundfreq import (
     periodogram,
     synthesize,
 )
-from fundfreq.montecarlo import MODEL1
+from fundfreq.montecarlo import MODEL1, MODEL2
 
 
 class TestPeriodogram:
@@ -99,6 +99,31 @@ class TestHarmonicCriterion:
         sig = Signal(np.ones(64))
         with pytest.raises(DomainError):
             harmonic_criterion_qn(sig, math.pi / 4, 4)  # j*lam hits pi at j=4
+
+
+def _exact_grid_sum(y: np.ndarray, m: int) -> complex:
+    """sum_t y(t) e^{2 pi i m t/n}, each phase reduced as the integer m*t mod n."""
+    n = y.size
+    ang = 2.0 * math.pi * ((m * np.arange(1, n + 1, dtype=np.int64)) % n) / n
+    return complex(math.fsum(y * np.cos(ang)), math.fsum(y * np.sin(ang)))
+
+
+@pytest.mark.parametrize("n", [1000, 4000, 8000, 20000])
+def test_point_functions_keep_phase_accuracy(n):
+    # against exact-phase sums on Fourier frequencies, relative to the value
+    # or 1e-3 if smaller: a phase lam*t rounded at |lam t| was 9.0e-10 off
+    # at n = 20000
+    y = synthesize(MODEL2, n).samples
+    sig = Signal(y)
+    worst = 0.0
+    for k in np.unique(np.linspace(1, (n - 1) // 8, 40).astype(int)).tolist():
+        powers = [abs(_exact_grid_sum(y, j * k)) ** 2 for j in range(1, 5)]
+        pairs = [(harmonic_criterion_qn(sig, 2 * math.pi * k / n, 4), sum(powers) / n**2)]
+        pairs += [(periodogram(sig, 2 * math.pi * j * k / n), power / n)
+                  for j, power in enumerate(powers, start=1)]
+        for got, exact in pairs:
+            worst = max(worst, abs(got - exact) / max(exact, 1e-3))
+    assert worst <= 2e-11
 
 
 class TestFourierGridInit:
