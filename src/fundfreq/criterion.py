@@ -14,9 +14,11 @@ design are dX/dlam = T X K and d2X/dlam2 = T^2 X K^2, so g' and g'' contract
 to the 2p x 2p moments X'T^kX and the 2p-vectors X'T^kY, k = 0, 1, 2
 (Nielsen et al., Signal Processing 135, 2017, on the exact least squares
 pitch criterion).  All of them are blocks of one Gram-type product over
-the samples, built in one pass: one complex exponential e^{i lam t} per
-sample, whose running powers give every harmonic's cos and sin.  X'X is
-factored once by Cholesky, and the inverse factor serves every solve.
+the samples, built in one pass: the phases e^{i lam t} from
+``signal._phases`` (about n/32 + 32 complex exponentials and one complex
+multiply per sample), whose running powers give every harmonic's cos and
+sin.  X'X is factored once by Cholesky, and the inverse factor serves
+every solve.
 The pass can split after a sample n1: the moments over y(1..n1) then
 carry the derivative blocks while the rest adds only to X'X and X'Y, so
 one pass gives g over all n samples and g', g'' over the first n1
@@ -39,7 +41,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg  # the gufuncs behind np.linalg
 
 from .errors import DegenerateFrequencyError, DomainError
-from .signal import Signal
+from .signal import Signal, _phases
 
 __all__ = [
     "HarmonicDesignMoments",
@@ -222,7 +224,7 @@ def _moments(
     n = y.size
     t = np.arange(1, n + 1, dtype=float)
     z = np.empty((p, n), dtype=complex)
-    np.exp((1j * lam) * t, out=z[0])
+    z[0] = _phases(lam, n)
     for j in range(1, p):
         np.multiply(z[j - 1], z[0], out=z[j])
     s = np.empty((2 * q + 2, n))  # rows TX, X, Y, TY

@@ -34,8 +34,7 @@ def residuals(
     signal: Signal, lambda_hat: float, amplitudes: list[tuple[float, float]]
 ) -> np.ndarray:
     """y(t) minus the fitted harmonic sum at lambda_hat."""
-    t = np.arange(1, signal.n + 1, dtype=float)
-    return signal.samples - harmonic_sum(lambda_hat, amplitudes, t)
+    return signal.samples - harmonic_sum(lambda_hat, amplitudes, signal.n)
 
 
 def sample_acf(series, max_lag: int) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 The estimator runs in three stages:
 
-1. coarse start: argmax of the harmonic criterion Q_N on the grid 2*pi*k/(8n),
+1. coarse start: argmax of the harmonic criterion Q_N on the grid 2*pi*k/L,
+   L the smallest 5-smooth length >= 8n (at most about 1/16 Fourier bin
+   from any frequency),
 2. one Newton step with step factor 1/4 computed on the first
    n1 = floor(n^(6/7)) samples; the run ends ``boundary`` if it leaves
    (0, pi/p),

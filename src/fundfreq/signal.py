@@ -130,18 +130,37 @@ class LinearProcessSpec:
         return self.sigma2 * sum(c * c for c in self.coeffs)
 
 
-def harmonic_sum(lam: float, amplitudes, t: np.ndarray) -> np.ndarray:
-    """Deterministic part sum_j A_j cos(j lam t) + B_j sin(j lam t) at float t.
+def harmonic_sum(lam: float, amplitudes, n: int) -> np.ndarray:
+    """Deterministic part sum_j A_j cos(j lam t) + B_j sin(j lam t), t = 1..n.
 
-    Evaluated as Re sum_j (A_j - i B_j) z^j with z = exp(i lam t), by
-    Horner's rule on the coefficients: one complex exponential per sample.
+    Evaluated as Re sum_j (A_j - i B_j) z^j with z = e^{i lam t} from
+    :func:`_phases`, by Horner's rule on the coefficients.
     """
-    z = np.exp((1j * lam) * t)
+    z = _phases(lam, n)
     out = np.zeros_like(z)
     for a, b in reversed(amplitudes):
         out += complex(a, -b)
         out *= z
     return out.real.copy()
+
+
+# Width of the blocks of t that share one coarse phase in _phases.  It is a
+# constant so that _phases(lam, n)[:m] equals _phases(lam, m) bit for bit.
+_PHASE_BLOCK = 32
+_FINE_ANGLES = 1j * np.arange(1.0, _PHASE_BLOCK + 1)  # i*b for b = 1..32
+
+
+def _phases(lam: float, n: int) -> np.ndarray:
+    """e^{i lam t} for t = 1..n, from about n/32 + 32 complex exponentials.
+
+    Each t = 32a + b (b = 1..32) takes the product e^{i lam 32a} e^{i lam b}
+    of a coarse and a fine phase, one complex multiply per sample.  The
+    angles lam*(32a) and lam*b each round once, as lam*t does, so the
+    error stays below about eps * lam * t.
+    """
+    coarse = np.exp(np.arange(0.0, n, _PHASE_BLOCK) * (1j * lam))
+    fine = np.exp(lam * _FINE_ANGLES)
+    return np.multiply.outer(coarse, fine).ravel()[:n]
 
 
 def generate_linear_process(spec: LinearProcessSpec, n: int, seed: int) -> np.ndarray:
@@ -176,8 +195,7 @@ def synthesize(
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    t = np.arange(1, n + 1, dtype=float)
-    y = harmonic_sum(model.lam, model.amplitudes, t)
+    y = harmonic_sum(model.lam, model.amplitudes, n)
     if noise is not None:
         y = y + generate_linear_process(noise, n, seed)
     return Signal(y)
@@ -234,6 +252,8 @@ def read_signal(path: str) -> Signal:
             idx, data, start = 0, rows, 0
         else:
             raise DomainError(f"{path}: column 'y' not found in header {header}")
+        if not data:
+            raise DomainError(f"{path}: no data rows")
         values = []
         for row in data:
             try:

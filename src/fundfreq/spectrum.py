@@ -2,13 +2,14 @@
 
 :func:`periodogram` and :func:`harmonic_criterion_qn` evaluate I and Q_N
 at any admissible frequency by direct exponential sums.  On the grid
-2*pi*k/(L*n) both come from one real FFT of length L*n, where Q_N reads
-harmonic j of grid point k from FFT bin j*k.  L = 1 is the Fourier grid
+2*pi*k/L both come from one real FFT of length L >= n, where Q_N reads
+harmonic j of grid point k from FFT bin j*k.  L = n is the Fourier grid
 2*pi*k/n itself: :func:`grid_spectrum` returns the spectrum there (the
-``fundfreq periodogram`` CSV), and :func:`fourier_grid_init` takes its
-start from the same FFT code at L = 8.  There harmonic j lies at most
-j/16 Fourier bin from the nearest grid multiple, against j/2 bin at
-L = 1, where an off-grid fundamental can lose the start to its octave
+``fundfreq periodogram`` CSV).  :func:`fourier_grid_init` takes its start
+from the same FFT code at L the smallest 5-smooth length >= 8n, where
+numpy's FFT stays fast whatever the factors of n.  There harmonic j lies
+at most j/16 Fourier bin from the nearest grid multiple, against j/2 bin
+at L = n, where an off-grid fundamental can lose the start to its octave
 2*lambda (Rife & Boorstyn, 1974, on padded-DFT starts).
 """
 
@@ -29,7 +30,7 @@ __all__ = [
     "grid_spectrum",
 ]
 
-# Zero-padding factor of the start grid 2*pi*k/(_START_PAD * n).
+# Least zero-padding factor of the start grid 2*pi*k/L: L >= _START_PAD * n.
 _START_PAD = 8
 
 
@@ -83,29 +84,49 @@ def fourier_grid(n: int, p: int) -> np.ndarray:
     return 2.0 * math.pi * ks / n
 
 
+def _smooth_length(m: int) -> int:
+    """The smallest 5-smooth integer 2^a 3^b 5^c that is at least m >= 1.
+
+    numpy's FFT is fast at these lengths and falls to a slow path on
+    lengths with a large prime factor.
+    """
+    best = 1 << (m - 1).bit_length()  # the power of 2
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # the smallest power-of-2 multiple of odd that is >= m
+            candidate = odd << ((m - 1) // odd).bit_length()
+            if candidate < best:
+                best = candidate
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def _grid_power(
-    signal: Signal, p: int, pad: int
+    signal: Signal, p: int, length: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grid 2*pi*k/(pad*n) in (0, pi/p) with the unscaled power sums on it.
+    """Grid 2*pi*k/length in (0, pi/p) with the unscaled power sums on it.
 
     Returns ``(lams, plain, harmonic)``: ``plain[k-1]`` is |X_k|^2 and
     ``harmonic[k-1]`` is sum_{j<=p} |X_{jk}|^2, where X is the real FFT of
-    the signal zero-padded to length ``pad*n``.
+    the signal zero-padded to ``length`` >= n.
     """
     if p < 1:
         raise DomainError(f"p must be >= 1, got {p}")
-    n = signal.n
-    lams = fourier_grid(pad * n, p)
+    lams = fourier_grid(length, p)
     if lams.size == 0:
-        raise DomainError(f"no Fourier frequency lies in (0, pi/{p}) for n = {n}")
-    # |sum_t y(t) e^{-i 2 pi k t/(pad n)}|^2 for bins k = 0..pad*n/2; the
+        raise DomainError(f"no Fourier frequency lies in (0, pi/{p}) for n = {signal.n}")
+    # |sum_t y(t) e^{-i 2 pi k t/length}|^2 for bins k = 0..length/2; the
     # time origin and the sign of the exponent drop out of the modulus.
-    # Every j*k with j <= p stays below pad*n/2 because lams < pi/p.
-    power = np.abs(np.fft.rfft(signal.samples, pad * n)) ** 2
-    # Row j-1 holds the bins j*k; summing over axis 0 adds the rows in
-    # order j = 1..p, at every k.
-    bins = power[np.arange(1, p + 1)[:, None] * np.arange(1, lams.size + 1)]
-    return lams, bins[0], bins.sum(axis=0)
+    # Every j*k with j <= p stays below length/2 because lams < pi/p.
+    power = np.abs(np.fft.rfft(signal.samples, length)) ** 2
+    size = lams.size
+    # harmonic j of grid point k is bin j*k: the strided view from bin j,
+    # added in order j = 1..p
+    harmonic = sum(power[j : j * size + 1 : j] for j in range(1, p + 1))
+    return lams, power[1 : size + 1], harmonic
 
 
 def grid_spectrum(
@@ -120,20 +141,24 @@ def grid_spectrum(
     is admissible.
     """
     n = signal.n
-    lams, plain, harmonic = _grid_power(signal, p, 1)
+    lams, plain, harmonic = _grid_power(signal, p, n)
     return lams, plain / n, harmonic / n**2
 
 
 def fourier_grid_init(signal: Signal, p: int) -> float:
-    """Coarse initializer: argmax of Q_N over the grid 2*pi*k/(8n) in (0, pi/p).
+    """Coarse initializer: argmax of Q_N over the grid 2*pi*k/L in (0, pi/p).
 
-    Q_N, unlike the plain periodogram, cannot lock onto a bare harmonic of
-    the fundamental.  It is read from the FFT code of :func:`grid_spectrum`
-    at length ``_START_PAD*n``, before the scaling by 1/n^2 that could round
-    two neighbours into a tie.  The result is exactly a grid point; ties
-    break toward the smaller frequency.
+    L is the smallest 5-smooth length >= ``_START_PAD*n`` = 8n.  Q_N,
+    unlike the plain periodogram, adds the power at all p harmonics of a
+    grid point, so one strong harmonic alone does not pick the start; but
+    when harmonic p dominates, the point near 2*lambda can still win (see
+    README, "Known numerical limits").  Q_N is read from the FFT code of
+    :func:`grid_spectrum` at length L, before the scaling by 1/n^2 that
+    could round two neighbours into a tie.  The result is exactly a grid
+    point; ties break toward the smaller frequency.
     """
     if signal.n < 10 * p:
         raise DomainError(f"need n >= 10*p = {10 * p}, got n = {signal.n}")
-    lams, _, harmonic = _grid_power(signal, p, _START_PAD)
+    length = _smooth_length(_START_PAD * signal.n)
+    lams, _, harmonic = _grid_power(signal, p, length)
     return float(lams[int(np.argmax(harmonic))])  # argmax keeps the first of ties

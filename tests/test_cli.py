@@ -301,6 +301,16 @@ def test_malformed_signal_file_is_runtime_error(tmp_path, capsys, command, row):
     assert f"bad.txt: line 3: cannot read a number from {row!r}" in err
 
 
+@pytest.mark.parametrize("command", ["estimate", "periodogram"])
+def test_header_only_csv_is_runtime_error(tmp_path, capsys, command):
+    path = tmp_path / "header.csv"
+    path.write_text("y\n")
+    code, out, err = run_cli([command, "--input", str(path), "--p", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"fundfreq: {path}: no data rows\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["synth", "--preset", "1", "--n", "100", "--out", "x.txt", "--sample-rate", "8000"],
     ["estimate", "--input", "x.txt", "--p", "4", "--init-mode", "plain"],

@@ -1,6 +1,8 @@
 """Signal model, noise generation, and serialization."""
 
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from fundfreq import (
     synthesize,
     write_signal,
 )
+from fundfreq import signal
 from fundfreq.montecarlo import MODEL1, MODEL2
 
 
@@ -105,6 +108,35 @@ class TestSynthesize:
             bound += 2 * np.finfo(float).eps * j * model.lam * n * math.hypot(a, b)
         samples = synthesize(model, n).samples
         assert np.abs(samples - reference).max() <= bound
+
+
+class TestPhases:
+    """signal._phases: e^{i lam t} from block products, one per sample."""
+
+    @pytest.mark.parametrize("n", [100, 1000, 8000, 100_000])
+    @pytest.mark.parametrize("target", [0.006, 0.25, 0.3141, math.pi / 4 - 1e-3])
+    def test_matches_exact_phase_reference(self, n, target):
+        # The double lam is 2 pi k/N + delta with N = 2^20.  The exact phase
+        # of t is then 2 pi (k t mod N)/N, reduced in integers, plus
+        # delta*t, with delta found from 2 pi in two parts; the bound allows
+        # for rounding lam*t in the routine.
+        big_n = 2**20
+        k = round(target * big_n / (2 * math.pi))
+        lam = 2 * math.pi * k / big_n
+        two_pi = Fraction(2 * math.pi) + Fraction(2.4492935982947064e-16)
+        delta = float(Fraction(lam) - two_pi * k / big_n)
+        t = np.arange(1, n + 1, dtype=np.int64)
+        angle = 2 * math.pi * ((k * t) % big_n) / big_n
+        exact = np.exp(1j * angle) * np.exp(1j * (delta * t))
+        err = np.abs(signal._phases(lam, n) - exact)
+        assert np.all(err <= 2.2e-16 * lam * t + 1e-15)
+
+    def test_prefix_is_the_shorter_call(self):
+        # the criterion's prefix pass relies on a block width that does
+        # not depend on n
+        z = signal._phases(0.3141, 1000)
+        for m in (1, 31, 32, 33, 500, 999):
+            assert np.array_equal(z[:m], signal._phases(0.3141, m))
 
 
 class TestLinearProcess:
@@ -281,6 +313,12 @@ class TestSerialization:
         for text in ("", "\n\n", "# sample_rate=10.0\n"):
             path.write_text(text)
             with pytest.raises(DomainError, match="no data rows"):
+                read_signal(str(path))
+        # a CSV file holding only its header has no data rows either
+        path = tmp_path / "empty.csv"
+        for text in ("y\n", "y\n\n", "# c\ny\n"):
+            path.write_text(text)
+            with pytest.raises(DomainError, match=f"^{re.escape(str(path))}: no data rows$"):
                 read_signal(str(path))
 
 

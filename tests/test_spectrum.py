@@ -17,6 +17,7 @@ from fundfreq import (
     periodogram,
     synthesize,
 )
+from fundfreq import spectrum
 from fundfreq.montecarlo import MODEL1, MODEL2
 
 
@@ -186,23 +187,48 @@ class TestFourierGridInit:
 
     @pytest.mark.parametrize("mode", ["plain", "harmonic_sum"])
     def test_padded_grid_matches_direct_scan(self, model2, mode):
-        # oracle: direct exponential sums over the grid 2*pi*k/(pad*n); the
-        # start takes the Q_N argmax at pad 8, grid_spectrum gives I and Q_N
-        # at pad 1
-        sig = synthesize(model2, 250, LinearProcessSpec((1.0, 0.5), 0.25), seed=6)
-        cases = ((4, 1), (1, 1)) if mode == "plain" else ((4, 8), (4, 1), (1, 8), (1, 1))
-        for p, pad in cases:
-            grid = fourier_grid(pad * sig.n, p)
-            if mode == "plain":
-                vals = [periodogram(sig, float(lam)) for lam in grid]
-            else:
-                vals = [harmonic_criterion_qn(sig, float(lam), p) for lam in grid]
-            if pad == 8:
-                got = fourier_grid_init(sig, p)
-            else:
-                lams, i_vals, q_vals = grid_spectrum(sig, p)
-                got = lams[int(np.argmax(i_vals if mode == "plain" else q_vals))]
-            assert got == grid[int(np.argmax(vals))]
+        # oracle: direct exponential sums over the grid 2*pi*k/L; the start
+        # takes the Q_N argmax at the start length L >= 8n, grid_spectrum
+        # gives I and Q_N at L = n.  8n is 5-smooth at n = 250; 1009 is
+        # prime and 8*1150 = 9200 has the factor 23.
+        for n, start_length in ((250, 2000), (1009, 8100), (1150, 9216)):
+            sig = synthesize(model2, n, LinearProcessSpec((1.0, 0.5), 0.25), seed=6)
+            lengths = (n,) if mode == "plain" else (start_length, n)
+            for p in (4, 1):
+                for length in lengths:
+                    grid = fourier_grid(length, p)
+                    if mode == "plain":
+                        vals = [periodogram(sig, float(lam)) for lam in grid]
+                    else:
+                        vals = [harmonic_criterion_qn(sig, float(lam), p) for lam in grid]
+                    if length == start_length:
+                        got = fourier_grid_init(sig, p)
+                    else:
+                        lams, i_vals, q_vals = grid_spectrum(sig, p)
+                        got = lams[int(np.argmax(i_vals if mode == "plain" else q_vals))]
+                    assert got == grid[int(np.argmax(vals))], (n, p, length)
+
+    @pytest.mark.parametrize("n, length", [
+        (10, 80), (250, 2000), (300, 2400), (512, 4096), (1000, 8000),
+        (1009, 8100), (1150, 9216), (2053, 16875), (10007, 81000),
+        (99991, 800000), (100003, 810000),
+    ])
+    def test_start_length_is_smallest_5_smooth(self, n, length):
+        # where 8n is 5-smooth (250, 300, 512, 1000) the grid is 2*pi*k/(8n)
+        assert spectrum._smooth_length(spectrum._START_PAD * n) == length
+        sig = Signal(np.cos(0.3 * np.arange(1, n + 1)))
+        k = fourier_grid_init(sig, 1) * length / (2 * math.pi)
+        assert k == pytest.approx(round(k), abs=1e-6)
+
+    def test_smooth_length_against_a_scan(self):
+        def smooth(m):
+            for f in (2, 3, 5):
+                while m % f == 0:
+                    m //= f
+            return m == 1
+
+        want = [next(x for x in range(m, 2 * m + 1) if smooth(x)) for m in range(1, 3000)]
+        assert [spectrum._smooth_length(m) for m in range(1, 3000)] == want
 
     def test_too_small_sample_rejected(self):
         sig = Signal(np.ones(20))
