@@ -15,23 +15,21 @@ from fundfreq import (
     LinearProcessSpec,
     fourier_grid_init,
     grid_spectrum,
-    periodogram,
     synthesize,
 )
 from fundfreq.montecarlo import MODEL1
 
 sig = synthesize(MODEL1, n=500, noise=LinearProcessSpec((1.0, 0.5), 0.25), seed=3)
 
-# Periodogram peaks appear at every harmonic j * 0.25.
-lams = np.linspace(0.05, 1.2, 1200)
-i_vals = np.array([periodogram(sig, lam) for lam in lams])
+# Periodogram peaks appear at every harmonic j * 0.25.  I on the Fourier grid
+# 2*pi*k/n comes from one FFT, by the routine the start uses.
+lams, i_vals, _ = grid_spectrum(sig, 1)
 for j in range(1, 5):
     near = (lams > 0.25 * j - 0.04) & (lams < 0.25 * j + 0.04)
     peak = lams[near][np.argmax(i_vals[near])]
     print(f"periodogram peak near harmonic {j}: {peak:.4f} (true {0.25 * j})")
 
 # The harmonic criterion concentrates all four peaks at the fundamental.
-# On the Fourier grid, I and Q_N come from one FFT, by the routine the start uses.
 grid, _, q_vals = grid_spectrum(sig, 4)
 print(f"\nQ_N argmax over the Fourier grid: {grid[int(np.argmax(q_vals))]:.6f}")
 print("grid spacing 2*pi/n =", f"{2 * math.pi / sig.n:.6f}")

@@ -9,7 +9,7 @@ reproduces simulation tables with a deterministic Monte Carlo harness.
 """
 
 from .asymptotics import AsymptoticReport, asymptotic_variances, spectral_weight_c
-from .criterion import HarmonicDesignMoments, compute_moments, g, g_derivatives
+from .criterion import g
 from .errors import DegenerateFrequencyError, DomainError, FundfreqError
 from .linear import lse_linear, residuals, sample_acf
 from .mnr import EstimationTrace, TraceRecord, estimate_fundamental
@@ -33,13 +33,7 @@ from .signal import (
     synthesize,
     write_signal,
 )
-from .spectrum import (
-    fourier_grid,
-    fourier_grid_init,
-    grid_spectrum,
-    harmonic_criterion_qn,
-    periodogram,
-)
+from .spectrum import fourier_grid_init, grid_spectrum
 
 __version__ = "0.1.0"
 
@@ -50,7 +44,6 @@ __all__ = [
     "EstimationTrace",
     "ExperimentSpec",
     "FundfreqError",
-    "HarmonicDesignMoments",
     "HarmonicModel",
     "LinearProcessSpec",
     "MA1_NOISE_COEFFS",
@@ -60,18 +53,13 @@ __all__ = [
     "SummaryRow",
     "TraceRecord",
     "asymptotic_variances",
-    "compute_moments",
     "estimate_fundamental",
-    "fourier_grid",
     "fourier_grid_init",
     "g",
-    "g_derivatives",
     "generate_linear_process",
     "grid_spectrum",
-    "harmonic_criterion_qn",
     "lse_linear",
     "mean_correct",
-    "periodogram",
     "read_signal",
     "replication_seed",
     "residuals",

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .signal import HarmonicModel, LinearProcessSpec
+from .signal import HarmonicModel, LinearProcessSpec, _check_band
 
 __all__ = ["AsymptoticReport", "spectral_weight_c", "asymptotic_variances"]
 
@@ -40,10 +40,7 @@ class AsymptoticReport:
 
 def spectral_weight_c(spec: LinearProcessSpec, j: int, lam: float) -> float:
     """c(j) = |sum_k a(k) exp(-i j k lambda)|^2 (i.i.d. noise gives 1)."""
-    if j < 1:
-        raise DomainError(f"j must be >= 1, got {j}")
-    if not (0.0 < j * lam < math.pi):
-        raise DomainError(f"need 0 < j*lambda < pi, got {j * lam}")
+    _check_band(j, lam)
     z = sum(a * cmath.exp(-1j * j * k * lam) for k, a in enumerate(spec.coeffs))
     return abs(z) * abs(z)  # ** raises OverflowError where * gives inf
 

@@ -91,8 +91,11 @@ def _model_from_args(args) -> HarmonicModel:
 
 
 def _load_model_file(path: str) -> HarmonicModel:
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not a text file ({exc})") from None
     try:
         p, lam = raw["p"], float(raw["lambda"])
         if type(p) is not int:  # rejects 1.9 and "2", and true, a bool

@@ -31,6 +31,17 @@ __all__ = [
 ]
 
 
+def _check_band(p: int, lam: float) -> None:
+    """Reject all but p >= 1 and 0 < lam < pi/p, where every j*lam, j <= p, is in (0, pi).
+
+    A check of harmonic j alone passes p = j.
+    """
+    if p < 1:
+        raise DomainError(f"harmonic order must be >= 1, got {p}")
+    if not (0.0 < lam < math.pi / p):
+        raise DomainError(f"lambda must lie in (0, pi/{p}) = (0, {math.pi / p:.6g}), got {lam}")
+
+
 @dataclass(frozen=True)
 class HarmonicModel:
     """True or estimated parameters of a p-harmonic signal.
@@ -51,15 +62,10 @@ class HarmonicModel:
     amplitudes: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if self.p < 1:
-            raise DomainError(f"p must be >= 1, got {self.p}")
+        _check_band(self.p, self.lam)
         if len(self.amplitudes) != self.p:
             raise DomainError(
                 f"expected {self.p} amplitude pairs, got {len(self.amplitudes)}"
-            )
-        if not (0.0 < self.lam < math.pi / self.p):
-            raise DomainError(
-                f"lambda must lie in (0, pi/p) = (0, {math.pi / self.p:.6g}), got {self.lam}"
             )
         amps = tuple((float(a), float(b)) for a, b in self.amplitudes)
         object.__setattr__(self, "amplitudes", amps)
@@ -229,11 +235,15 @@ def read_signal(path: str) -> Signal:
     line whose first non-blank character is ``#``, a comment.  Every other
     line of a text file is one sample, read by Python's ``float`` rules in
     one numpy call; a ``.csv`` file is read from the column its header
-    names ``y``, or is one unnamed column of numbers.  A line that cannot
-    be read raises :class:`DomainError` naming the file and the line.
+    names ``y``, or is one unnamed column of numbers.  A file that is not
+    text raises :class:`DomainError` naming the file, and a line that
+    cannot be read as a finite number one naming the file and the line.
     """
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not a text file ({exc})") from None
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()  # the newline that ends the last line
@@ -244,12 +254,13 @@ def read_signal(path: str) -> Signal:
         rows = [line for line in lines if (body := line.strip()) and not body.startswith("#")]
     if not rows:
         raise DomainError(f"{path}: no data rows")
+    data, start = rows, 0
     if str(path).endswith(".csv"):
         header = [c.strip() for c in rows[0].split(",")]
         if "y" in header:
             idx, data, start = header.index("y"), rows[1:], lines.index(rows[0]) + 1
         elif len(header) == 1 and _is_number(header[0]):
-            idx, data, start = 0, rows, 0
+            idx = 0
         else:
             raise DomainError(f"{path}: column 'y' not found in header {header}")
         if not data:
@@ -260,24 +271,31 @@ def read_signal(path: str) -> Signal:
                 values.append(float(row.split(",")[idx]))
             except (IndexError, ValueError):
                 raise _bad_line(path, lines, row, start) from None
-        return Signal(np.array(values))
+        samples = np.array(values)
+    else:
+        try:
+            # a list of str converts element by element through float(), so a
+            # row like "1.0 2.0" is rejected as float("1.0 2.0") is
+            samples = np.array(rows, dtype=float)
+        except ValueError:
+            raise _bad_line(path, lines, next(r for r in rows if not _is_number(r))) from None
     try:
-        # a list of str converts element by element through float(), so a
-        # row like "1.0 2.0" is rejected as float("1.0 2.0") is
-        samples = np.array(rows, dtype=float)
-    except ValueError:
-        raise _bad_line(path, lines, next(r for r in rows if not _is_number(r))) from None
-    return Signal(samples)
+        return Signal(samples)
+    except DomainError:  # a row such as nan, inf or 1e999
+        first = int(np.argmin(np.isfinite(samples)))
+        raise _bad_line(path, lines, data[first], start, "a finite number") from None
 
 
-def _bad_line(path: str, lines: list[str], line: str, start: int = 0) -> DomainError:
+def _bad_line(
+    path: str, lines: list[str], line: str, start: int = 0, what: str = "a number"
+) -> DomainError:
     """A :class:`DomainError` naming the first line equal to ``line`` from ``start`` on.
 
     Lines with equal text are read alike, so that is the first bad line
     when ``line`` is.
     """
     number = lines.index(line, start) + 1
-    return DomainError(f"{path}: line {number}: cannot read a number from {line.strip()!r}")
+    return DomainError(f"{path}: line {number}: cannot read {what} from {line.strip()!r}")
 
 
 def _is_number(s: str) -> bool:

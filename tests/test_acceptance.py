@@ -21,12 +21,12 @@ from fundfreq import (
     asymptotic_variances,
     estimate_fundamental,
     g,
-    g_derivatives,
     lse_linear,
     run_experiment,
     summary_csv_lines,
     synthesize,
 )
+from fundfreq.criterion import g_derivatives
 from fundfreq.montecarlo import MODEL1, MODEL2
 from conftest import fd_derivatives
 

@@ -82,6 +82,16 @@ class TestSynth:
             assert f"p must be a JSON integer, got {json.dumps(p)}" in err
         assert not (tmp_path / "y").exists()
 
+    def test_non_text_model_file_is_runtime_error(self, tmp_path, capsys):
+        bad = tmp_path / "model.json"
+        bad.write_bytes(b'{"p": 1, "lambda": 0.25, "amplitudes": [[1, 0]]}\xff')
+        code, out, err = run_cli(
+            ["asymvar", "--model-file", str(bad), "--sigma2", "1", "--n", "100"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"fundfreq: {bad}: not a text file")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("model", [
         {"p": 2, "lambda": 0.25, "amplitudes": [1, 2]},
         {"p": "two", "lambda": 0.25, "amplitudes": [[1, 0], [1, 0]]},
@@ -299,6 +309,28 @@ def test_malformed_signal_file_is_runtime_error(tmp_path, capsys, command, row):
     assert out == ""
     assert err.startswith("fundfreq: ")
     assert f"bad.txt: line 3: cannot read a number from {row!r}" in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "periodogram"])
+@pytest.mark.parametrize("row", ["nan", "-inf", "1e999"])
+def test_non_finite_sample_is_runtime_error(tmp_path, capsys, command, row):
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(["0.5", "-1.0", row, "2.0"]) + "\n")
+    code, out, err = run_cli([command, "--input", str(path), "--p", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"fundfreq: {path}: line 3: cannot read a finite number from {row!r}\n"
+
+
+@pytest.mark.parametrize("command", ["estimate", "periodogram"])
+def test_non_text_signal_file_is_runtime_error(tmp_path, capsys, command):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\xff" * 8)
+    code, out, err = run_cli([command, "--input", str(path), "--p", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"fundfreq: {path}: not a text file")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["estimate", "periodogram"])

@@ -17,12 +17,16 @@ from fundfreq import (
     DomainError,
     LinearProcessSpec,
     Signal,
-    compute_moments,
     g,
-    g_derivatives,
     synthesize,
 )
-from fundfreq.criterion import g_and_prefix_derivatives, g_with_derivatives, lse_coefficients
+from fundfreq.criterion import (
+    compute_moments,
+    g_and_prefix_derivatives,
+    g_derivatives,
+    g_with_derivatives,
+    lse_coefficients,
+)
 from conftest import fd_derivatives
 
 BETA_STAR_1 = 377.5625  # sum j^2 (A_j^2+B_j^2) for benchmark model 1

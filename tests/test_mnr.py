@@ -14,10 +14,9 @@ from fundfreq import (
     Signal,
     estimate_fundamental,
     g,
-    g_derivatives,
     synthesize,
 )
-from fundfreq.criterion import g_with_derivatives
+from fundfreq.criterion import g_derivatives, g_with_derivatives
 
 
 class TestStage2:

@@ -17,7 +17,6 @@ PUBLIC = [
     "EstimationTrace",
     "ExperimentSpec",
     "FundfreqError",
-    "HarmonicDesignMoments",
     "HarmonicModel",
     "LinearProcessSpec",
     "MA1_NOISE_COEFFS",
@@ -27,18 +26,13 @@ PUBLIC = [
     "SummaryRow",
     "TraceRecord",
     "asymptotic_variances",
-    "compute_moments",
     "estimate_fundamental",
-    "fourier_grid",
     "fourier_grid_init",
     "g",
-    "g_derivatives",
     "generate_linear_process",
     "grid_spectrum",
-    "harmonic_criterion_qn",
     "lse_linear",
     "mean_correct",
-    "periodogram",
     "read_signal",
     "replication_seed",
     "residuals",
@@ -50,10 +44,19 @@ PUBLIC = [
     "write_signal",
 ]
 
-REMOVED = ["BoundaryError", "CurvatureError", "mnr_step", "polar_to_cartesian",
-           "cartesian_to_polar", "alse_linear", "MnrConfig"]
+# Names that only the tests and the bench tracer use: off the package and
+# its modules' __all__, still defined on their home modules.
+TRACER_ONLY = {
+    "criterion": ["HarmonicDesignMoments", "compute_moments", "g_derivatives"],
+    "spectrum": ["fourier_grid", "harmonic_criterion_qn", "periodogram"],
+}
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+REMOVED = ["BoundaryError", "CurvatureError", "mnr_step", "polar_to_cartesian",
+           "cartesian_to_polar", "alse_linear", "MnrConfig",
+           *(name for names in TRACER_ONLY.values() for name in names)]
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _layer_functions() -> dict:
@@ -99,6 +102,25 @@ def test_removed_members_stay_removed():
                           (fundfreq.AsymptoticReport, "as_dict"),
                           (fundfreq.signal, "IID")]:
         assert not hasattr(owner, member), f"{owner.__name__}.{member}"
+
+
+@pytest.mark.parametrize("layer", sorted(TRACER_ONLY))
+def test_tracer_only_names_stay_on_their_home_module(layer):
+    module = importlib.import_module(f"fundfreq.{layer}")
+    for name in TRACER_ONLY[layer]:
+        assert callable(getattr(module, name)), f"fundfreq.{layer}.{name}"
+        assert name not in module.__all__
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demos_import_only_public_names(demo):
+    # read the way _layer_functions reads the tracer: from the source, by ast
+    for node in ast.walk(ast.parse(demo.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fundfreq"):
+            public = importlib.import_module(node.module).__all__
+            for alias in node.names:
+                assert alias.name in fundfreq.__all__ or alias.name in public, (
+                    f"{demo.name} imports {alias.name} from {node.module}")
 
 
 def test_tracer_layer_functions_exist():

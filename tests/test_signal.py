@@ -298,6 +298,27 @@ class TestSerialization:
         with pytest.raises(DomainError, match=r"bad\.txt: line 2: "):
             read_signal(str(path))
 
+    @pytest.mark.parametrize("row", ["nan", "inf", "-inf", "1e999", " NaN "])
+    @pytest.mark.parametrize("suffix", [".txt", ".csv"])
+    def test_non_finite_row_names_file_and_line(self, tmp_path, row, suffix):
+        path = tmp_path / f"bad{suffix}"
+        head = "x,y\n" if suffix == ".csv" else ""
+        cell = f"1,{row}" if suffix == ".csv" else row
+        ok = "2,0.5" if suffix == ".csv" else "0.5"
+        path.write_text(f"# made by hand\n{head}{ok}\n\n{cell}\n{ok}\n{cell}\n")
+        line = 4 + bool(head)
+        with pytest.raises(DomainError, match=(
+                rf"^{re.escape(str(path))}: line {line}: cannot read a finite number "
+                rf"from {re.escape(repr(cell.strip()))}$")):
+            read_signal(str(path))
+
+    @pytest.mark.parametrize("suffix", [".txt", ".csv"])
+    def test_non_text_file_names_the_file(self, tmp_path, suffix):
+        path = tmp_path / f"binary{suffix}"
+        path.write_bytes(b"0.5\n\xff\x00\n")
+        with pytest.raises(DomainError, match=rf"^{re.escape(str(path))}: not a text file"):
+            read_signal(str(path))
+
     @pytest.mark.parametrize("header", ["# sample_rate=8000.0", "# sample_rate=fast"])
     @pytest.mark.parametrize("suffix", [".txt", ".csv"])
     def test_sample_rate_header_is_a_plain_comment(self, tmp_path, header, suffix):

@@ -10,14 +10,12 @@ from fundfreq import (
     HarmonicModel,
     LinearProcessSpec,
     Signal,
-    fourier_grid,
     fourier_grid_init,
     grid_spectrum,
-    harmonic_criterion_qn,
-    periodogram,
     synthesize,
 )
 from fundfreq import spectrum
+from fundfreq.spectrum import fourier_grid, harmonic_criterion_qn, periodogram
 from fundfreq.montecarlo import MODEL1, MODEL2
 
 
