@@ -17,8 +17,9 @@ pitch criterion).  All of them are blocks of one Gram-type product over
 the samples, built in one pass: the phases e^{i lam t} from
 ``signal._phases`` (about n/32 + 32 complex exponentials and one complex
 multiply per sample), whose running powers give every harmonic's cos and
-sin.  X'X is factored once by Cholesky, and the inverse factor serves
-every solve.
+sin.  X'X is factored by Cholesky in one place, :func:`_whitened`, with
+one pivot floor and one error, and its inverse factor serves every solve:
+g, the amplitudes, the start pass and the derivatives.
 The pass can split after a sample n1: the moments over y(1..n1) then
 carry the derivative blocks while the rest adds only to X'X and X'Y, so
 one pass gives g over all n samples and g', g'' over the first n1
@@ -158,13 +159,28 @@ def lse_coefficients(signal: Signal, p: int, lam: float) -> np.ndarray:
 
 
 def _whitened(mom: np.ndarray, n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """(L^{-1}, L^{-1} X'Y) for the Cholesky factor L of X'X = LL'.
+    """(L^{-1}, L^{-1} X'Y) for the lower Cholesky factor L of X'X = LL'.
 
     ``mom`` holds X'X in its leading square block and X'Y in the next
-    column, as the tail product of :func:`_moments` does.
+    column, as the tail product of :func:`_moments` and the X rows of its
+    head product do.  This is the one place X'X is factored.  X'X is
+    singular when some j*lam nears 0 or pi; the guard is a floor on every
+    squared pivot, scaled by n.  The factor and its inverse come from the
+    gufuncs that np.linalg.cholesky and np.linalg.inv call, with the same
+    results bit for bit: at 2p x 2p those wrappers' argument checks cost
+    more than the LAPACK work.  Where the factorization fails, the gufunc
+    returns NaN, which fails the floor; without the errstate it would also
+    warn.
     """
     q = mom.shape[0]
-    linv = _inverse_factor(mom[:, :q], n, lam)
+    floor = _PIVOT_FLOOR * n
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        chol = _umath_linalg.cholesky_lo(mom[:, :q])
+    if not all(d * d >= floor for d in chol.diagonal().tolist()):
+        raise DegenerateFrequencyError(
+            f"X'X singular at lambda={lam:.6g} over {q} columns (pivot floor {floor:.3e})"
+        )
+    linv = _umath_linalg.inv(chol)
     return linv, linv @ mom[:, q]
 
 
@@ -175,8 +191,8 @@ def _with_derivatives(
     over n samples."""
     q = 2 * p
     u, v, w = mom[q : 2 * q, 2 * q], mom[:q, 2 * q], mom[:q, 2 * q + 1]
-    linv = _inverse_factor(mom[q : 2 * q, q : 2 * q], n, lam)
-    a = linv.T @ (linv @ u)
+    linv, zu = _whitened(mom[q : 2 * q, q:], n, lam)  # X rows: [X'X | X'Y | X'TY]
+    a = linv.T @ zu
     ik, k, j2 = _harmonic_operators(p)
     a_ka = (ik @ a).reshape(2, q)                  # rows a, Ka
     ba_a, ba_ka = a_ka @ mom[: 2 * q, :q].T         # rows [B; A]a, [B; A]Ka
@@ -230,24 +246,3 @@ def _moments(
     head = s[: 2 * q, :n1] @ s[:, :n1].T if n1 else None
     tail = s[q : 2 * q, n1:] @ s[q:, n1:].T if n1 < n else None
     return head, tail
-
-
-def _inverse_factor(m: np.ndarray, n: int, lam: float) -> np.ndarray:
-    """Inverse L^{-1} of the lower Cholesky factor of X'X = LL'.
-
-    X'X is singular when some j*lam nears 0 or pi; the guard is a floor on
-    every squared pivot, scaled by n.  The factor and its inverse come from
-    the gufuncs that np.linalg.cholesky and np.linalg.inv call, with the
-    same results bit for bit: at 2p x 2p those wrappers' argument checks
-    cost more than the LAPACK work.  Where the factorization fails, the
-    gufunc returns NaN, which fails the floor.
-    """
-    floor = _PIVOT_FLOOR * n
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        chol = _umath_linalg.cholesky_lo(m)
-    if not all(d * d >= floor for d in chol.diagonal().tolist()):
-        raise DegenerateFrequencyError(
-            f"X'X singular at lambda={lam:.6g} over {m.shape[0]} columns "
-            f"(pivot floor {floor:.3e})"
-        )
-    return _umath_linalg.inv(chol)

@@ -15,11 +15,3 @@ class DegenerateFrequencyError(FundfreqError):
     Happens when a trial frequency drives ``j*lambda`` toward 0 or pi,
     collapsing the cosine/sine design columns onto each other.
     """
-
-
-class CurvatureError(FundfreqError):
-    """The criterion curvature is zero or non-finite; no Newton step exists."""
-
-
-class BoundaryError(FundfreqError):
-    """A Newton iterate left the admissible interval (0, pi/p)."""

@@ -15,6 +15,11 @@ The estimator runs in three stages:
    step shorter than ``_TOL`` has been taken, ``boundary`` if even that step
    leaves (0, pi/p), or ``max_iter`` after ``_MAX_ITER`` Newton steps.
 
+Every exit of stages 2 and 3 is a status that :func:`_refine` returns.  A
+zero or non-finite g'' (or a non-finite g') at any iterate ends the run
+``degenerate``, and so does the one exception caught: the criterion's
+:class:`DegenerateFrequencyError` for a singular X'X.
+
 Run to convergence, stage 3 returns the least squares estimate, the
 maximizer of g near the start.  Full steps converge to it quadratically,
 in about four full-sample criterion evaluations, and the step shorter than
@@ -33,10 +38,12 @@ iterate with the largest g seen.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .criterion import g, g_and_prefix_derivatives, g_with_derivatives
-from .errors import BoundaryError, CurvatureError, DegenerateFrequencyError
+from .errors import DegenerateFrequencyError
 from .signal import Signal
 from .spectrum import fourier_grid_init
 
@@ -94,7 +101,16 @@ def estimate_fundamental(signal: Signal, p: int) -> tuple[float, EstimationTrace
     after the start ends the run with the best iterate seen so far rather
     than raising; the start search raises :class:`DomainError` when
     n < 10*p.
+
+    The estimate is scale-free: where max|y| lies outside 2^+-128 the run
+    sees y 2^-e, e the nearest multiple of 256 to its binary exponent, so
+    that no square of y over- or underflows.  A power of two scales
+    exactly, so every iterate is the one at scale 1; the records' g values
+    are scaled back by 2^(2e) and read inf past the float range.
     """
+    e = 256 * round(math.frexp(float(np.abs(signal.samples).max()))[1] / 256)
+    if e:
+        signal = Signal(np.ldexp(signal.samples, -e))
     n = signal.n
     lam0 = fourier_grid_init(signal, p)
     n1 = _subsample_size(n)
@@ -104,55 +120,66 @@ def estimate_fundamental(signal: Signal, p: int) -> tuple[float, EstimationTrace
     g0, prefix_derivatives = g_and_prefix_derivatives(signal, p, lam0, n1)
     trace = EstimationTrace(evaluations=2)
     trace.records.append(TraceRecord(0, lam0, n, g0, 0.0))
-
     try:
-        # Stage 2: one reduced step on the first n1 samples.
-        gp, gpp = prefix_derivatives()
-        correction = _newton(lam0, gp, gpp, _STEP_FACTOR)
-        lam_k = lam0 + correction
-        if not (0.0 < lam_k < math.pi / p):
-            raise BoundaryError(lam_k)
-        # Stage 3: full Newton steps on the full sample.  Each iterate needs
-        # the criterion value (backtracking) and both derivatives (next
-        # step), so they come from one pass over the moment blocks; the
-        # closing step's point needs the value alone.
-        trace.evaluations += 1
-        g_k, gp, gpp = g_with_derivatives(signal, p, lam_k)
-        trace.records.append(TraceRecord(1, lam_k, n1, g_k, correction))
-        for k in range(2, _MAX_ITER + 2):
-            if gpp >= 0.0:
-                trace.status = "converged_objective"
-                break
-            # Halve a step that leaves (0, pi/p) or lowers g.  A step shorter
-            # than _TOL closes the run, and nothing reads its derivatives.
-            correction = _newton(lam_k, gp, gpp, 1.0)
-            while True:
-                lam_next = lam_k + correction
-                inside = 0.0 < lam_next < math.pi / p
-                if abs(correction) < _TOL:
-                    if not inside:
-                        raise BoundaryError(lam_next)
-                    trace.evaluations += 1
-                    g_next = g(signal, p, lam_next)
-                    break
-                if inside:
-                    trace.evaluations += 1
-                    g_next, gp_next, gpp_next = g_with_derivatives(signal, p, lam_next)
-                    if g_next >= g_k:
-                        break
-                correction *= 0.5
-            trace.records.append(TraceRecord(k, lam_next, n, g_next, correction))
-            if abs(correction) < _TOL:
-                trace.status = "converged_tol"
-                break
-            lam_k, g_k, gp, gpp = lam_next, g_next, gp_next, gpp_next
-    except BoundaryError:
-        trace.status = "boundary"
-    except (CurvatureError, DegenerateFrequencyError):
+        trace.status = _refine(signal, p, n1, prefix_derivatives(), trace)
+    except DegenerateFrequencyError:
         trace.status = "degenerate"
+    if e:
+        h = 2.0 ** (e // 2)  # 2^(2e) = h^4, four exact products
+        trace.records = [replace(r, g_value=r.g_value * h * h * h * h) for r in trace.records]
     if trace.status == "converged_tol":
         return trace.records[-1].lam, trace
     return trace.best().lam, trace
+
+
+def _refine(
+    signal: Signal, p: int, n1: int, prefix: tuple[float, float], trace: EstimationTrace
+) -> str:
+    """Stages 2 and 3 from the start in ``trace``, given the subsample's
+    (g', g'') there; appends their iterates and returns the status."""
+    n = signal.n
+    # Stage 2: one reduced step on the first n1 samples.
+    correction = _newton(*prefix, _STEP_FACTOR)
+    if correction is None:
+        return "degenerate"
+    lam_k = trace.records[0].lam + correction
+    if not (0.0 < lam_k < math.pi / p):
+        return "boundary"
+    # Stage 3: full Newton steps on the full sample.  Each iterate needs the
+    # criterion value (backtracking) and both derivatives (next step), so
+    # they come from one pass over the moment blocks; the closing step's
+    # point needs the value alone.
+    trace.evaluations += 1
+    g_k, gp, gpp = g_with_derivatives(signal, p, lam_k)
+    trace.records.append(TraceRecord(1, lam_k, n1, g_k, correction))
+    for k in range(2, _MAX_ITER + 2):
+        if gpp >= 0.0:
+            return "converged_objective"
+        correction = _newton(gp, gpp, 1.0)
+        if correction is None:
+            return "degenerate"
+        # Halve a step that leaves (0, pi/p) or lowers g.  A step shorter
+        # than _TOL closes the run, and nothing reads its derivatives.
+        while True:
+            lam_next = lam_k + correction
+            inside = 0.0 < lam_next < math.pi / p
+            if abs(correction) < _TOL:
+                if not inside:
+                    return "boundary"
+                trace.evaluations += 1
+                trace.records.append(
+                    TraceRecord(k, lam_next, n, g(signal, p, lam_next), correction)
+                )
+                return "converged_tol"
+            if inside:
+                trace.evaluations += 1
+                g_next, gp_next, gpp_next = g_with_derivatives(signal, p, lam_next)
+                if g_next >= g_k:
+                    break
+            correction *= 0.5
+        trace.records.append(TraceRecord(k, lam_next, n, g_next, correction))
+        lam_k, g_k, gp, gpp = lam_next, g_next, gp_next, gpp_next
+    return "max_iter"
 
 
 def _subsample_size(n: int) -> int:
@@ -169,14 +196,9 @@ def _subsample_size(n: int) -> int:
     return n1
 
 
-def _newton(lam: float, gp: float, gpp: float, factor: float) -> float:
-    """The correction -factor * g'/g''.
-
-    Raises :class:`CurvatureError` when g'' is zero or g', g'' are not
-    finite.
-    """
+def _newton(gp: float, gpp: float, factor: float) -> float | None:
+    """The correction -factor * g'/g'', or None when g'' is zero or g', g''
+    are not finite: no Newton step exists there."""
     if gpp == 0.0 or not math.isfinite(gpp) or not math.isfinite(gp):
-        raise CurvatureError(
-            f"degenerate curvature at lambda={lam:.8g}: g'={gp:.3e}, g''={gpp:.3e}"
-        )
+        return None
     return -factor * gp / gpp

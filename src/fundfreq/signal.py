@@ -72,7 +72,7 @@ class HarmonicModel:
         for j, (a, b) in enumerate(amps, start=1):
             if not (math.isfinite(a) and math.isfinite(b)):
                 raise DomainError(f"amplitudes of harmonic {j} are not finite")
-            if a * a + b * b == 0.0:
+            if a == 0.0 and b == 0.0:
                 raise DomainError(f"harmonic {j} has zero amplitude")
 
     @property

@@ -252,12 +252,17 @@ def _start_pass(signal, p, lam):
 
 class TestDegeneracyGuard:
     def test_inverse_factor_matches_numpy_linalg(self, model1):
-        # the gufuncs called directly give np.linalg's results bit for bit
+        # the gufuncs called directly give np.linalg's results bit for bit,
+        # from the tail product and from the X rows of the head product
         sig = synthesize(model1, 700, LinearProcessSpec((1.0, 0.5), 0.25), seed=5)
         for p, lam in [(1, 0.4), (4, 0.2503)]:
-            m = criterion._moments(sig.samples, p, lam, 0)[1][:, : 2 * p]
-            want = np.linalg.inv(np.linalg.cholesky(m))
-            assert np.array_equal(criterion._inverse_factor(m, sig.n, lam), want)
+            q = 2 * p
+            head, tail = criterion._moments(sig.samples, p, lam, 300)
+            for mom in (tail, head[q : 2 * q, q:]):
+                want = np.linalg.inv(np.linalg.cholesky(mom[:, :q]))
+                linv, z = criterion._whitened(mom, sig.n, lam)
+                assert np.array_equal(linv, want)
+                assert np.array_equal(z, want @ mom[:, q])
 
     @pytest.mark.parametrize("m", [-np.eye(4), np.zeros((4, 4)), np.full((4, 4), np.nan),
                                    np.diag([1.0, 1.0, 1.0, 1e-12])],
@@ -265,10 +270,11 @@ class TestDegeneracyGuard:
     def test_inverse_factor_rejects_without_warning(self, m):
         # a failed factorization leaves NaN pivots; they, like a small
         # pivot, must fail the floor, and nothing may warn on the way
+        mom = np.column_stack([m, np.ones(4)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateFrequencyError):
-                criterion._inverse_factor(m, 100, 0.25)
+                criterion._whitened(mom, 100, 0.25)
 
     @pytest.mark.parametrize("lam", [1e-6, math.pi / 4 - 1e-9])
     @pytest.mark.parametrize("fn", [g, g_with_derivatives, lse_coefficients, _start_pass])

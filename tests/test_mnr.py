@@ -14,6 +14,7 @@ from fundfreq import (
     Signal,
     estimate_fundamental,
     g,
+    lse_linear,
     synthesize,
 )
 from fundfreq.criterion import g_derivatives, g_with_derivatives
@@ -127,11 +128,32 @@ class TestEstimateFundamental:
         # acceptance: y -> 1000 y must reproduce the iterate sequence
         sig = synthesize(model1, 500, LinearProcessSpec((1.0, 0.5), 0.25), seed=32)
         scaled = Signal(1000.0 * sig.samples)
-        _, tr_a = estimate_fundamental(sig, 4)
+        lam_a, tr_a = estimate_fundamental(sig, 4)
         _, tr_b = estimate_fundamental(scaled, 4)
         assert len(tr_a.records) == len(tr_b.records)
         for ra, rb in zip(tr_a.records, tr_b.records):
             assert rb.lam == pytest.approx(ra.lam, abs=1e-10)
+        # y -> 2^k y, inside and outside the unscaled range 2^+-128, scales
+        # exactly: the same run bit for bit, with g in the signal's units
+        for k in (-300, -131, -7, 7, 131, 300):
+            lam_b, tr_b = estimate_fundamental(Signal(np.ldexp(sig.samples, k)), 4)
+            assert lam_b == lam_a
+            assert (tr_b.status, tr_b.evaluations) == (tr_a.status, tr_a.evaluations)
+            for ra, rb in zip(tr_a.records, tr_b.records, strict=True):
+                assert (rb.lam, rb.correction) == (ra.lam, ra.correction)
+                assert rb.g_value == ra.g_value * 4.0**k
+        # extreme amplitudes: without the scaling the start's FFT power
+        # over- or underflowed and the run ended degenerate at the first
+        # grid point; g past the float range reads inf or 0, with no warning
+        clean = synthesize(model1, 200)
+        amps = lse_linear(clean, estimate_fundamental(clean, 4)[0], 4)
+        for factor in (1e160, 1e-170):
+            scaled = Signal(factor * clean.samples)
+            lam_hat, trace = estimate_fundamental(scaled, 4)
+            assert trace.status == "converged_tol"
+            assert abs(lam_hat - 0.25) <= 1e-12
+            got = np.asarray(lse_linear(scaled, lam_hat, 4)) / factor
+            assert np.allclose(got, amps, rtol=1e-9, atol=0.0)
 
     def test_estimates_stay_inside_interval(self, model2):
         for seed in range(10):
@@ -175,16 +197,16 @@ class TestEstimateFundamental:
         # the shared pass factors X'X twice, full sample first: a singular
         # full sample raises out of the estimate, a singular 51-sample
         # prefix ends the run degenerate after record 0
-        inverse_factor = criterion._inverse_factor
+        whitened = criterion._whitened
         sizes = []
 
-        def guarded(m, n, lam):
+        def guarded(mom, n, lam):
             sizes.append(n)
             if n == failing:
                 raise DegenerateFrequencyError(f"singular over {n} samples")
-            return inverse_factor(m, n, lam)
+            return whitened(mom, n, lam)
 
-        monkeypatch.setattr(criterion, "_inverse_factor", guarded)
+        monkeypatch.setattr(criterion, "_whitened", guarded)
         sig = synthesize(model1, 100, LinearProcessSpec((1.0, 0.5), 0.25), seed=3)
         if failing == 100:
             with pytest.raises(DegenerateFrequencyError):
@@ -315,6 +337,60 @@ class TestStage3:
         assert trace.status == "converged_tol"
         assert 0.0 < lam_hat < math.pi
         assert g_with_derivatives(sig, 1, lam_hat)[2] < 0.0
+
+    @staticmethod
+    def _failing_from(monkeypatch, call, fail):
+        """Patch stage 3's g_with_derivatives so that from its ``call``-th
+        call on, ``fail(values)`` replaces the true (g, g', g'')."""
+        calls = []
+
+        def patched(signal, p, lam):
+            calls.append(lam)
+            values = g_with_derivatives(signal, p, lam)
+            return fail(values) if len(calls) >= call else values
+
+        monkeypatch.setattr(mnr, "g_with_derivatives", patched)
+        return calls
+
+    @pytest.mark.parametrize("call", [1, 2])
+    def test_singular_stage3_iterate_ends_degenerate(self, model1, monkeypatch, call):
+        # singular normal equations at the stage-2 iterate (call 1) or at a
+        # stage-3 trial point (call 2): the run ends with the best iterate
+        def singular(values):
+            raise DegenerateFrequencyError("singular normal equations")
+
+        calls = self._failing_from(monkeypatch, call, singular)
+        sig = synthesize(model1, 500, LinearProcessSpec((1.0, 0.5), 0.25), seed=30)
+        lam_hat, trace = estimate_fundamental(sig, 4)
+        assert trace.status == "degenerate"
+        assert len(calls) == call
+        assert trace.evaluations == 2 + call
+        # the stage-2 iterate is recorded only once its g is known
+        assert len(trace.records) == call
+        assert lam_hat == trace.best().lam
+
+    @pytest.mark.parametrize("call", [1, 2])
+    def test_nan_curvature_ends_degenerate(self, model1, monkeypatch, call):
+        # a NaN g'' is not >= 0, so it passes the converged_objective test;
+        # the Newton step then finds no curvature and the run ends degenerate
+        self._failing_from(monkeypatch, call, lambda v: (v[0], v[1], math.nan))
+        sig = synthesize(model1, 500, LinearProcessSpec((1.0, 0.5), 0.25), seed=30)
+        lam_hat, trace = estimate_fundamental(sig, 4)
+        assert trace.status == "degenerate"
+        assert len(trace.records) == call + 1
+        assert lam_hat == trace.best().lam
+
+    def test_closing_step_leaving_interval_ends_boundary(self, model1, monkeypatch):
+        # a stage-3 step shorter than _TOL is not halved further: when it
+        # leaves (0, pi/p) the run ends boundary, without evaluating there
+        monkeypatch.setattr(mnr, "_TOL", 1.0)
+        calls = self._failing_from(monkeypatch, 1, lambda v: (v[0], -0.5, -1.0))
+        lam_hat, trace = estimate_fundamental(synthesize(model1, 500), 4)
+        assert trace.status == "boundary"
+        assert len(calls) == 1
+        assert trace.evaluations == 3
+        assert len(trace.records) == 2
+        assert lam_hat == trace.best().lam
 
     @pytest.mark.parametrize("preset", [1, 2])
     @pytest.mark.parametrize("n", [100, 512, 2000, 8000])

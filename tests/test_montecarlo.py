@@ -7,6 +7,7 @@ import pytest
 
 import fundfreq.montecarlo as mc
 from fundfreq import (
+    DegenerateFrequencyError,
     DomainError,
     ExperimentSpec,
     LinearProcessSpec,
@@ -148,9 +149,7 @@ class TestAggregation:
         def flaky(sig, p):
             calls["i"] += 1
             if calls["i"] % 3 == 0:
-                from fundfreq.errors import BoundaryError
-
-                raise BoundaryError(9.9)
+                raise DegenerateFrequencyError("singular normal equations")
             return real(sig, p)
 
         monkeypatch.setattr(mc, "estimate_fundamental", flaky)

@@ -84,6 +84,14 @@ def test_removed_name_is_not_importable(name):
     assert not hasattr(fundfreq, name)
 
 
+def test_errors_module_defines_three_classes():
+    # the estimator reports every other way a run ends as a trace status
+    errors = importlib.import_module("fundfreq.errors")
+    defined = [name for name, value in vars(errors).items()
+               if isinstance(value, type) and value.__module__ == errors.__name__]
+    assert sorted(defined) == ["DegenerateFrequencyError", "DomainError", "FundfreqError"]
+
+
 def test_removed_members_stay_removed():
     assert list(inspect.signature(fundfreq.estimate_fundamental).parameters) == ["signal", "p"]
     assert [f.name for f in dataclasses.fields(fundfreq.ExperimentSpec)] == [

@@ -39,6 +39,11 @@ class TestHarmonicModel:
     def test_zero_amplitude_pair(self):
         with pytest.raises(DomainError):
             HarmonicModel(2, 0.3, ((1.0, 0.0), (0.0, 0.0)))
+        with pytest.raises(DomainError, match="harmonic 1 has zero amplitude"):
+            HarmonicModel(1, 0.3, ((0.0, -0.0),))
+        # A^2 + B^2 underflows to 0 here, but the pairs are not zero
+        m = HarmonicModel(2, 0.3, ((1e-170, 1e-170), (0.0, -1e-170)))
+        assert m.amplitudes[1] == (0.0, -1e-170)
 
     def test_wrong_pair_count(self):
         with pytest.raises(DomainError):
