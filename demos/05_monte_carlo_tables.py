@@ -4,8 +4,8 @@ Each (n, sigma2) cell runs seeded replications whose streams derive from
 (master seed, n, sigma2, replication index), so rows are reproducible
 bit-for-bit on any machine, whether a cell runs alone or within the grid.
 The desk-scale default below uses 200 replications per cell; raise
-``REPS`` to 5000 for a full reproduction run (about 3.5 s per cell at
-n = 100 and 4.5 s at n = 500 on a 2-core x86 host).
+``REPS`` to 5000 for a full reproduction run (about 1.6 s per cell at
+n = 100 and 2.1 s at n = 500 on a 2-core x86 host; see the README).
 """
 
 import time

@@ -14,16 +14,19 @@ design are dX/dlam = T X K and d2X/dlam2 = T^2 X K^2, so g' and g'' contract
 to the 2p x 2p moments X'T^kX and the 2p-vectors X'T^kY, k = 0, 1, 2
 (Nielsen et al., Signal Processing 135, 2017, on the exact least squares
 pitch criterion).  All of them are blocks of one Gram-type product over
-the samples, built in one pass: the phases e^{i lam t} from
-``signal._phases`` (about n/32 + 32 complex exponentials and one complex
-multiply per sample), whose running powers give every harmonic's cos and
-sin.  X'X is factored by Cholesky in one place, :func:`_whitened`, with
-one pivot floor and one error, and its inverse factor serves every solve:
-g, the amplitudes, the start pass and the derivatives.
+the samples, built in one pass: every harmonic's cos and sin are the rows
+of ``signal._phases`` (one exp over about n/32 + 32 angles, then one
+complex multiply per sample and harmonic), and the ramp t is built once
+per n and kept read-only.  X'X is factored by Cholesky in one place,
+:func:`_whitened`, with one pivot floor and one error, and its inverse
+factor serves every solve: g, the amplitudes, the start pass and the
+derivatives.  The 2p x 2p algebra after the pass applies K and J^2 by
+permuting and scaling entries, not by matrix products.
 The pass can split after a sample n1: the moments over y(1..n1) then
 carry the derivative blocks while the rest adds only to X'X and X'Y, so
 one pass gives g over all n samples and g', g'' over the first n1
-(:func:`g_and_prefix_derivatives`).
+(:func:`g_and_prefix_derivatives`).  T*y is formed over the first n1
+samples alone, so g and the amplitudes never form it.
 
 A single harmonic j is the p = 1 case at frequency j*lam: its projection
 norm R_j is g(signal, 1, j*lam), its own 2x2 amplitude solve is
@@ -101,7 +104,7 @@ def g(signal: Signal, p: int, lam: float) -> float:
     """Criterion g(lam) = Y'X (X'X)^{-1} X'Y over all 2p design columns."""
     _check_band(p, lam)
     z = _whitened(_moments(signal.samples, p, lam, 0)[1], signal.n, lam)[1]
-    return float(z @ z)
+    return float(z.dot(z))
 
 
 def g_derivatives(signal: Signal, p: int, lam: float) -> tuple[float, float]:
@@ -146,16 +149,16 @@ def g_and_prefix_derivatives(
         raise DomainError(f"need 0 < n1 < n = {n}, got n1 = {n1}")
     head, tail = _moments(signal.samples, p, lam, n1)
     q = 2 * p
-    tail += head[q : 2 * q, q:]  # X'X, X'Y and X'TY over all n samples
+    tail += head[q : 2 * q, q:]  # X'X and X'Y over all n samples; the last column is unread
     z = _whitened(tail, n, lam)[1]
-    return float(z @ z), lambda: _with_derivatives(head, p, n1, lam)[1:]
+    return float(z.dot(z)), lambda: _with_derivatives(head, p, n1, lam)[1:]
 
 
 def lse_coefficients(signal: Signal, p: int, lam: float) -> np.ndarray:
     """Joint least squares coefficients (A_1, B_1, .., A_p, B_p) at ``lam``."""
     _check_band(p, lam)
     linv, z = _whitened(_moments(signal.samples, p, lam, 0)[1], signal.n, lam)
-    return linv.T @ z
+    return linv.T.dot(z)
 
 
 def _whitened(mom: np.ndarray, n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -169,52 +172,72 @@ def _whitened(mom: np.ndarray, n: int, lam: float) -> tuple[np.ndarray, np.ndarr
     gufuncs that np.linalg.cholesky and np.linalg.inv call, with the same
     results bit for bit: at 2p x 2p those wrappers' argument checks cost
     more than the LAPACK work.  Where the factorization fails, the gufunc
-    returns NaN, which fails the floor; without the errstate it would also
-    warn.
+    returns NaN in every entry, which fails the floor; the gufunc would
+    also warn, and :func:`_cholesky` silences that.
     """
-    q = mom.shape[0]
+    q = len(mom)
     floor = _PIVOT_FLOOR * n
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        chol = _umath_linalg.cholesky_lo(mom[:, :q])
-    if not all(d * d >= floor for d in chol.diagonal().tolist()):
+    chol = _cholesky(mom[:, :q])
+    least = min(chol.diagonal().tolist())  # pivots are positive or all NaN
+    if not least * least >= floor:
         raise DegenerateFrequencyError(
             f"X'X singular at lambda={lam:.6g} over {q} columns (pivot floor {floor:.3e})"
         )
     linv = _umath_linalg.inv(chol)
-    return linv, linv @ mom[:, q]
+    return linv, linv.dot(mom[:, q])
+
+
+# As a decorator the errstate costs about half what a with-block does.
+@np.errstate(invalid="ignore", over="ignore", divide="ignore")
+def _cholesky(m: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of m, or all NaN where m is not positive definite."""
+    return _umath_linalg.cholesky_lo(m)
 
 
 def _with_derivatives(
     mom: np.ndarray, p: int, n: int, lam: float
 ) -> tuple[float, float, float]:
     """:func:`g_with_derivatives` from the head product of :func:`_moments`
-    over n samples."""
+    over n samples.
+
+    K, K' and J^2 act by permuting and scaling entries, which gives what
+    products with them give, bit for bit.  ``ndarray.dot`` dispatches in
+    about half the time of ``@``; at these sizes the two agree bit for
+    bit (the sample products of :func:`_moments` keep ``@``: there they
+    do not).
+    """
     q = 2 * p
-    u, v, w = mom[q : 2 * q, 2 * q], mom[:q, 2 * q], mom[:q, 2 * q + 1]
     linv, zu = _whitened(mom[q : 2 * q, q:], n, lam)  # X rows: [X'X | X'Y | X'TY]
-    a = linv.T @ zu
-    ik, k, j2 = _harmonic_operators(p)
-    a_ka = (ik @ a).reshape(2, q)                  # rows a, Ka
-    ba_a, ba_ka = a_ka @ mom[: 2 * q, :q].T         # rows [B; A]a, [B; A]Ka
-    ka = a_ka[1]
-    v_res = v - ba_a[q:]                           # X'T(Y - Xa)
-    z = linv @ (v_res @ k - ba_ka[q:])             # L^{-1} r, with K'x = x @ K
-    gpp = 2.0 * (z @ z - (j2 * a) @ (w - ba_a[:q]) - ka @ ba_ka[:q])
-    return float(u @ a), float(2.0 * (ka @ v_res)), float(gpp)
+    a = linv.T.dot(zu)
+    pick, scale, swap, kt = _harmonic_operators(p)
+    aks = (a[pick] * scale).reshape(3, q)           # rows a, Ka, J^2 a
+    ka = aks[1]
+    ba = aks[:2].dot(mom[: 2 * q, :q].T).reshape(4, q)  # rows Ba, Aa, BKa, AKa
+    v_res = mom[:q, 2 * q] - ba[1]                   # X'T(Y - Xa)
+    z = linv.dot(v_res[swap] * kt - ba[3])          # L^{-1} r
+    gpp = z.dot(z) - aks[2].dot(mom[:q, 2 * q + 1] - ba[0]) - ka.dot(ba[2])
+    return float(mom[q : 2 * q, 2 * q].dot(a)), 2.0 * float(ka.dot(v_res)), 2.0 * float(gpp)
 
 
 @functools.lru_cache(maxsize=None)
-def _harmonic_operators(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """([I; K], K, diag J^2) for p harmonics, read-only and built once per p."""
+def _harmonic_operators(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Index and scale vectors of K and J^2 for p harmonics, read-only and
+    built once per p.
+
+    K maps each (cos, sin) pair (c, s) of harmonic j to j (s, -c), so
+    Kx = x[swap] * k and K'x = x[swap] * -k, where swap exchanges the two
+    entries of each pair and k is (j, -j) on pair j.  Returns ``(pick,
+    scale, swap, -k)``, where ``a[pick] * scale`` stacks a (times an exact
+    1), Ka and J^2 a.
+    """
     q = 2 * p
-    j = np.diag(np.arange(1.0, p + 1))
-    ik = np.vstack([np.eye(q), np.zeros((q, q))])
-    ik[q::2, 1::2] = j      # K maps each (cos, sin) pair (c, s) to j (s, -c)
-    ik[q + 1 :: 2, 0::2] = -j
-    j2 = np.repeat(np.diag(j) ** 2, 2)
-    ik.setflags(write=False)
-    j2.setflags(write=False)
-    return ik, ik[q:], j2
+    swap = np.arange(q) ^ 1
+    k = np.repeat(np.arange(1.0, p + 1), 2) * np.tile([1.0, -1.0], p)
+    ops = (np.concatenate([np.arange(q), swap, np.arange(q)]),
+           np.concatenate([np.ones(q), k, k * k]), swap, -k)
+    for op in ops:
+        op.setflags(write=False)
+    return ops
 
 
 def _moments(
@@ -225,24 +248,36 @@ def _moments(
     Returns ``(head, tail)``.  The head sums, over t <= n1, the products
     D S' of the rows D = [(TX)'; X'] with S = [D; Y'; (TY)']: X'T^2X, X'TX
     and X'X are its square blocks, X'T^2Y, X'TY and X'Y its last two
-    columns.  The tail sums X'[X Y TY] over t > n1; the T-weighted design
-    rows are filled only for the head.  Either is None when its range is
-    empty.  The head is the product that a pass over y[:n1] alone takes.
+    columns.  The tail sums X'[X Y 0] over t > n1: the T-weighted rows
+    are filled only for the head, and the zero row keeps the tail
+    product's shape, which sets the BLAS kernel and so its rounding:
+    dropping it changes g in the last bit at p = 1 and 3 on AVX-512
+    OpenBLAS.  Either is None when its range is empty.  The head is the
+    product that a pass over y[:n1] alone takes.
     """
     q = 2 * p
     n = y.size
-    t = np.arange(1, n + 1, dtype=float)
-    z = np.empty((p, n), dtype=complex)
-    z[0] = _phases(lam, n)
-    for j in range(1, p):
-        np.multiply(z[j - 1], z[0], out=z[j])
+    z = _phases(lam, n, p)
     s = np.empty((2 * q + 2, n))  # rows TX, X, Y, TY
     s[q : 2 * q : 2] = z.real
     s[q + 1 : 2 * q : 2] = z.imag
-    s[-2] = y
-    np.multiply(t, y, out=s[-1])
+    s[2 * q] = y
+    head = tail = None
     if n1:
-        np.multiply(s[q : 2 * q, :n1], t[:n1], out=s[:q, :n1])
-    head = s[: 2 * q, :n1] @ s[:, :n1].T if n1 else None
-    tail = s[q : 2 * q, n1:] @ s[q:, n1:].T if n1 < n else None
+        t = _ramp(n)[:n1]
+        np.multiply(t, y[:n1], out=s[-1, :n1])
+        np.multiply(s[q : 2 * q, :n1], t, out=s[:q, :n1])
+        head = s[: 2 * q, :n1] @ s[:, :n1].T
+    if n1 < n:
+        s[-1, n1:] = 0.0
+        tail = s[q : 2 * q, n1:] @ s[q:, n1:].T
     return head, tail
+
+
+@functools.lru_cache(maxsize=8)
+def _ramp(n: int) -> np.ndarray:
+    """t = 1..n as floats, read-only, built once per n and kept for the
+    last 8 n."""
+    t = np.arange(1.0, n + 1)
+    t.setflags(write=False)
+    return t

@@ -8,10 +8,16 @@ The observation model is
 where ``lambda`` is the fundamental angular frequency (radians per sample,
 0 < lambda < pi/p) and e(t) is a stationary finite-order linear process
 e(t) = sum_k a(k) eps(t-k) driven by i.i.d. Gaussian innovations.
+
+Synthesis, residuals and the criterion take the phases e^{i j lambda t}
+from one routine, :func:`_phases`: one exp over an angle vector that is
+built once per n and kept read-only, then one complex multiply per
+sample and harmonic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -142,7 +148,7 @@ def harmonic_sum(lam: float, amplitudes, n: int) -> np.ndarray:
     Evaluated as Re sum_j (A_j - i B_j) z^j with z = e^{i lam t} from
     :func:`_phases`, by Horner's rule on the coefficients.
     """
-    z = _phases(lam, n)
+    z = _phases(lam, n)[0]
     out = np.zeros_like(z)
     for a, b in reversed(amplitudes):
         out += complex(a, -b)
@@ -151,22 +157,40 @@ def harmonic_sum(lam: float, amplitudes, n: int) -> np.ndarray:
 
 
 # Width of the blocks of t that share one coarse phase in _phases.  It is a
-# constant so that _phases(lam, n)[:m] equals _phases(lam, m) bit for bit.
+# constant so that _phases(lam, n)[:, :m] equals _phases(lam, m) bit for bit.
 _PHASE_BLOCK = 32
-_FINE_ANGLES = 1j * np.arange(1.0, _PHASE_BLOCK + 1)  # i*b for b = 1..32
 
 
-def _phases(lam: float, n: int) -> np.ndarray:
-    """e^{i lam t} for t = 1..n, from about n/32 + 32 complex exponentials.
+@functools.lru_cache(maxsize=8)
+def _phase_angles(n: int) -> np.ndarray:
+    """i*(0, 32, .., 32(m-1)) then i*(1, .., 32), m = ceil(n/32): the coarse
+    and fine angles of :func:`_phases` per unit lam, read-only, built once
+    per n and kept for the last 8 n."""
+    angles = 1j * np.concatenate(
+        [np.arange(0.0, n, _PHASE_BLOCK), np.arange(1.0, _PHASE_BLOCK + 1)]
+    )
+    angles.setflags(write=False)
+    return angles
 
-    Each t = 32a + b (b = 1..32) takes the product e^{i lam 32a} e^{i lam b}
-    of a coarse and a fine phase, one complex multiply per sample.  The
-    angles lam*(32a) and lam*b each round once, as lam*t does, so the
-    error stays below about eps * lam * t.
+
+def _phases(lam: float, n: int, p: int = 1) -> np.ndarray:
+    """e^{i j lam t} in row j-1 for j = 1..p and t = 1..n.
+
+    Row 0 comes from about n/32 + 32 complex exponentials, all from one
+    exp over :func:`_phase_angles`: each t = 32a + b (b = 1..32) takes the
+    product e^{i lam 32a} e^{i lam b} of a coarse and a fine phase, one
+    complex multiply per sample.  The angles lam*(32a) and lam*b each
+    round once, as lam*t does, so the error stays below about
+    eps * lam * t.  Row j is row j-1 times row 0.  The rows are filled to
+    the end of the last block, written in place, and returned cut to n.
     """
-    coarse = np.exp(np.arange(0.0, n, _PHASE_BLOCK) * (1j * lam))
-    fine = np.exp(lam * _FINE_ANGLES)
-    return np.multiply.outer(coarse, fine).ravel()[:n]
+    e = np.exp(lam * _phase_angles(n))
+    m = e.size - _PHASE_BLOCK
+    z = np.empty((p, m * _PHASE_BLOCK), dtype=complex)
+    np.multiply(e[:m, None], e[m:], out=z[0].reshape(m, _PHASE_BLOCK))
+    for j in range(1, p):
+        np.multiply(z[j - 1], z[0], out=z[j])
+    return z[:, :n]
 
 
 def generate_linear_process(spec: LinearProcessSpec, n: int, seed: int) -> np.ndarray:

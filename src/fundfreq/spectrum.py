@@ -15,6 +15,7 @@ at L = n, where an off-grid fundamental can lose the start to its octave
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from .signal import Signal, _check_band
 __all__ = ["fourier_grid_init", "grid_spectrum"]
 
 # periodogram and harmonic_criterion_qn serve only the tests, and
-# fourier_grid only _grid_power and the tests.  They keep public names
+# fourier_grid only grid_spectrum and the tests.  They keep public names
 # because the LAYER_FUNCTIONS of perfbench/tracing.py look them up on this
 # module with no default; once that lookup falls back, move the first two
 # into the tests and make fourier_grid private.
@@ -79,11 +80,13 @@ def fourier_grid(n: int, p: int) -> np.ndarray:
     return 2.0 * math.pi * ks / n
 
 
+@functools.lru_cache(maxsize=8)
 def _smooth_length(m: int) -> int:
     """The smallest 5-smooth integer 2^a 3^b 5^c that is at least m >= 1.
 
     numpy's FFT is fast at these lengths and falls to a slow path on
-    lengths with a large prime factor.
+    lengths with a large prime factor.  Kept for the last 8 m, so a run
+    of estimates at one n searches once.
     """
     best = 1 << (m - 1).bit_length()  # the power of 2
     odd5 = 1
@@ -99,29 +102,27 @@ def _smooth_length(m: int) -> int:
     return best
 
 
-def _grid_power(
-    signal: Signal, p: int, length: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grid 2*pi*k/length in (0, pi/p) with the unscaled power sums on it.
+def _grid_power(signal: Signal, p: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unscaled power sums on the grid 2*pi*k/length in (0, pi/p).
 
-    Returns ``(lams, plain, harmonic)``: ``plain[k-1]`` is |X_k|^2 and
+    Returns ``(plain, harmonic)`` over k = 1..(length-1)//(2p), the grid
+    of :func:`fourier_grid`: ``plain[k-1]`` is |X_k|^2 and
     ``harmonic[k-1]`` is sum_{j<=p} |X_{jk}|^2, where X is the real FFT of
     the signal zero-padded to ``length`` >= n.
     """
     if p < 1:
         raise DomainError(f"p must be >= 1, got {p}")
-    lams = fourier_grid(length, p)
-    if lams.size == 0:
+    size = (length - 1) // (2 * p)
+    if size == 0:
         raise DomainError(f"no Fourier frequency lies in (0, pi/{p}) for n = {signal.n}")
     # |sum_t y(t) e^{-i 2 pi k t/length}|^2 for bins k = 0..length/2; the
     # time origin and the sign of the exponent drop out of the modulus.
-    # Every j*k with j <= p stays below length/2 because lams < pi/p.
+    # Every j*k with j <= p stays below length/2 because 2pk < length.
     power = np.abs(np.fft.rfft(signal.samples, length)) ** 2
-    size = lams.size
     # harmonic j of grid point k is bin j*k: the strided view from bin j,
     # added in order j = 1..p
     harmonic = sum(power[j : j * size + 1 : j] for j in range(1, p + 1))
-    return lams, power[1 : size + 1], harmonic
+    return power[1 : size + 1], harmonic
 
 
 def grid_spectrum(
@@ -136,8 +137,8 @@ def grid_spectrum(
     is admissible.
     """
     n = signal.n
-    lams, plain, harmonic = _grid_power(signal, p, n)
-    return lams, plain / n, harmonic / n**2
+    plain, harmonic = _grid_power(signal, p, n)
+    return fourier_grid(n, p), plain / n, harmonic / n**2
 
 
 def fourier_grid_init(signal: Signal, p: int) -> float:
@@ -149,11 +150,12 @@ def fourier_grid_init(signal: Signal, p: int) -> float:
     when harmonic p dominates, the point near 2*lambda can still win (see
     README, "Known numerical limits").  Q_N is read from the FFT code of
     :func:`grid_spectrum` at length L, before the scaling by 1/n^2 that
-    could round two neighbours into a tie.  The result is exactly a grid
-    point; ties break toward the smaller frequency.
+    could round two neighbours into a tie.  The result is exactly the
+    grid point of :func:`fourier_grid`, 2*pi*k/L rounded in the same two
+    operations; ties break toward the smaller frequency.
     """
     if signal.n < 10 * p:
         raise DomainError(f"need n >= 10*p = {10 * p}, got n = {signal.n}")
     length = _smooth_length(_START_PAD * signal.n)
-    lams, _, harmonic = _grid_power(signal, p, length)
-    return float(lams[int(np.argmax(harmonic))])  # argmax keeps the first of ties
+    k = 1 + int(np.argmax(_grid_power(signal, p, length)[1]))  # the first of ties
+    return 2.0 * math.pi * k / length

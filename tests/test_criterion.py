@@ -27,6 +27,8 @@ from fundfreq.criterion import (
     g_with_derivatives,
     lse_coefficients,
 )
+from fundfreq.signal import _phase_angles
+from fundfreq.spectrum import _smooth_length
 from conftest import fd_derivatives
 
 BETA_STAR_1 = 377.5625  # sum j^2 (A_j^2+B_j^2) for benchmark model 1
@@ -283,6 +285,32 @@ class TestDegeneracyGuard:
         sig = synthesize(model1, 3000, LinearProcessSpec((1.0, 0.5), 0.25), seed=3)
         with pytest.raises(DegenerateFrequencyError):
             fn(sig, 4, lam)
+
+
+class TestCaches:
+    """Arrays kept per n or per p are read-only, and the per-n caches of
+    the criterion pass and the start are bounded."""
+
+    def test_cached_arrays_are_read_only(self):
+        for cached in (criterion._ramp(100), *criterion._harmonic_operators(3)):
+            assert not cached.flags.writeable
+
+    @pytest.mark.parametrize("cached", [criterion._ramp, _phase_angles, _smooth_length])
+    def test_per_n_caches_are_bounded(self, cached):
+        # a long run over many n must not grow the process
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None
+        for n in range(1, 3 * maxsize + 1):
+            cached(n)
+        assert cached.cache_info().currsize <= maxsize
+
+    def test_mutating_products_leaves_next_call_unchanged(self, model1):
+        y = synthesize(model1, 300, LinearProcessSpec((1.0, 0.5), 0.25), seed=2).samples
+        want = [m.copy() for m in criterion._moments(y, 4, 0.2503, 100)]
+        for m in criterion._moments(y, 4, 0.2503, 100):
+            m[...] = np.nan
+        got = criterion._moments(y, 4, 0.2503, 100)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
 def _direct_moments(y, j, lam):

@@ -1,6 +1,7 @@
 """Amplitude recovery, residuals, autocorrelation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,18 @@ class TestLse:
     def test_domain(self, m1_clean_1000):
         with pytest.raises(DomainError):
             lse_linear(m1_clean_1000, 0.8, 4)
+
+    def test_amplitudes_near_the_float_limit(self, model1):
+        # the solve reads X'X and X'Y alone: T*y, which overflows at this
+        # scale (t up to 200), must not be formed.  X'Y itself overflows
+        # from max|y| = 1e307 on.
+        clean = synthesize(model1, 200)
+        scale = 1e306 / np.abs(clean.samples).max()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = amplitude_matrix(lse_linear(Signal(scale * clean.samples), 0.25, 4))
+        truth = amplitude_matrix(model1.amplitudes)
+        assert np.allclose(got / scale, truth, rtol=1e-9, atol=0.0)
 
 
 class TestResiduals:

@@ -1,6 +1,8 @@
 """Newton refinement: the stage-2 step, full runs, curvature guard, trace integrity."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,12 @@ from fundfreq import (
     synthesize,
 )
 from fundfreq.criterion import g_derivatives, g_with_derivatives
+from fundfreq.montecarlo import MODEL1, MODEL2
+
+# Recorded traces of estimate_fundamental on both presets; regenerate with
+# PYTHONPATH=src python tests/test_mnr.py only when a change to the
+# estimator is meant to move them.
+PRESET_TRACES = Path(__file__).parent / "data" / "preset_traces.json"
 
 
 class TestStage2:
@@ -463,3 +471,50 @@ class TestStatisticalGuards:
             mse[sf] = row.empirical_variance + (row.mean_estimate - 0.25) ** 2
         assert mse[0.125] >= mse[0.25] * 0.98
         assert mse[0.5] >= mse[0.25] * 0.98
+
+
+def _preset_trace_inputs():
+    """(key, signal): both presets at five n, noiseless and MA(1) noise."""
+    for preset, model in ((1, MODEL1), (2, MODEL2)):
+        for n in (100, 137, 500, 1009, 2050):
+            yield f"p{preset} n={n} clean", synthesize(model, n)
+            noise = LinearProcessSpec((1.0, 0.5), 0.25)
+            yield f"p{preset} n={n} ma1", synthesize(model, n, noise, seed=n)
+
+
+def _trace_summary(signal):
+    lam_hat, trace = estimate_fundamental(signal, 4)
+    records = [[r.iteration, r.lam, r.sample_size_used, r.g_value, r.correction]
+               for r in trace.records]
+    return {"lambda_hat": lam_hat, "status": trace.status,
+            "evaluations": trace.evaluations, "records": records}
+
+
+class TestPresetTraces:
+    """Whole traces against the recorded ones.  The tolerances leave room
+    for another BLAS's rounding; on one host the traces agree bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        return json.loads(PRESET_TRACES.read_text())
+
+    @pytest.mark.parametrize(
+        "key, signal", [pytest.param(k, s, id=k) for k, s in _preset_trace_inputs()]
+    )
+    def test_trace_matches_recorded(self, recorded, key, signal):
+        got, want = _trace_summary(signal), recorded[key]
+        assert (got["status"], got["evaluations"]) == (want["status"], want["evaluations"])
+        assert got["lambda_hat"] == pytest.approx(want["lambda_hat"], rel=0, abs=1e-12)
+        assert len(got["records"]) == len(want["records"])
+        for (it, lam, size, g_value, _), (w_it, w_lam, w_size, w_g, _) in zip(
+            got["records"], want["records"]
+        ):
+            assert (it, size) == (w_it, w_size)
+            assert lam == pytest.approx(w_lam, rel=0, abs=1e-12)
+            assert g_value == pytest.approx(w_g, rel=1e-12, abs=0)
+
+
+if __name__ == "__main__":
+    PRESET_TRACES.parent.mkdir(exist_ok=True)
+    traces = {key: _trace_summary(sig) for key, sig in _preset_trace_inputs()}
+    PRESET_TRACES.write_text(json.dumps(traces, indent=1) + "\n")

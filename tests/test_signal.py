@@ -116,7 +116,8 @@ class TestSynthesize:
 
 
 class TestPhases:
-    """signal._phases: e^{i lam t} from block products, one per sample."""
+    """signal._phases: e^{i j lam t} from block products, one per sample and
+    harmonic."""
 
     @pytest.mark.parametrize("n", [100, 1000, 8000, 100_000])
     @pytest.mark.parametrize("target", [0.006, 0.25, 0.3141, math.pi / 4 - 1e-3])
@@ -133,15 +134,26 @@ class TestPhases:
         t = np.arange(1, n + 1, dtype=np.int64)
         angle = 2 * math.pi * ((k * t) % big_n) / big_n
         exact = np.exp(1j * angle) * np.exp(1j * (delta * t))
-        err = np.abs(signal._phases(lam, n) - exact)
+        err = np.abs(signal._phases(lam, n)[0] - exact)
         assert np.all(err <= 2.2e-16 * lam * t + 1e-15)
 
     def test_prefix_is_the_shorter_call(self):
         # the criterion's prefix pass relies on a block width that does
-        # not depend on n
-        z = signal._phases(0.3141, 1000)
+        # not depend on n, for every harmonic
+        z = signal._phases(0.3141, 1000, 4)
         for m in (1, 31, 32, 33, 500, 999):
-            assert np.array_equal(z[:m], signal._phases(0.3141, m))
+            assert np.array_equal(z[:, :m], signal._phases(0.3141, m, 4))
+
+    def test_cached_angles_are_read_only(self):
+        angles = signal._phase_angles(100)
+        assert not angles.flags.writeable
+        with pytest.raises(ValueError):
+            angles[0] = 0.0
+
+    def test_mutating_returned_phases_leaves_next_call_unchanged(self):
+        want = signal._phases(0.3141, 100, 3).copy()
+        signal._phases(0.3141, 100, 3)[...] = 0.0
+        assert np.array_equal(signal._phases(0.3141, 100, 3), want)
 
 
 class TestLinearProcess:

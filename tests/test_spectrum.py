@@ -159,6 +159,8 @@ class TestFourierGridInit:
         k = lam0 * 8 * 300 / (2 * math.pi)
         assert k == pytest.approx(round(k), abs=1e-9)
         assert lam0 < math.pi / 4
+        # bit for bit the point of fourier_grid, which the start no longer builds
+        assert lam0 in fourier_grid(spectrum._smooth_length(8 * 300), 4).tolist()
 
     def test_scaling_leaves_argmax_unchanged(self, model1):
         sig = synthesize(model1, 200, LinearProcessSpec((1.0,), 0.5), seed=4)
