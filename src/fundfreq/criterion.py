@@ -274,10 +274,10 @@ def _moments(
     return head, tail
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)  # every evaluation of an estimate runs at one n
 def _ramp(n: int) -> np.ndarray:
     """t = 1..n as floats, read-only, built once per n and kept for the
-    last 8 n."""
+    last n."""
     t = np.arange(1.0, n + 1)
     t.setflags(write=False)
     return t

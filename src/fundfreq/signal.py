@@ -161,11 +161,11 @@ def harmonic_sum(lam: float, amplitudes, n: int) -> np.ndarray:
 _PHASE_BLOCK = 32
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)  # an estimate and its synthesis run at one n
 def _phase_angles(n: int) -> np.ndarray:
     """i*(0, 32, .., 32(m-1)) then i*(1, .., 32), m = ceil(n/32): the coarse
     and fine angles of :func:`_phases` per unit lam, read-only, built once
-    per n and kept for the last 8 n."""
+    per n and kept for the last n."""
     angles = 1j * np.concatenate(
         [np.arange(0.0, n, _PHASE_BLOCK), np.arange(1.0, _PHASE_BLOCK + 1)]
     )

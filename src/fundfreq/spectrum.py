@@ -15,7 +15,6 @@ at L = n, where an off-grid fundamental can lose the start to its octave
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -80,13 +79,11 @@ def fourier_grid(n: int, p: int) -> np.ndarray:
     return 2.0 * math.pi * ks / n
 
 
-@functools.lru_cache(maxsize=8)
 def _smooth_length(m: int) -> int:
     """The smallest 5-smooth integer 2^a 3^b 5^c that is at least m >= 1.
 
     numpy's FFT is fast at these lengths and falls to a slow path on
-    lengths with a large prime factor.  Kept for the last 8 m, so a run
-    of estimates at one n searches once.
+    lengths with a large prime factor.
     """
     best = 1 << (m - 1).bit_length()  # the power of 2
     odd5 = 1

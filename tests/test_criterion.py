@@ -28,7 +28,6 @@ from fundfreq.criterion import (
     lse_coefficients,
 )
 from fundfreq.signal import _phase_angles
-from fundfreq.spectrum import _smooth_length
 from conftest import fd_derivatives
 
 BETA_STAR_1 = 377.5625  # sum j^2 (A_j^2+B_j^2) for benchmark model 1
@@ -289,13 +288,13 @@ class TestDegeneracyGuard:
 
 class TestCaches:
     """Arrays kept per n or per p are read-only, and the per-n caches of
-    the criterion pass and the start are bounded."""
+    the criterion pass are bounded."""
 
     def test_cached_arrays_are_read_only(self):
-        for cached in (criterion._ramp(100), *criterion._harmonic_operators(3)):
+        for cached in (criterion._ramp(100), _phase_angles(100), *criterion._harmonic_operators(3)):
             assert not cached.flags.writeable
 
-    @pytest.mark.parametrize("cached", [criterion._ramp, _phase_angles, _smooth_length])
+    @pytest.mark.parametrize("cached", [criterion._ramp, _phase_angles])
     def test_per_n_caches_are_bounded(self, cached):
         # a long run over many n must not grow the process
         maxsize = cached.cache_info().maxsize
