@@ -20,8 +20,11 @@ complex multiply per sample and harmonic), and the ramp t is built once
 per n and kept read-only.  X'X is factored by Cholesky in one place,
 :func:`_whitened`, with one pivot floor and one error, and its inverse
 factor serves every solve: g, the amplitudes, the start pass and the
-derivatives.  The 2p x 2p algebra after the pass applies K and J^2 by
-permuting and scaling entries, not by matrix products.
+derivatives.  g keeps its last solve, and the amplitude solve at the same
+samples, p and lam (the closing point of a ``converged_tol`` estimate)
+reads it rather than repeating the pass and the factorization.  The
+2p x 2p algebra after the pass applies K and J^2 by permuting and scaling
+entries, not by matrix products.
 The pass can split after a sample n1: the moments over y(1..n1) then
 carry the derivative blocks while the rest adds only to X'X and X'Y, so
 one pass gives g over all n samples and g', g'' over the first n1
@@ -44,7 +47,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg  # the gufuncs behind np.linalg
 
 from .errors import DegenerateFrequencyError, DomainError
-from .signal import Signal, _check_band, _phases
+from .signal import Signal, _check_band, _phases, _scale_exponent
 
 __all__ = ["g", "g_and_prefix_derivatives", "g_with_derivatives", "lse_coefficients"]
 
@@ -52,6 +55,14 @@ __all__ = ["g", "g_and_prefix_derivatives", "g_with_derivatives", "lse_coefficie
 # tests.  They stay defined here because the LAYER_FUNCTIONS of
 # perfbench/tracing.py look compute_moments and g_derivatives up on this
 # module with no default; once that lookup falls back, move them into the tests.
+
+# The last solve of g, over all n samples: (samples, p, lam, L^{-1},
+# L^{-1}X'Y), or None.  Only g fills it.  The derivative routines build X'X
+# from products of other shapes, whose rounding differs, so they never do.
+# A Signal's samples never change, so the samples object and the exact
+# (p, lam) identify the solve.  The entry is one tuple, replaced whole and
+# read once per call, so a g on another thread cannot mix two solves.
+_last_g_solve: tuple | None = None
 
 # Floor on each squared Cholesky pivot of X'X, relative to n (a squared
 # pivot is ~ n/2 away from degenerate frequencies).
@@ -101,9 +112,14 @@ def compute_moments(signal: Signal, j: int, lam: float) -> HarmonicDesignMoments
 
 
 def g(signal: Signal, p: int, lam: float) -> float:
-    """Criterion g(lam) = Y'X (X'X)^{-1} X'Y over all 2p design columns."""
+    """Criterion g(lam) = Y'X (X'X)^{-1} X'Y over all 2p design columns.
+
+    Keeps its solve as the one entry that :func:`lse_coefficients` reads.
+    """
+    global _last_g_solve
     _check_band(p, lam)
-    z = _whitened(_moments(signal.samples, p, lam, 0)[1], signal.n, lam)[1]
+    linv, z = _whitened(_moments(signal.samples, p, lam, 0)[1], signal.n, lam)
+    _last_g_solve = (signal.samples, p, lam, linv, z)
     return float(z.dot(z))
 
 
@@ -155,10 +171,26 @@ def g_and_prefix_derivatives(
 
 
 def lse_coefficients(signal: Signal, p: int, lam: float) -> np.ndarray:
-    """Joint least squares coefficients (A_1, B_1, .., A_p, B_p) at ``lam``."""
+    """Joint least squares coefficients (A_1, B_1, .., A_p, B_p) at ``lam``.
+
+    The solve runs on y 2^-e, e from the estimate's exponent rule (0 for
+    max|y| inside 2^+-128), so X'Y stays in the float range up to the
+    largest float, and the coefficients are scaled back by 2^e.  Where e is
+    0 and the last :func:`g` ran on the same samples at the same p and lam,
+    as the closing evaluation of a ``converged_tol`` estimate does, its
+    factor and L^{-1}X'Y serve: the same pass and factorization again
+    would give the same bits.
+    """
     _check_band(p, lam)
-    linv, z = _whitened(_moments(signal.samples, p, lam, 0)[1], signal.n, lam)
-    return linv.T.dot(z)
+    y = signal.samples
+    e = _scale_exponent(y)
+    last = _last_g_solve
+    if not e and last is not None and last[0] is y and last[1:3] == (p, lam):
+        linv, z = last[3:]
+    else:
+        linv, z = _whitened(_moments(np.ldexp(y, -e) if e else y, p, lam, 0)[1], signal.n, lam)
+    theta = linv.T.dot(z)
+    return np.ldexp(theta, e) if e else theta
 
 
 def _whitened(mom: np.ndarray, n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:

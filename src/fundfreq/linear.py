@@ -1,7 +1,9 @@
 """Amplitude recovery at a fixed frequency estimate, residuals, and the ACF.
 
 The least squares amplitudes solve the normal equations of all 2p design
-columns together, the same solve that defines the criterion g.  Harmonic
+columns together, the same solve that defines the criterion g.  After an
+estimate that ends ``converged_tol``, the amplitudes at lambda_hat read the
+solve of its closing g evaluation instead of repeating it.  Harmonic
 j's own 2x2 solve is the p = 1 case at j*lambda_hat,
 ``lse_coefficients(signal, 1, j * lambda_hat)``.
 """
@@ -24,7 +26,9 @@ def lse_linear(signal: Signal, lambda_hat: float, p: int) -> list[tuple[float, f
     noiseless amplitudes to rounding accuracy.  Solving each harmonic from
     its own 2x2 normal equations instead would ignore the cross-harmonic
     design moments X_j'X_k, which are O(1) rather than O(n), and leave an
-    O(1/n) leakage error.
+    O(1/n) leakage error.  The solve is scale-free: outside 2^+-128 it
+    runs on y 2^-e, as the estimate does, and its amplitudes are scaled
+    back, so it holds up to the largest float.
     """
     theta = lse_coefficients(signal, p, lambda_hat)
     return [(float(theta[2 * i]), float(theta[2 * i + 1])) for i in range(p)]

@@ -89,7 +89,13 @@ class HarmonicModel:
 
 @dataclass(frozen=True)
 class Signal:
-    """A finite sample y(1..n)."""
+    """A finite sample y(1..n).
+
+    The samples are a copy of the input over an immutable buffer: writing
+    the input, or any alias of it, leaves the signal unchanged, the input
+    stays writable, and ``samples.setflags(write=True)`` raises.  A
+    signal's samples therefore never change after construction.
+    """
 
     samples: np.ndarray
 
@@ -99,8 +105,12 @@ class Signal:
             raise DomainError("samples must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(samples)):
             raise DomainError("samples must all be finite")
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "samples", np.frombuffer(samples.tobytes(), dtype=float))
+
+    def __reduce__(self):
+        # pickle and deepcopy would restore the samples as a writable array;
+        # rebuilding through the constructor keeps them immutable
+        return Signal, (self.samples,)
 
     @property
     def n(self) -> int:
@@ -140,6 +150,15 @@ class LinearProcessSpec:
     def process_variance(self) -> float:
         """Stationary variance sigma2 * sum a(k)^2."""
         return self.sigma2 * sum(c * c for c in self.coeffs)
+
+
+def _scale_exponent(y: np.ndarray) -> int:
+    """e, the multiple of 256 nearest the binary exponent of max|y|.
+
+    e is 0 for max|y| inside 2^+-128, and y 2^-e keeps every square of y
+    and every sum of n of them in the float range.
+    """
+    return 256 * round(math.frexp(float(np.abs(y).max()))[1] / 256)
 
 
 def harmonic_sum(lam: float, amplitudes, n: int) -> np.ndarray:

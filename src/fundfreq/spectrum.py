@@ -115,11 +115,16 @@ def _grid_power(signal: Signal, p: int, length: int) -> tuple[np.ndarray, np.nda
     # |sum_t y(t) e^{-i 2 pi k t/length}|^2 for bins k = 0..length/2; the
     # time origin and the sign of the exponent drop out of the modulus.
     # Every j*k with j <= p stays below length/2 because 2pk < length.
-    power = np.abs(np.fft.rfft(signal.samples, length)) ** 2
+    power = np.abs(np.fft.rfft(signal.samples, length))
+    np.square(power, out=power)
     # harmonic j of grid point k is bin j*k: the strided view from bin j,
-    # added in order j = 1..p
-    harmonic = sum(power[j : j * size + 1 : j] for j in range(1, p + 1))
-    return power[1 : size + 1], harmonic
+    # added in order j = 2..p to a copy of the j = 1 view (0 + a is exact,
+    # so this is the sum from 0 in order j = 1..p)
+    plain = power[1 : size + 1]
+    harmonic = plain.copy()
+    for j in range(2, p + 1):
+        harmonic += power[j : j * size + 1 : j]
+    return plain, harmonic
 
 
 def grid_spectrum(

@@ -7,15 +7,18 @@ import numpy as np
 import pytest
 
 from fundfreq import (
+    DegenerateFrequencyError,
     DomainError,
     LinearProcessSpec,
     Signal,
+    estimate_fundamental,
     lse_linear,
     residuals,
     sample_acf,
     synthesize,
 )
-from fundfreq.criterion import lse_coefficients
+from fundfreq import criterion, mnr
+from fundfreq.criterion import g, g_and_prefix_derivatives, g_with_derivatives, lse_coefficients
 
 
 def amplitude_matrix(pairs):
@@ -66,15 +69,124 @@ class TestLse:
 
     def test_amplitudes_near_the_float_limit(self, model1):
         # the solve reads X'X and X'Y alone: T*y, which overflows at this
-        # scale (t up to 200), must not be formed.  X'Y itself overflows
-        # from max|y| = 1e307 on.
+        # scale (t up to 200), must not be formed
+        self._check_scaled_amplitudes(model1, 1e306)
+
+    @pytest.mark.parametrize("top", [1e307, 1.7e308])
+    def test_amplitudes_at_the_top_of_the_float_range(self, model1, top):
+        # the solve runs on y 2^-e: unscaled, X'Y overflowed from
+        # max|y| = 1e307 on
+        self._check_scaled_amplitudes(model1, top)
+
+    @staticmethod
+    def _check_scaled_amplitudes(model1, top):
+        """MODEL1 at n = 200 scaled to max|y| = top: amplitudes within 1e-9
+        relative, with no warning."""
         clean = synthesize(model1, 200)
-        scale = 1e306 / np.abs(clean.samples).max()
+        scale = top / np.abs(clean.samples).max()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = amplitude_matrix(lse_linear(Signal(scale * clean.samples), 0.25, 4))
         truth = amplitude_matrix(model1.amplitudes)
         assert np.allclose(got / scale, truth, rtol=1e-9, atol=0.0)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The lambda of every factorization of X'X, in call order."""
+    calls = []
+    inner = criterion._whitened
+
+    def counted(mom, n, lam):
+        calls.append(lam)
+        return inner(mom, n, lam)
+
+    monkeypatch.setattr(criterion, "_whitened", counted)
+    return calls
+
+
+def _fit(sig, lam, p):
+    """Amplitudes and residual bytes at lam."""
+    amps = lse_linear(sig, lam, p)
+    return amps, residuals(sig, lam, amps).tobytes()
+
+
+class TestClosingSolveReuse:
+    """The amplitude solve reads the last solve of g where it is the same solve."""
+
+    @pytest.mark.parametrize("preset", [1, 2])
+    @pytest.mark.parametrize("n", [100, 1050])
+    def test_reused_fit_equals_a_fresh_one(self, model1, model2, solves, preset, n):
+        sig = synthesize(model1 if preset == 1 else model2, n,
+                         LinearProcessSpec((1.0, 0.5), 0.25), seed=n)
+        lam_hat, trace = estimate_fundamental(sig, 4)
+        assert trace.status == "converged_tol"
+        del solves[:]
+        reused = _fit(sig, lam_hat, 4)
+        assert solves == []
+        assert _fit(Signal(sig.samples.copy()), lam_hat, 4) == reused
+        criterion._last_g_solve = None
+        assert _fit(sig, lam_hat, 4) == reused
+        assert solves == [lam_hat, lam_hat]
+
+    def test_other_samples_p_or_lambda_solve_afresh(self, m1_clean_512, solves):
+        sig, lam = m1_clean_512, 0.2501
+        g(sig, 4, lam)
+        for other, p, at in [(Signal(sig.samples), 4, lam), (sig, 3, lam),
+                             (sig, 4, math.nextafter(lam, 1.0))]:
+            del solves[:]
+            lse_coefficients(other, p, at)
+            assert solves == [at]
+        del solves[:]
+        lse_coefficients(sig, 4, lam)
+        assert solves == []
+
+    @pytest.mark.parametrize("status", ["converged_objective", "max_iter"])
+    def test_other_statuses_solve_afresh(self, model1, solves, monkeypatch, status):
+        if status == "max_iter":
+            monkeypatch.setattr(mnr, "_MAX_ITER", 1)
+        else:
+            def convex(signal, p, lam):
+                g_val, gp, gpp = criterion.g_with_derivatives(signal, p, lam)
+                return g_val, gp, abs(gpp) + 1.0
+
+            monkeypatch.setattr(mnr, "g_with_derivatives", convex)
+        sig = synthesize(model1, 500, LinearProcessSpec((1.0, 0.5), 0.25), seed=30)
+        lam_hat, trace = estimate_fundamental(sig, 4)
+        assert trace.status == status
+        del solves[:]
+        got = _fit(sig, lam_hat, 4)
+        assert solves == [lam_hat]
+        assert got == _fit(Signal(sig.samples.copy()), lam_hat, 4)
+
+    def test_derivative_passes_keep_no_solve(self, m1_clean_512, solves):
+        sig, lam = m1_clean_512, 0.2501
+        g_with_derivatives(sig, 4, lam)
+        g_and_prefix_derivatives(sig, 4, lam, 300)[1]()
+        assert criterion._last_g_solve is None
+        g(sig, 4, 0.2502)
+        g_with_derivatives(sig, 4, lam)
+        del solves[:]
+        lse_coefficients(sig, 4, lam)
+        assert solves == [lam]
+
+    def test_degenerate_g_keeps_no_solve(self):
+        sig = Signal(np.ones(100))
+        with pytest.raises(DegenerateFrequencyError):
+            g(sig, 1, 1e-9)
+        assert criterion._last_g_solve is None
+        with pytest.raises(DegenerateFrequencyError):
+            lse_coefficients(sig, 1, 1e-9)
+
+    def test_out_of_range_samples_solve_scaled(self, m1_clean_512, solves):
+        # g on unscaled samples outside 2^+-128 is not the scaled solve
+        sig = Signal(1e150 * m1_clean_512.samples)
+        g(sig, 4, 0.25)
+        del solves[:]
+        kept = lse_coefficients(sig, 4, 0.25)
+        assert solves == [0.25]
+        criterion._last_g_solve = None
+        assert lse_coefficients(sig, 4, 0.25).tobytes() == kept.tobytes()
 
 
 class TestResiduals:

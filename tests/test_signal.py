@@ -1,6 +1,8 @@
 """Signal model, noise generation, and serialization."""
 
+import copy
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -211,6 +213,48 @@ class TestLinearProcess:
         # default_rng raised a bare ValueError
         with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
             generate_linear_process(LinearProcessSpec(), 10, seed=-1)
+
+
+class TestSignalSamples:
+    """A Signal owns its samples: nothing can change them after construction."""
+
+    def test_caller_array_stays_writable_and_apart(self):
+        a = np.arange(5.0)
+        sig = Signal(a)
+        assert a.flags.writeable
+        a[0] = 7.0
+        assert sig.samples[0] == 0.0
+
+    def test_aliases_of_the_input_cannot_write_the_samples(self):
+        a = np.arange(5.0)
+        alias = a[:]
+        sig = Signal(a)
+        alias[0] = 7.0
+        assert sig.samples[0] == 0.0
+        base = np.arange(10.0)
+        sliced = Signal(base[2:8])
+        base[2] = 7.0
+        assert np.array_equal(sliced.samples, np.arange(2.0, 8.0))
+
+    def test_samples_cannot_be_made_writable(self):
+        sig = Signal(np.arange(5.0))
+        assert not sig.samples.flags.writeable
+        with pytest.raises(ValueError):
+            sig.samples.setflags(write=True)
+        with pytest.raises(ValueError):
+            sig.samples[0] = 7.0
+
+    def test_copies_and_unpickled_signals_stay_immutable(self):
+        sig = Signal(np.array([0.1, -2.5, 3e-300]))
+        for other in (pickle.loads(pickle.dumps(sig)), copy.deepcopy(sig), copy.copy(sig)):
+            assert other.samples.tobytes() == sig.samples.tobytes()
+            with pytest.raises(ValueError):
+                other.samples.setflags(write=True)
+
+    def test_samples_keep_every_bit(self):
+        y = np.array([5e-324, -0.0, 1.7976931348623157e308, -1e-300, 0.1])
+        assert Signal(y).samples.tobytes() == y.tobytes()
+        assert Signal(y[::-2]).samples.tobytes() == y[::-2].copy().tobytes()
 
 
 class TestMeanCorrect:

@@ -246,3 +246,26 @@ class TestGridSpectrum:
             assert q_val == pytest.approx(
                 harmonic_criterion_qn(sig, float(lam), 4), rel=1e-9
             )
+
+
+def _grid_power_by_temporaries(y, p, length):
+    """The power sums as ``abs(rfft) ** 2`` and ``sum`` over the strided views."""
+    size = (length - 1) // (2 * p)
+    power = np.abs(np.fft.rfft(y, length)) ** 2
+    return power[1 : size + 1], sum(power[j : j * size + 1 : j] for j in range(1, p + 1))
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "ma1"])
+@pytest.mark.parametrize("preset", [1, 2])
+@pytest.mark.parametrize("n", [100, 137, 1009, 2050, 4001])
+def test_grid_power_in_place_is_bit_identical(n, preset, noisy):
+    # the in-place square and the sums into a copy of the j = 1 view give
+    # the temporaries' results bit for bit, at length n and at the start's
+    noise = LinearProcessSpec((1.0, 0.5), 0.25) if noisy else None
+    sig = synthesize(MODEL1 if preset == 1 else MODEL2, n, noise, seed=n)
+    for p in range(1, 5):
+        for length in (n, spectrum._smooth_length(8 * n)):
+            got = spectrum._grid_power(sig, p, length)
+            want = _grid_power_by_temporaries(sig.samples, p, length)
+            for a, b in zip(got, want, strict=True):
+                assert a.tobytes() == b.tobytes()
