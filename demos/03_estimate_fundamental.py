@@ -17,7 +17,6 @@ from fundfreq import (
     sample_acf,
     synthesize,
 )
-from fundfreq.criterion import lse_coefficients
 from fundfreq.montecarlo import MODEL1
 
 noise = LinearProcessSpec((1.0, 0.5), 0.25)
@@ -34,7 +33,7 @@ for r in trace.records:
 # Amplitudes: the 2p-column solve (exact normal equations) and each
 # harmonic's own 2x2 solve, the p = 1 case at j*lambda_hat, which leaks
 # O(1/n) between harmonics.
-per = [lse_coefficients(sig, 1, j * lam_hat) for j in range(1, 5)]
+per = [lse_linear(sig, j * lam_hat, 1)[0] for j in range(1, 5)]
 full = lse_linear(sig, lam_hat, 4)
 print("\nharmonic   truth            per-harmonic      2p-column")
 for j, (truth, a, b) in enumerate(zip(MODEL1.amplitudes, per, full), 1):

@@ -20,11 +20,11 @@ complex multiply per sample and harmonic), and the ramp t is built once
 per n and kept read-only.  X'X is factored by Cholesky in one place,
 :func:`_whitened`, with one pivot floor and one error, and its inverse
 factor serves every solve: g, the amplitudes, the start pass and the
-derivatives.  g keeps its last solve, and the amplitude solve at the same
-samples, p and lam (the closing point of a ``converged_tol`` estimate)
-reads it rather than repeating the pass and the factorization.  The
-2p x 2p algebra after the pass applies K and J^2 by permuting and scaling
-entries, not by matrix products.
+derivatives.  g and the amplitudes share one cached solve, :func:`_solve`,
+which keeps the last (signal, p, lam): the amplitude fit at the closing
+point of a ``converged_tol`` estimate reads it rather than repeating the
+pass and the factorization.  The 2p x 2p algebra after the pass applies K
+and J^2 by permuting and scaling entries, not by matrix products.
 The pass can split after a sample n1: the moments over y(1..n1) then
 carry the derivative blocks while the rest adds only to X'X and X'Y, so
 one pass gives g over all n samples and g', g'' over the first n1
@@ -32,8 +32,7 @@ one pass gives g over all n samples and g', g'' over the first n1
 samples alone, so g and the amplitudes never form it.
 
 A single harmonic j is the p = 1 case at frequency j*lam: its projection
-norm R_j is g(signal, 1, j*lam), its own 2x2 amplitude solve is
-lse_coefficients(signal, 1, j*lam), and ``compute_moments`` reads its six
+norm R_j is g(signal, 1, j*lam), and ``compute_moments`` reads its six
 moment blocks off the same kernel, with D = jT in place of T.
 """
 
@@ -47,22 +46,14 @@ import numpy as np
 from numpy.linalg import _umath_linalg  # the gufuncs behind np.linalg
 
 from .errors import DegenerateFrequencyError, DomainError
-from .signal import Signal, _check_band, _phases, _scale_exponent
+from .signal import Signal, _check_band, _phases
 
-__all__ = ["g", "g_and_prefix_derivatives", "g_with_derivatives", "lse_coefficients"]
+__all__ = ["g", "g_and_prefix_derivatives", "g_with_derivatives"]
 
 # HarmonicDesignMoments, compute_moments and g_derivatives serve only the
 # tests.  They stay defined here because the LAYER_FUNCTIONS of
 # perfbench/tracing.py look compute_moments and g_derivatives up on this
 # module with no default; once that lookup falls back, move them into the tests.
-
-# The last solve of g, over all n samples: (samples, p, lam, L^{-1},
-# L^{-1}X'Y), or None.  Only g fills it.  The derivative routines build X'X
-# from products of other shapes, whose rounding differs, so they never do.
-# A Signal's samples never change, so the samples object and the exact
-# (p, lam) identify the solve.  The entry is one tuple, replaced whole and
-# read once per call, so a g on another thread cannot mix two solves.
-_last_g_solve: tuple | None = None
 
 # Floor on each squared Cholesky pivot of X'X, relative to n (a squared
 # pivot is ~ n/2 away from degenerate frequencies).
@@ -112,14 +103,8 @@ def compute_moments(signal: Signal, j: int, lam: float) -> HarmonicDesignMoments
 
 
 def g(signal: Signal, p: int, lam: float) -> float:
-    """Criterion g(lam) = Y'X (X'X)^{-1} X'Y over all 2p design columns.
-
-    Keeps its solve as the one entry that :func:`lse_coefficients` reads.
-    """
-    global _last_g_solve
-    _check_band(p, lam)
-    linv, z = _whitened(_moments(signal.samples, p, lam, 0)[1], signal.n, lam)
-    _last_g_solve = (signal.samples, p, lam, linv, z)
+    """Criterion g(lam) = Y'X (X'X)^{-1} X'Y over all 2p design columns."""
+    z = _solve(signal, p, lam)[1]
     return float(z.dot(z))
 
 
@@ -170,27 +155,22 @@ def g_and_prefix_derivatives(
     return float(z.dot(z)), lambda: _with_derivatives(head, p, n1, lam)[1:]
 
 
-def lse_coefficients(signal: Signal, p: int, lam: float) -> np.ndarray:
-    """Joint least squares coefficients (A_1, B_1, .., A_p, B_p) at ``lam``.
+# A Signal hashes by identity and its samples never change, so (signal,
+# p, lam) names one solve.  The derivative routines build X'X from products
+# of other shapes, whose rounding differs, so they never read or fill it.
+@functools.lru_cache(maxsize=1)  # g at lambda_hat, then the amplitudes there
+def _solve(signal: Signal, p: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """(L^{-1}, L^{-1}X'Y) over all n samples, read-only, kept for the last
+    (signal, p, lam).
 
-    The solve runs on y 2^-e, e from the estimate's exponent rule (0 for
-    max|y| inside 2^+-128), so X'Y stays in the float range up to the
-    largest float, and the coefficients are scaled back by 2^e.  Where e is
-    0 and the last :func:`g` ran on the same samples at the same p and lam,
-    as the closing evaluation of a ``converged_tol`` estimate does, its
-    factor and L^{-1}X'Y serve: the same pass and factorization again
-    would give the same bits.
+    g is ||L^{-1}X'Y||^2 and the least squares amplitudes are
+    L^{-T} L^{-1}X'Y.
     """
     _check_band(p, lam)
-    y = signal.samples
-    e = _scale_exponent(y)
-    last = _last_g_solve
-    if not e and last is not None and last[0] is y and last[1:3] == (p, lam):
-        linv, z = last[3:]
-    else:
-        linv, z = _whitened(_moments(np.ldexp(y, -e) if e else y, p, lam, 0)[1], signal.n, lam)
-    theta = linv.T.dot(z)
-    return np.ldexp(theta, e) if e else theta
+    solve = _whitened(_moments(signal.samples, p, lam, 0)[1], signal.n, lam)
+    for a in solve:
+        a.setflags(write=False)
+    return solve
 
 
 def _whitened(mom: np.ndarray, n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:

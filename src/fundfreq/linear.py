@@ -1,18 +1,18 @@
 """Amplitude recovery at a fixed frequency estimate, residuals, and the ACF.
 
 The least squares amplitudes solve the normal equations of all 2p design
-columns together, the same solve that defines the criterion g.  After an
-estimate that ends ``converged_tol``, the amplitudes at lambda_hat read the
-solve of its closing g evaluation instead of repeating it.  Harmonic
-j's own 2x2 solve is the p = 1 case at j*lambda_hat,
-``lse_coefficients(signal, 1, j * lambda_hat)``.
+columns together, the same cached solve that defines the criterion g.
+After an estimate that ends ``converged_tol``, the amplitudes at
+lambda_hat read the solve of its closing g evaluation instead of repeating
+it.  Harmonic j's own 2x2 solve is the p = 1 case at j*lambda_hat,
+``lse_linear(signal, j * lambda_hat, 1)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .criterion import lse_coefficients
+from .criterion import _solve
 from .errors import DomainError
 from .signal import Signal, harmonic_sum
 
@@ -30,7 +30,9 @@ def lse_linear(signal: Signal, lambda_hat: float, p: int) -> list[tuple[float, f
     runs on y 2^-e, as the estimate does, and its amplitudes are scaled
     back, so it holds up to the largest float.
     """
-    theta = lse_coefficients(signal, p, lambda_hat)
+    e = signal._exponent
+    linv, z = _solve(Signal(np.ldexp(signal.samples, -e)) if e else signal, p, lambda_hat)
+    theta = np.ldexp(linv.T.dot(z), e)
     return [(float(theta[2 * i]), float(theta[2 * i + 1])) for i in range(p)]
 
 

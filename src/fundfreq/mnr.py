@@ -44,7 +44,7 @@ import numpy as np
 
 from .criterion import g, g_and_prefix_derivatives, g_with_derivatives
 from .errors import DegenerateFrequencyError
-from .signal import Signal, _scale_exponent
+from .signal import Signal
 from .spectrum import fourier_grid_init
 
 __all__ = ["TraceRecord", "EstimationTrace", "estimate_fundamental"]
@@ -108,7 +108,7 @@ def estimate_fundamental(signal: Signal, p: int) -> tuple[float, EstimationTrace
     exactly, so every iterate is the one at scale 1; the records' g values
     are scaled back by 2^(2e) and read inf past the float range.
     """
-    e = _scale_exponent(signal.samples)
+    e = signal._exponent
     if e:
         signal = Signal(np.ldexp(signal.samples, -e))
     n = signal.n

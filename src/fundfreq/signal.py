@@ -87,14 +87,21 @@ class HarmonicModel:
         return np.array([a * a + b * b for a, b in self.amplitudes])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Signal:
     """A finite sample y(1..n).
 
     The samples are a copy of the input over an immutable buffer: writing
     the input, or any alias of it, leaves the signal unchanged, the input
     stays writable, and ``samples.setflags(write=True)`` raises.  A
-    signal's samples therefore never change after construction.
+    signal's samples therefore never change after construction, and a
+    signal compares and hashes by identity: two signals over the same
+    samples are unequal, and a pickled or deep-copied signal is a new one.
+    The criterion keys its cached solve on that identity.
+
+    ``_exponent`` is e, the multiple of 256 nearest the binary exponent of
+    max|y|: 0 for max|y| inside 2^+-128, and y 2^-e keeps every square of
+    y and every sum of n of them in the float range.
     """
 
     samples: np.ndarray
@@ -103,9 +110,11 @@ class Signal:
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size < 1:
             raise DomainError("samples must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(samples)):
+        top = float(np.abs(samples).max())
+        if not math.isfinite(top):
             raise DomainError("samples must all be finite")
         object.__setattr__(self, "samples", np.frombuffer(samples.tobytes(), dtype=float))
+        object.__setattr__(self, "_exponent", 256 * round(math.frexp(top)[1] / 256))
 
     def __reduce__(self):
         # pickle and deepcopy would restore the samples as a writable array;
@@ -150,15 +159,6 @@ class LinearProcessSpec:
     def process_variance(self) -> float:
         """Stationary variance sigma2 * sum a(k)^2."""
         return self.sigma2 * sum(c * c for c in self.coeffs)
-
-
-def _scale_exponent(y: np.ndarray) -> int:
-    """e, the multiple of 256 nearest the binary exponent of max|y|.
-
-    e is 0 for max|y| inside 2^+-128, and y 2^-e keeps every square of y
-    and every sum of n of them in the float range.
-    """
-    return 256 * round(math.frexp(float(np.abs(y).max()))[1] / 256)
 
 
 def harmonic_sum(lam: float, amplitudes, n: int) -> np.ndarray:

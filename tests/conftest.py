@@ -2,13 +2,7 @@
 
 import pytest
 
-from fundfreq import MODEL1, MODEL2, criterion, synthesize
-
-
-@pytest.fixture(autouse=True)
-def _drop_kept_solve():
-    """Drop the solve that criterion.g keeps, so no result depends on test order."""
-    criterion._last_g_solve = None
+from fundfreq import MODEL1, MODEL2, synthesize
 
 
 @pytest.fixture(scope="session")

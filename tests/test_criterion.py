@@ -18,6 +18,7 @@ from fundfreq import (
     LinearProcessSpec,
     Signal,
     g,
+    lse_linear,
     synthesize,
 )
 from fundfreq.criterion import (
@@ -25,7 +26,6 @@ from fundfreq.criterion import (
     g_and_prefix_derivatives,
     g_derivatives,
     g_with_derivatives,
-    lse_coefficients,
 )
 from fundfreq.signal import _phase_angles
 from conftest import fd_derivatives
@@ -197,7 +197,7 @@ class TestDenseOracle:
         assert gv == pytest.approx(g_ref, rel=1e-11)
         assert gp == pytest.approx(fd1, rel=1e-4)
         assert gpp == pytest.approx(fd2, rel=1e-3)
-        coef = lse_coefficients(sig, p, lam)
+        coef = np.ravel(lse_linear(sig, lam, p))
         assert np.abs(coef - coef_ref).max() < 1e-9 * np.abs(coef_ref).max()
 
 
@@ -251,6 +251,11 @@ def _start_pass(signal, p, lam):
     return g_and_prefix_derivatives(signal, p, lam, 1000)
 
 
+def _amplitudes(signal, p, lam):
+    """The amplitude solve, in the argument order of the criterion."""
+    return lse_linear(signal, lam, p)
+
+
 class TestDegeneracyGuard:
     def test_inverse_factor_matches_numpy_linalg(self, model1):
         # the gufuncs called directly give np.linalg's results bit for bit,
@@ -278,7 +283,7 @@ class TestDegeneracyGuard:
                 criterion._whitened(mom, 100, 0.25)
 
     @pytest.mark.parametrize("lam", [1e-6, math.pi / 4 - 1e-9])
-    @pytest.mark.parametrize("fn", [g, g_with_derivatives, lse_coefficients, _start_pass])
+    @pytest.mark.parametrize("fn", [g, g_with_derivatives, _amplitudes, _start_pass])
     def test_joint_criterion_raises_near_edges(self, model1, fn, lam):
         # harmonic 1 near frequency 0, or harmonic 4 near pi: X'X is singular
         sig = synthesize(model1, 3000, LinearProcessSpec((1.0, 0.5), 0.25), seed=3)
@@ -290,9 +295,12 @@ class TestCaches:
     """Arrays kept per n or per p are read-only, and the per-n caches of
     the criterion pass are bounded."""
 
-    def test_cached_arrays_are_read_only(self):
-        for cached in (criterion._ramp(100), _phase_angles(100), *criterion._harmonic_operators(3)):
+    def test_cached_arrays_are_read_only(self, model1):
+        solve = criterion._solve(synthesize(model1, 100), 4, 0.25)
+        for cached in (criterion._ramp(100), _phase_angles(100), *criterion._harmonic_operators(3),
+                       *solve):
             assert not cached.flags.writeable
+        assert criterion._solve.cache_info().maxsize == 1
 
     @pytest.mark.parametrize("cached", [criterion._ramp, _phase_angles])
     def test_per_n_caches_are_bounded(self, cached):

@@ -18,7 +18,7 @@ from fundfreq import (
     synthesize,
 )
 from fundfreq import criterion, mnr
-from fundfreq.criterion import g, g_and_prefix_derivatives, g_with_derivatives, lse_coefficients
+from fundfreq.criterion import g, g_and_prefix_derivatives, g_with_derivatives
 
 
 def amplitude_matrix(pairs):
@@ -27,7 +27,7 @@ def amplitude_matrix(pairs):
 
 def per_harmonic(sig, lam, p):
     """Each harmonic's own 2x2 solve: the p = 1 amplitudes at j*lam."""
-    return [tuple(lse_coefficients(sig, 1, j * lam)) for j in range(1, p + 1)]
+    return [lse_linear(sig, j * lam, 1)[0] for j in range(1, p + 1)]
 
 
 class TestLse:
@@ -93,7 +93,9 @@ class TestLse:
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The lambda of every factorization of X'X, in call order."""
+    """The lambda of every factorization of X'X, in call order, from an
+    empty solve cache."""
+    criterion._solve.cache_clear()
     calls = []
     inner = criterion._whitened
 
@@ -112,7 +114,7 @@ def _fit(sig, lam, p):
 
 
 class TestClosingSolveReuse:
-    """The amplitude solve reads the last solve of g where it is the same solve."""
+    """The amplitude solve reads the cached solve of g where it is the same solve."""
 
     @pytest.mark.parametrize("preset", [1, 2])
     @pytest.mark.parametrize("n", [100, 1050])
@@ -125,7 +127,7 @@ class TestClosingSolveReuse:
         reused = _fit(sig, lam_hat, 4)
         assert solves == []
         assert _fit(Signal(sig.samples.copy()), lam_hat, 4) == reused
-        criterion._last_g_solve = None
+        criterion._solve.cache_clear()
         assert _fit(sig, lam_hat, 4) == reused
         assert solves == [lam_hat, lam_hat]
 
@@ -135,10 +137,11 @@ class TestClosingSolveReuse:
         for other, p, at in [(Signal(sig.samples), 4, lam), (sig, 3, lam),
                              (sig, 4, math.nextafter(lam, 1.0))]:
             del solves[:]
-            lse_coefficients(other, p, at)
+            lse_linear(other, at, p)
             assert solves == [at]
+        g(sig, 4, lam)
         del solves[:]
-        lse_coefficients(sig, 4, lam)
+        lse_linear(sig, lam, 4)
         assert solves == []
 
     @pytest.mark.parametrize("status", ["converged_objective", "max_iter"])
@@ -163,30 +166,30 @@ class TestClosingSolveReuse:
         sig, lam = m1_clean_512, 0.2501
         g_with_derivatives(sig, 4, lam)
         g_and_prefix_derivatives(sig, 4, lam, 300)[1]()
-        assert criterion._last_g_solve is None
+        assert criterion._solve.cache_info().currsize == 0
         g(sig, 4, 0.2502)
         g_with_derivatives(sig, 4, lam)
         del solves[:]
-        lse_coefficients(sig, 4, lam)
+        lse_linear(sig, lam, 4)
         assert solves == [lam]
 
-    def test_degenerate_g_keeps_no_solve(self):
+    def test_degenerate_g_keeps_no_solve(self, solves):
         sig = Signal(np.ones(100))
         with pytest.raises(DegenerateFrequencyError):
             g(sig, 1, 1e-9)
-        assert criterion._last_g_solve is None
+        assert criterion._solve.cache_info().currsize == 0
         with pytest.raises(DegenerateFrequencyError):
-            lse_coefficients(sig, 1, 1e-9)
+            lse_linear(sig, 1e-9, 1)
 
     def test_out_of_range_samples_solve_scaled(self, m1_clean_512, solves):
         # g on unscaled samples outside 2^+-128 is not the scaled solve
         sig = Signal(1e150 * m1_clean_512.samples)
         g(sig, 4, 0.25)
         del solves[:]
-        kept = lse_coefficients(sig, 4, 0.25)
+        kept = lse_linear(sig, 0.25, 4)
         assert solves == [0.25]
-        criterion._last_g_solve = None
-        assert lse_coefficients(sig, 4, 0.25).tobytes() == kept.tobytes()
+        criterion._solve.cache_clear()
+        assert lse_linear(sig, 0.25, 4) == kept
 
 
 class TestResiduals:

@@ -247,6 +247,7 @@ class TestSignalSamples:
     def test_copies_and_unpickled_signals_stay_immutable(self):
         sig = Signal(np.array([0.1, -2.5, 3e-300]))
         for other in (pickle.loads(pickle.dumps(sig)), copy.deepcopy(sig), copy.copy(sig)):
+            assert other != sig  # a new signal
             assert other.samples.tobytes() == sig.samples.tobytes()
             with pytest.raises(ValueError):
                 other.samples.setflags(write=True)
@@ -255,6 +256,39 @@ class TestSignalSamples:
         y = np.array([5e-324, -0.0, 1.7976931348623157e308, -1e-300, 0.1])
         assert Signal(y).samples.tobytes() == y.tobytes()
         assert Signal(y[::-2]).samples.tobytes() == y[::-2].copy().tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        with pytest.raises(DomainError, match="samples must all be finite"):
+            Signal(np.array([0.5, bad, 1.0]))
+
+
+class TestSignalIdentity:
+    """A Signal compares and hashes by identity."""
+
+    def test_equal_samples_make_unequal_signals(self):
+        y = np.arange(5.0)
+        sig = Signal(y)
+        assert (Signal(y) == Signal(y)) is False
+        assert sig == sig
+
+    def test_signals_are_set_members_and_dict_keys(self):
+        y = np.arange(5.0)
+        a, b = Signal(y), Signal(y)
+        assert len({a, b, a}) == 2
+        keyed = {a: 1, b: 2}
+        assert keyed[a] == 1 and keyed[b] == 2
+
+
+class TestScaleExponent:
+    """e is the multiple of 256 nearest the binary exponent of max|y|."""
+
+    @pytest.mark.parametrize("top, e", [
+        (0.0, 0), (2.0**127, 0), (2.0**128, 256), (-(2.0**128), 256), (1.7e308, 1024),
+        (2.0**-129, 0), (2.0**-130, -256), (5e-324, -1024), (1e160, 512), (1e-170, -512),
+    ])
+    def test_rule_at_its_edges(self, top, e):
+        assert Signal(np.array([top / 4, top]))._exponent == e
 
 
 class TestMeanCorrect:
