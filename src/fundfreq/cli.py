@@ -97,16 +97,26 @@ def _load_model_file(path: str) -> HarmonicModel:
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not a text file ({exc})") from None
     try:
-        p, lam = raw["p"], float(raw["lambda"])
+        p, lam = raw["p"], _json_number(raw["lambda"], "lambda")
         if type(p) is not int:  # rejects 1.9 and "2", and true, a bool
             raise TypeError(f"p must be a JSON integer, got {json.dumps(p)}")
-        amplitudes = tuple((float(a), float(b)) for a, b in raw["amplitudes"])
-    except (TypeError, ValueError, KeyError) as exc:
+        amplitudes = tuple(
+            (_json_number(a, "an amplitude"), _json_number(b, "an amplitude"))
+            for a, b in raw["amplitudes"]
+        )
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise DomainError(
             f"{path}: expected a JSON object with p, lambda and amplitudes "
             f"[[A_1, B_1], ...] ({type(exc).__name__}: {exc})"
         ) from None
     return HarmonicModel(p, lam, amplitudes)
+
+
+def _json_number(value, what: str) -> float:
+    """``value`` as a float if JSON gave a number; true and "1" raise TypeError."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{what} must be a JSON number, got {json.dumps(value)}")
+    return float(value)
 
 
 def cmd_synth(args) -> int:

@@ -150,7 +150,7 @@ def g_and_prefix_derivatives(
         raise DomainError(f"need 0 < n1 < n = {n}, got n1 = {n1}")
     head, tail = _moments(signal.samples, p, lam, n1)
     q = 2 * p
-    tail += head[q : 2 * q, q:]  # X'X and X'Y over all n samples; the last column is unread
+    tail += head[q : 2 * q, q : 2 * q + 1]  # X'X and X'Y over all n samples
     z = _whitened(tail, n, lam)[1]
     return float(z.dot(z)), lambda: _with_derivatives(head, p, n1, lam)[1:]
 
@@ -260,12 +260,9 @@ def _moments(
     Returns ``(head, tail)``.  The head sums, over t <= n1, the products
     D S' of the rows D = [(TX)'; X'] with S = [D; Y'; (TY)']: X'T^2X, X'TX
     and X'X are its square blocks, X'T^2Y, X'TY and X'Y its last two
-    columns.  The tail sums X'[X Y 0] over t > n1: the T-weighted rows
-    are filled only for the head, and the zero row keeps the tail
-    product's shape, which sets the BLAS kernel and so its rounding:
-    dropping it changes g in the last bit at p = 1 and 3 on AVX-512
-    OpenBLAS.  Either is None when its range is empty.  The head is the
-    product that a pass over y[:n1] alone takes.
+    columns.  The tail sums X'[X Y] over t > n1: the T-weighted rows are
+    filled only for the head.  Either is None when its range is empty.
+    The head is the product that a pass over y[:n1] alone takes.
     """
     q = 2 * p
     n = y.size
@@ -281,8 +278,7 @@ def _moments(
         np.multiply(s[q : 2 * q, :n1], t, out=s[:q, :n1])
         head = s[: 2 * q, :n1] @ s[:, :n1].T
     if n1 < n:
-        s[-1, n1:] = 0.0
-        tail = s[q : 2 * q, n1:] @ s[q:, n1:].T
+        tail = s[q : 2 * q, n1:] @ s[q : 2 * q + 1, n1:].T
     return head, tail
 
 

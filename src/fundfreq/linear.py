@@ -26,13 +26,14 @@ def lse_linear(signal: Signal, lambda_hat: float, p: int) -> list[tuple[float, f
     noiseless amplitudes to rounding accuracy.  Solving each harmonic from
     its own 2x2 normal equations instead would ignore the cross-harmonic
     design moments X_j'X_k, which are O(1) rather than O(n), and leave an
-    O(1/n) leakage error.  The solve is scale-free: outside 2^+-128 it
-    runs on y 2^-e, as the estimate does, and its amplitudes are scaled
-    back, so it holds up to the largest float.
+    O(1/n) leakage error.  The solve is scale-free: it runs on the
+    signal's ``_unit`` view y 2^-e (see :class:`Signal`), the one the
+    estimate runs on, and its amplitudes are scaled back by 2^e, so it
+    holds up to the largest float and, after an out-of-range estimate,
+    still reads its closing solve.
     """
-    e = signal._exponent
-    linv, z = _solve(Signal(np.ldexp(signal.samples, -e)) if e else signal, p, lambda_hat)
-    theta = np.ldexp(linv.T.dot(z), e)
+    linv, z = _solve(signal._unit, p, lambda_hat)
+    theta = np.ldexp(linv.T.dot(z), signal._exponent)
     return [(float(theta[2 * i]), float(theta[2 * i + 1])) for i in range(p)]
 
 

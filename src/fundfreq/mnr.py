@@ -40,8 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .criterion import g, g_and_prefix_derivatives, g_with_derivatives
 from .errors import DegenerateFrequencyError
 from .signal import Signal
@@ -102,15 +100,13 @@ def estimate_fundamental(signal: Signal, p: int) -> tuple[float, EstimationTrace
     than raising; the start search raises :class:`DomainError` when
     n < 10*p.
 
-    The estimate is scale-free: where max|y| lies outside 2^+-128 the run
-    sees y 2^-e, e the nearest multiple of 256 to its binary exponent, so
-    that no square of y over- or underflows.  A power of two scales
-    exactly, so every iterate is the one at scale 1; the records' g values
-    are scaled back by 2^(2e) and read inf past the float range.
+    The estimate is scale-free: the run sees the signal's ``_unit`` view
+    y 2^-e (see :class:`Signal`), so every iterate is the one at scale 1.
+    The records' g values are scaled back by 2^(2e) and read inf past the
+    float range.
     """
     e = signal._exponent
-    if e:
-        signal = Signal(np.ldexp(signal.samples, -e))
+    signal = signal._unit
     n = signal.n
     lam0 = fourier_grid_init(signal, p)
     n1 = _subsample_size(n)

@@ -99,9 +99,14 @@ class Signal:
     samples are unequal, and a pickled or deep-copied signal is a new one.
     The criterion keys its cached solve on that identity.
 
-    ``_exponent`` is e, the multiple of 256 nearest the binary exponent of
-    max|y|: 0 for max|y| inside 2^+-128, and y 2^-e keeps every square of
-    y and every sum of n of them in the float range.
+    The one scale rule of the package: ``_exponent`` is e, the multiple of
+    256 nearest the binary exponent of max|y|, 0 for max|y| inside 2^+-128.
+    ``_unit`` is the signal y 2^-e, whose squares and every sum of n of
+    them stay in the float range: the signal itself when e = 0, else a
+    twin built once at construction.  The estimate, the amplitude fit and
+    the spectrum read ``_unit`` and scale their results back by 2^e or
+    2^(2e).  A power of two scales exactly, so inside 2^+-128 nothing
+    changes, and outside it every answer is the one at scale 1.
     """
 
     samples: np.ndarray
@@ -114,7 +119,11 @@ class Signal:
         if not math.isfinite(top):
             raise DomainError("samples must all be finite")
         object.__setattr__(self, "samples", np.frombuffer(samples.tobytes(), dtype=float))
-        object.__setattr__(self, "_exponent", 256 * round(math.frexp(top)[1] / 256))
+        e = 256 * round(math.frexp(top)[1] / 256)
+        object.__setattr__(self, "_exponent", e)
+        # the twin's own exponent is 0; None, not self, when e = 0, so that
+        # a signal holds no reference to itself
+        object.__setattr__(self, "_scaled", Signal(np.ldexp(samples, -e)) if e else None)
 
     def __reduce__(self):
         # pickle and deepcopy would restore the samples as a writable array;
@@ -124,6 +133,11 @@ class Signal:
     @property
     def n(self) -> int:
         return self.samples.size
+
+    @property
+    def _unit(self) -> Signal:
+        """y 2^-e: the twin built at construction, or this signal when e = 0."""
+        return self._scaled or self
 
 
 @dataclass(frozen=True)
@@ -278,9 +292,11 @@ def read_signal(path: str) -> Signal:
     line whose first non-blank character is ``#``, a comment.  Every other
     line of a text file is one sample, read by Python's ``float`` rules in
     one numpy call; a ``.csv`` file is read from the column its header
-    names ``y``, or is one unnamed column of numbers.  A file that is not
-    text raises :class:`DomainError` naming the file, and a line that
-    cannot be read as a finite number one naming the file and the line.
+    names ``y``, or is one unnamed column of numbers, and each of its rows
+    has as many cells as the header.  A file that is not text raises
+    :class:`DomainError` naming the file, and a line that cannot be read
+    as a finite number, or a CSV row of another width, one naming the file
+    and the line.
     """
     try:
         with open(path) as fh:
@@ -310,9 +326,12 @@ def read_signal(path: str) -> Signal:
             raise DomainError(f"{path}: no data rows")
         values = []
         for row in data:
+            cells = row.split(",")
+            if len(cells) != len(header):
+                raise _bad_line(path, lines, row, start, "a row as wide as the header")
             try:
-                values.append(float(row.split(",")[idx]))
-            except (IndexError, ValueError):
+                values.append(float(cells[idx]))
+            except ValueError:
                 raise _bad_line(path, lines, row, start) from None
         samples = np.array(values)
     else:

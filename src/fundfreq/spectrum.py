@@ -51,7 +51,7 @@ def harmonic_criterion_qn(signal: Signal, lam: float, p: int) -> float:
 def _direct_power(signal: Signal, lam: float, p: int) -> float:
     """sum_{j<=p} |sum_t y(t) e^{i j lam t}|^2 by direct sums, for any lam in (0, pi/p).
 
-    The off-grid counterpart of the unscaled sums of :func:`_grid_power`.
+    The off-grid counterpart of the sums of :func:`_grid_power` at e = 0.
     """
     _check_band(p, lam)
     y = signal.samples
@@ -100,12 +100,14 @@ def _smooth_length(m: int) -> int:
 
 
 def _grid_power(signal: Signal, p: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unscaled power sums on the grid 2*pi*k/length in (0, pi/p).
+    """Unscaled power sums of the signal's ``_unit`` view on the grid
+    2*pi*k/length in (0, pi/p).
 
     Returns ``(plain, harmonic)`` over k = 1..(length-1)//(2p), the grid
     of :func:`fourier_grid`: ``plain[k-1]`` is |X_k|^2 and
     ``harmonic[k-1]`` is sum_{j<=p} |X_{jk}|^2, where X is the real FFT of
-    the signal zero-padded to ``length`` >= n.
+    y 2^-e (see :class:`Signal`) zero-padded to ``length`` >= n.  Times
+    2^(2e) they are the sums of y itself.
     """
     if p < 1:
         raise DomainError(f"p must be >= 1, got {p}")
@@ -115,7 +117,7 @@ def _grid_power(signal: Signal, p: int, length: int) -> tuple[np.ndarray, np.nda
     # |sum_t y(t) e^{-i 2 pi k t/length}|^2 for bins k = 0..length/2; the
     # time origin and the sign of the exponent drop out of the modulus.
     # Every j*k with j <= p stays below length/2 because 2pk < length.
-    power = np.abs(np.fft.rfft(signal.samples, length))
+    power = np.abs(np.fft.rfft(signal._unit.samples, length))
     np.square(power, out=power)
     # harmonic j of grid point k is bin j*k: the strided view from bin j,
     # added in order j = 2..p to a copy of the j = 1 view (0 + a is exact,
@@ -135,12 +137,15 @@ def grid_spectrum(
     Returns ``(lams, I, Q_N)`` with ``lams`` the grid of
     :func:`fourier_grid`, I = |X_k|^2/n and Q_N = sum_{j<=p} |X_{jk}|^2/n^2,
     the values :func:`periodogram` and :func:`harmonic_criterion_qn` give
-    at those frequencies.  Raises :class:`DomainError` when no grid point
-    is admissible.
+    at those frequencies.  They are computed on the ``_unit`` view and
+    scaled back by 2^(2e): they read inf, with no warning, only where
+    they exceed the float range, as the estimate's g values do.  Raises
+    :class:`DomainError` when no grid point is admissible.
     """
-    n = signal.n
+    n, e2 = signal.n, 2 * signal._exponent
     plain, harmonic = _grid_power(signal, p, n)
-    return fourier_grid(n, p), plain / n, harmonic / n**2
+    with np.errstate(over="ignore"):
+        return fourier_grid(n, p), np.ldexp(plain / n, e2), np.ldexp(harmonic / n**2, e2)
 
 
 def fourier_grid_init(signal: Signal, p: int) -> float:

@@ -21,6 +21,13 @@ def run_cli(argv, capsys):
     return code, out.out, out.err
 
 
+def _fresh_interpreter_env():
+    """The environment with this package's source first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fundfreq.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 class TestSynth:
     def test_writes_n_lines(self, tmp_path, capsys):
         out = tmp_path / "sig.txt"
@@ -97,7 +104,14 @@ class TestSynth:
         {"p": "two", "lambda": 0.25, "amplitudes": [[1, 0], [1, 0]]},
         [2, 0.25, [[1, 0], [1, 0]]],
         {"lambda": 0.25, "amplitudes": [[1, 0], [1, 0]]},
-    ], ids=["flat-amplitudes", "p-not-a-number", "top-level-list", "missing-p"])
+        {"p": 1, "lambda": True, "amplitudes": [[1, 0]]},
+        {"p": 1, "lambda": "0.25", "amplitudes": [[1, 0]]},
+        {"p": 1, "lambda": 0.25, "amplitudes": [["1", False]]},
+        {"p": 1, "lambda": 0.25, "amplitudes": [[1, True]]},
+        {"p": 1, "lambda": 10**400, "amplitudes": [[1, 0]]},
+    ], ids=["flat-amplitudes", "p-not-a-number", "top-level-list", "missing-p",
+            "lambda-bool", "lambda-string", "amplitude-string", "amplitude-bool",
+            "lambda-int-past-float-range"])
     def test_malformed_model_file_is_runtime_error(self, tmp_path, capsys, model):
         bad = tmp_path / "model.json"
         bad.write_text(json.dumps(model))
@@ -285,6 +299,21 @@ class TestPeriodogram:
         assert i_field == "6.38475e-03"
         assert i_field == f"{self._exact_row(y, k, 1)[1]:.5e}"
 
+    def test_out_of_range_signal_prints_finite_rows(self, tmp_path):
+        # MODEL1 times 1e152: the FFT power of y itself overflowed, and numpy
+        # warned; under -W error the command then failed with a traceback
+        path, per = tmp_path / "sig.txt", tmp_path / "periodogram.csv"
+        clean = fundfreq.synthesize(fundfreq.MODEL1, 200)
+        write_signal(Signal(1e152 * clean.samples), str(path))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "fundfreq.cli", "periodogram",
+             "--input", str(path), "--p", "4", "--out", str(per)],
+            env=_fresh_interpreter_env(), capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        rows = [line.split(",") for line in per.read_text().splitlines()[1:]]
+        assert len(rows) == 24
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+
     def test_empty_grid_is_runtime_error(self, tmp_path, capsys):
         # n = 5: the first Fourier frequency 2*pi/5 already exceeds pi/4
         path = tmp_path / "short.txt"
@@ -388,9 +417,7 @@ class TestParserReuse:
 
 def test_module_entry_point_in_a_fresh_interpreter(tmp_path):
     """``python -m fundfreq.cli`` end to end, outside the in-process parser."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fundfreq.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    env = _fresh_interpreter_env()
     sig, resid, est, per = (tmp_path / name for name in
                             ("sig.txt", "resid.txt", "estimate.json", "periodogram.csv"))
     for argv in (["synth", "--preset", "2", "--n", "200", "--noise", "ma:1,0.5",

@@ -181,6 +181,17 @@ class TestClosingSolveReuse:
         with pytest.raises(DegenerateFrequencyError):
             lse_linear(sig, 1e-9, 1)
 
+    @pytest.mark.parametrize("factor", [1e160, 1e-170])
+    def test_out_of_range_fit_reuses_the_estimate_solve(self, model1, solves, factor):
+        # the estimate and the fit both read the signal's one scaled twin
+        sig = Signal(factor * synthesize(model1, 200).samples)
+        lam_hat, trace = estimate_fundamental(sig, 4)
+        assert trace.status == "converged_tol"
+        hits, misses = criterion._solve.cache_info()[:2]
+        lse_linear(sig, lam_hat, 4)
+        assert criterion._solve.cache_info()[:2] == (hits + 1, misses)
+        assert (hits, misses) == (0, 1)
+
     def test_out_of_range_samples_solve_scaled(self, m1_clean_512, solves):
         # g on unscaled samples outside 2^+-128 is not the scaled solve
         sig = Signal(1e150 * m1_clean_512.samples)

@@ -290,6 +290,19 @@ class TestScaleExponent:
     def test_rule_at_its_edges(self, top, e):
         assert Signal(np.array([top / 4, top]))._exponent == e
 
+    def test_unit_is_the_signal_in_range(self):
+        sig = synthesize(MODEL1, 50)
+        assert sig._unit is sig
+        assert sig._scaled is None  # no reference from a signal to itself
+
+    @pytest.mark.parametrize("factor", [1e160, 1e-170, 1.7e308, 5e-324])
+    def test_unit_is_one_scaled_twin_out_of_range(self, factor):
+        sig = Signal(factor * np.array([0.25, -1.0, 0.5]))
+        unit = sig._unit
+        assert unit is sig._unit  # built once, at construction
+        assert unit is not sig and unit._exponent == 0 and unit._unit is unit
+        assert unit.samples.tobytes() == np.ldexp(sig.samples, -sig._exponent).tobytes()
+
 
 class TestMeanCorrect:
     def test_simple(self):
@@ -330,10 +343,14 @@ class TestSerialization:
             read_signal(str(path))
 
     def test_csv_row_without_the_column_rejected(self, tmp_path):
+        # a row shorter or longer than the header, named or one unnamed column
         path = tmp_path / "short.csv"
-        path.write_text("x,y\n1,2\n3\n")
-        with pytest.raises(DomainError, match=r"short\.csv: line 3: .*'3'"):
-            read_signal(str(path))
+        for text, line, row in [("x,y\n1,2\n3\n", 3, "3"),
+                                ("t,y\n1,0.5,9\n", 2, "1,0.5,9"),
+                                ("1.0\n2.0,3.0\n", 2, "2.0,3.0")]:
+            path.write_text(text)
+            with pytest.raises(DomainError, match=rf"short\.csv: line {line}: .*'{row}'"):
+                read_signal(str(path))
 
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(0)

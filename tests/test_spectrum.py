@@ -1,6 +1,7 @@
 """Periodogram, harmonic criterion, and grid initializer."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,24 @@ class TestGridSpectrum:
             assert q_val == pytest.approx(
                 harmonic_criterion_qn(sig, float(lam), 4), rel=1e-9
             )
+
+
+    @pytest.mark.parametrize("factor", [1e152, 1e-150])
+    def test_out_of_range_signal_scales_back(self, model1, factor):
+        # the spectrum of y 2^-e times 2^(2e): at 1e152 |X_k|^2 of y itself
+        # overflowed to inf, with a numpy warning
+        clean = synthesize(model1, 200)
+        sig = Signal(factor * clean.samples)
+        assert sig._exponent != 0
+        _, i_base, q_base = grid_spectrum(clean, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lams, i_vals, q_vals = grid_spectrum(sig, 4)
+        np.testing.assert_array_equal(lams, fourier_grid(200, 4))
+        f2 = factor * factor
+        for got, base in ((i_vals, i_base), (q_vals, q_base)):
+            assert np.isfinite(got).all() and got.size == 24
+            np.testing.assert_allclose(got, base * f2, rtol=1e-13, atol=0.0)
 
 
 def _grid_power_by_temporaries(y, p, length):
