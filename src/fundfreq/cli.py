@@ -92,7 +92,7 @@ def _model_from_args(args) -> HarmonicModel:
 
 def _load_model_file(path: str) -> HarmonicModel:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # UTF-8, with or without a BOM
             raw = json.load(fh)
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not a text file ({exc})") from None

@@ -20,11 +20,9 @@ complex multiply per sample and harmonic), and the ramp t is built once
 per n and kept read-only.  X'X is factored by Cholesky in one place,
 :func:`_whitened`, with one pivot floor and one error, and its inverse
 factor serves every solve: g, the amplitudes, the start pass and the
-derivatives.  g and the amplitudes share one cached solve, :func:`_solve`,
-which keeps the last (signal, p, lam): the amplitude fit at the closing
-point of a ``converged_tol`` estimate reads it rather than repeating the
-pass and the factorization.  The 2p x 2p algebra after the pass applies K
-and J^2 by permuting and scaling entries, not by matrix products.
+derivatives.  g and the amplitudes share one solve, :func:`_solve`.  The
+2p x 2p algebra after the pass applies K and J^2 by permuting and scaling
+entries, not by matrix products.
 The pass can split after a sample n1: the moments over y(1..n1) then
 carry the derivative blocks while the rest adds only to X'X and X'Y, so
 one pass gives g over all n samples and g', g'' over the first n1
@@ -155,22 +153,14 @@ def g_and_prefix_derivatives(
     return float(z.dot(z)), lambda: _with_derivatives(head, p, n1, lam)[1:]
 
 
-# A Signal hashes by identity and its samples never change, so (signal,
-# p, lam) names one solve.  The derivative routines build X'X from products
-# of other shapes, whose rounding differs, so they never read or fill it.
-@functools.lru_cache(maxsize=1)  # g at lambda_hat, then the amplitudes there
 def _solve(signal: Signal, p: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """(L^{-1}, L^{-1}X'Y) over all n samples, read-only, kept for the last
-    (signal, p, lam).
+    """(L^{-1}, L^{-1}X'Y) over all n samples.
 
     g is ||L^{-1}X'Y||^2 and the least squares amplitudes are
     L^{-T} L^{-1}X'Y.
     """
     _check_band(p, lam)
-    solve = _whitened(_moments(signal.samples, p, lam, 0)[1], signal.n, lam)
-    for a in solve:
-        a.setflags(write=False)
-    return solve
+    return _whitened(_moments(signal.samples, p, lam, 0)[1], signal.n, lam)
 
 
 def _whitened(mom: np.ndarray, n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:

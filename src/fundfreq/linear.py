@@ -1,10 +1,8 @@
 """Amplitude recovery at a fixed frequency estimate, residuals, and the ACF.
 
 The least squares amplitudes solve the normal equations of all 2p design
-columns together, the same cached solve that defines the criterion g.
-After an estimate that ends ``converged_tol``, the amplitudes at
-lambda_hat read the solve of its closing g evaluation instead of repeating
-it.  Harmonic j's own 2x2 solve is the p = 1 case at j*lambda_hat,
+columns together, the same solve that defines the criterion g.  Harmonic
+j's own 2x2 solve is the p = 1 case at j*lambda_hat,
 ``lse_linear(signal, j * lambda_hat, 1)``.
 """
 
@@ -29,8 +27,7 @@ def lse_linear(signal: Signal, lambda_hat: float, p: int) -> list[tuple[float, f
     O(1/n) leakage error.  The solve is scale-free: it runs on the
     signal's ``_unit`` view y 2^-e (see :class:`Signal`), the one the
     estimate runs on, and its amplitudes are scaled back by 2^e, so it
-    holds up to the largest float and, after an out-of-range estimate,
-    still reads its closing solve.
+    holds up to the largest float.
     """
     linv, z = _solve(signal._unit, p, lambda_hat)
     theta = np.ldexp(linv.T.dot(z), signal._exponent)

@@ -24,9 +24,9 @@ Run to convergence, stage 3 returns the least squares estimate, the
 maximizer of g near the start.  Full steps converge to it quadratically,
 in about four full-sample criterion evaluations, and the step shorter than
 ``_TOL`` that ends a run lands on it to rounding accuracy, so no extra
-closing step follows and the landing point needs g alone (Nielsen et al.,
-Signal Processing 135, 2017, on Newton refinement of the exact least
-squares pitch criterion).  The quarter step of stage 2 damps the
+closing step follows and the landing point's g is the Newton model's
+(Nielsen et al., Signal Processing 135, 2017, on Newton refinement of the
+exact least squares pitch criterion).  The quarter step of stage 2 damps the
 classical Newton update on the shrunken subsample, which widens the
 curvature basin around the start.  A ``converged_tol`` run returns that
 landing point: within about 1e-10 of the maximizer g differs from its
@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .criterion import g, g_and_prefix_derivatives, g_with_derivatives
+from .criterion import g_and_prefix_derivatives, g_with_derivatives
 from .errors import DegenerateFrequencyError
 from .signal import Signal
 from .spectrum import fourier_grid_init
@@ -77,8 +77,11 @@ class EstimationTrace:
 
     ``records`` holds the start, the stage-2 iterate and each stage-3 step
     as finally taken; ``evaluations`` counts every criterion call, the
-    trial points of halved steps included.  The estimate is the last
-    record on ``converged_tol`` and :meth:`best` otherwise.
+    trial points of halved steps included.  The closing record of a
+    ``converged_tol`` run costs none: its g is the Newton model's value
+    g + s (g' + g'' s/2) at the landing point, from the (g, g', g'') of
+    the iterate the step s left.  The estimate is the last record on
+    ``converged_tol`` and :meth:`best` otherwise.
     """
 
     records: list[TraceRecord] = field(default_factory=list)
@@ -143,8 +146,7 @@ def _refine(
         return "boundary"
     # Stage 3: full Newton steps on the full sample.  Each iterate needs the
     # criterion value (backtracking) and both derivatives (next step), so
-    # they come from one pass over the moment blocks; the closing step's
-    # point needs the value alone.
+    # they come from one pass over the moment blocks.
     trace.evaluations += 1
     g_k, gp, gpp = g_with_derivatives(signal, p, lam_k)
     trace.records.append(TraceRecord(1, lam_k, n1, g_k, correction))
@@ -155,17 +157,16 @@ def _refine(
         if correction is None:
             return "degenerate"
         # Halve a step that leaves (0, pi/p) or lowers g.  A step shorter
-        # than _TOL closes the run, and nothing reads its derivatives.
+        # than _TOL closes the run with no pass: the Newton model's g at
+        # its landing point is within rounding of a measured one there.
         while True:
             lam_next = lam_k + correction
             inside = 0.0 < lam_next < math.pi / p
             if abs(correction) < _TOL:
                 if not inside:
                     return "boundary"
-                trace.evaluations += 1
-                trace.records.append(
-                    TraceRecord(k, lam_next, n, g(signal, p, lam_next), correction)
-                )
+                g_next = g_k + correction * (gp + gpp * correction / 2.0)
+                trace.records.append(TraceRecord(k, lam_next, n, g_next, correction))
                 return "converged_tol"
             if inside:
                 trace.evaluations += 1

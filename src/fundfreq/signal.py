@@ -97,13 +97,12 @@ class Signal:
     signal's samples therefore never change after construction, and a
     signal compares and hashes by identity: two signals over the same
     samples are unequal, and a pickled or deep-copied signal is a new one.
-    The criterion keys its cached solve on that identity.
 
     The one scale rule of the package: ``_exponent`` is e, the multiple of
     256 nearest the binary exponent of max|y|, 0 for max|y| inside 2^+-128.
     ``_unit`` is the signal y 2^-e, whose squares and every sum of n of
     them stay in the float range: the signal itself when e = 0, else a
-    twin built once at construction.  The estimate, the amplitude fit and
+    new signal built when it is read.  The estimate, the amplitude fit and
     the spectrum read ``_unit`` and scale their results back by 2^e or
     2^(2e).  A power of two scales exactly, so inside 2^+-128 nothing
     changes, and outside it every answer is the one at scale 1.
@@ -119,11 +118,7 @@ class Signal:
         if not math.isfinite(top):
             raise DomainError("samples must all be finite")
         object.__setattr__(self, "samples", np.frombuffer(samples.tobytes(), dtype=float))
-        e = 256 * round(math.frexp(top)[1] / 256)
-        object.__setattr__(self, "_exponent", e)
-        # the twin's own exponent is 0; None, not self, when e = 0, so that
-        # a signal holds no reference to itself
-        object.__setattr__(self, "_scaled", Signal(np.ldexp(samples, -e)) if e else None)
+        object.__setattr__(self, "_exponent", 256 * round(math.frexp(top)[1] / 256))
 
     def __reduce__(self):
         # pickle and deepcopy would restore the samples as a writable array;
@@ -136,8 +131,9 @@ class Signal:
 
     @property
     def _unit(self) -> Signal:
-        """y 2^-e: the twin built at construction, or this signal when e = 0."""
-        return self._scaled or self
+        """y 2^-e, whose own exponent is 0: this signal when e = 0."""
+        e = self._exponent
+        return Signal(np.ldexp(self.samples, -e)) if e else self
 
 
 @dataclass(frozen=True)
@@ -288,18 +284,19 @@ def write_signal(signal: Signal, path: str) -> None:
 def read_signal(path: str) -> Signal:
     """Read a signal written by :func:`write_signal` (text or CSV).
 
-    The file is read in one piece.  Blank lines are skipped, and so is a
-    line whose first non-blank character is ``#``, a comment.  Every other
-    line of a text file is one sample, read by Python's ``float`` rules in
-    one numpy call; a ``.csv`` file is read from the column its header
-    names ``y``, or is one unnamed column of numbers, and each of its rows
-    has as many cells as the header.  A file that is not text raises
-    :class:`DomainError` naming the file, and a line that cannot be read
-    as a finite number, or a CSV row of another width, one naming the file
-    and the line.
+    The file is read in one piece as UTF-8, past a leading byte order mark
+    such as a spreadsheet's "CSV UTF-8" writes.  Blank lines are skipped,
+    and so is a line whose first non-blank character is ``#``, a comment.
+    Every other line of a text file is one sample, read by Python's
+    ``float`` rules in one numpy call; a ``.csv`` file is read from the
+    column its header names ``y``, or is one unnamed column of numbers,
+    and each of its rows has as many cells as the header.  A file that is
+    not UTF-8 text raises :class:`DomainError` naming the file, and a line
+    that cannot be read as a finite number, or a CSV row of another width,
+    one naming the file and the line.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not a text file ({exc})") from None

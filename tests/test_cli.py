@@ -144,8 +144,8 @@ class TestEstimate:
         assert isinstance(report["trace"]["records"], list)
         assert report["trace"]["records"][0]["iteration"] == 0
         # record 0's g, the stage-2 step and one call per stage-3 record
-        # when no step is halved
-        assert report["trace"]["evaluations"] == len(report["trace"]["records"]) + 1
+        # but the closing one, when no step is halved
+        assert report["trace"]["evaluations"] == len(report["trace"]["records"])
         assert 0.0 < report["lambda_hat"] < math.pi / 4
 
     def test_missing_file(self, capsys):
@@ -470,6 +470,10 @@ class TestSimulate:
             ["simulate", "--model-file", str(model_file)] + args, capsys
         )
         assert via_preset == via_file
+        # a file saved with a UTF-8 byte order mark reads the same
+        model_file.write_bytes(b"\xef\xbb\xbf" + model_file.read_bytes())
+        code, via_bom, _ = run_cli(["simulate", "--model-file", str(model_file)] + args, capsys)
+        assert (code, via_bom) == (0, via_preset)
         # there is no --model flag, and no prefix stands for --model-file
         with pytest.raises(SystemExit) as exc_info:
             main(["simulate", "--model", "2"] + args)

@@ -295,12 +295,10 @@ class TestCaches:
     """Arrays kept per n or per p are read-only, and the per-n caches of
     the criterion pass are bounded."""
 
-    def test_cached_arrays_are_read_only(self, model1):
-        solve = criterion._solve(synthesize(model1, 100), 4, 0.25)
-        for cached in (criterion._ramp(100), _phase_angles(100), *criterion._harmonic_operators(3),
-                       *solve):
+    def test_cached_arrays_are_read_only(self):
+        for cached in (criterion._ramp(100), _phase_angles(100),
+                       *criterion._harmonic_operators(3)):
             assert not cached.flags.writeable
-        assert criterion._solve.cache_info().maxsize == 1
 
     @pytest.mark.parametrize("cached", [criterion._ramp, _phase_angles])
     def test_per_n_caches_are_bounded(self, cached):

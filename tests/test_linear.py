@@ -7,18 +7,14 @@ import numpy as np
 import pytest
 
 from fundfreq import (
-    DegenerateFrequencyError,
     DomainError,
     LinearProcessSpec,
     Signal,
-    estimate_fundamental,
     lse_linear,
     residuals,
     sample_acf,
     synthesize,
 )
-from fundfreq import criterion, mnr
-from fundfreq.criterion import g, g_and_prefix_derivatives, g_with_derivatives
 
 
 def amplitude_matrix(pairs):
@@ -90,117 +86,14 @@ class TestLse:
         truth = amplitude_matrix(model1.amplitudes)
         assert np.allclose(got / scale, truth, rtol=1e-9, atol=0.0)
 
-
-@pytest.fixture
-def solves(monkeypatch):
-    """The lambda of every factorization of X'X, in call order, from an
-    empty solve cache."""
-    criterion._solve.cache_clear()
-    calls = []
-    inner = criterion._whitened
-
-    def counted(mom, n, lam):
-        calls.append(lam)
-        return inner(mom, n, lam)
-
-    monkeypatch.setattr(criterion, "_whitened", counted)
-    return calls
-
-
-def _fit(sig, lam, p):
-    """Amplitudes and residual bytes at lam."""
-    amps = lse_linear(sig, lam, p)
-    return amps, residuals(sig, lam, amps).tobytes()
-
-
-class TestClosingSolveReuse:
-    """The amplitude solve reads the cached solve of g where it is the same solve."""
-
-    @pytest.mark.parametrize("preset", [1, 2])
-    @pytest.mark.parametrize("n", [100, 1050])
-    def test_reused_fit_equals_a_fresh_one(self, model1, model2, solves, preset, n):
-        sig = synthesize(model1 if preset == 1 else model2, n,
-                         LinearProcessSpec((1.0, 0.5), 0.25), seed=n)
-        lam_hat, trace = estimate_fundamental(sig, 4)
-        assert trace.status == "converged_tol"
-        del solves[:]
-        reused = _fit(sig, lam_hat, 4)
-        assert solves == []
-        assert _fit(Signal(sig.samples.copy()), lam_hat, 4) == reused
-        criterion._solve.cache_clear()
-        assert _fit(sig, lam_hat, 4) == reused
-        assert solves == [lam_hat, lam_hat]
-
-    def test_other_samples_p_or_lambda_solve_afresh(self, m1_clean_512, solves):
-        sig, lam = m1_clean_512, 0.2501
-        g(sig, 4, lam)
-        for other, p, at in [(Signal(sig.samples), 4, lam), (sig, 3, lam),
-                             (sig, 4, math.nextafter(lam, 1.0))]:
-            del solves[:]
-            lse_linear(other, at, p)
-            assert solves == [at]
-        g(sig, 4, lam)
-        del solves[:]
-        lse_linear(sig, lam, 4)
-        assert solves == []
-
-    @pytest.mark.parametrize("status", ["converged_objective", "max_iter"])
-    def test_other_statuses_solve_afresh(self, model1, solves, monkeypatch, status):
-        if status == "max_iter":
-            monkeypatch.setattr(mnr, "_MAX_ITER", 1)
-        else:
-            def convex(signal, p, lam):
-                g_val, gp, gpp = criterion.g_with_derivatives(signal, p, lam)
-                return g_val, gp, abs(gpp) + 1.0
-
-            monkeypatch.setattr(mnr, "g_with_derivatives", convex)
-        sig = synthesize(model1, 500, LinearProcessSpec((1.0, 0.5), 0.25), seed=30)
-        lam_hat, trace = estimate_fundamental(sig, 4)
-        assert trace.status == status
-        del solves[:]
-        got = _fit(sig, lam_hat, 4)
-        assert solves == [lam_hat]
-        assert got == _fit(Signal(sig.samples.copy()), lam_hat, 4)
-
-    def test_derivative_passes_keep_no_solve(self, m1_clean_512, solves):
-        sig, lam = m1_clean_512, 0.2501
-        g_with_derivatives(sig, 4, lam)
-        g_and_prefix_derivatives(sig, 4, lam, 300)[1]()
-        assert criterion._solve.cache_info().currsize == 0
-        g(sig, 4, 0.2502)
-        g_with_derivatives(sig, 4, lam)
-        del solves[:]
-        lse_linear(sig, lam, 4)
-        assert solves == [lam]
-
-    def test_degenerate_g_keeps_no_solve(self, solves):
-        sig = Signal(np.ones(100))
-        with pytest.raises(DegenerateFrequencyError):
-            g(sig, 1, 1e-9)
-        assert criterion._solve.cache_info().currsize == 0
-        with pytest.raises(DegenerateFrequencyError):
-            lse_linear(sig, 1e-9, 1)
-
-    @pytest.mark.parametrize("factor", [1e160, 1e-170])
-    def test_out_of_range_fit_reuses_the_estimate_solve(self, model1, solves, factor):
-        # the estimate and the fit both read the signal's one scaled twin
-        sig = Signal(factor * synthesize(model1, 200).samples)
-        lam_hat, trace = estimate_fundamental(sig, 4)
-        assert trace.status == "converged_tol"
-        hits, misses = criterion._solve.cache_info()[:2]
-        lse_linear(sig, lam_hat, 4)
-        assert criterion._solve.cache_info()[:2] == (hits + 1, misses)
-        assert (hits, misses) == (0, 1)
-
-    def test_out_of_range_samples_solve_scaled(self, m1_clean_512, solves):
-        # g on unscaled samples outside 2^+-128 is not the scaled solve
-        sig = Signal(1e150 * m1_clean_512.samples)
-        g(sig, 4, 0.25)
-        del solves[:]
-        kept = lse_linear(sig, 0.25, 4)
-        assert solves == [0.25]
-        criterion._solve.cache_clear()
-        assert lse_linear(sig, 0.25, 4) == kept
+    @pytest.mark.parametrize("factor", [1e150, 1e160, 1e-170])
+    def test_out_of_range_fit_equals_the_scaled_fit(self, m1_clean_512, factor):
+        # the fit runs on y 2^-e and scales its amplitudes back by 2^e exactly
+        sig = Signal(factor * m1_clean_512.samples)
+        e = sig._exponent
+        unit = lse_linear(Signal(np.ldexp(sig.samples, -e)), 0.25, 4)
+        assert e != 0
+        assert lse_linear(sig, 0.25, 4) == [(math.ldexp(a, e), math.ldexp(b, e)) for a, b in unit]
 
 
 class TestResiduals:
