@@ -27,7 +27,11 @@ The pass can split after a sample n1: the moments over y(1..n1) then
 carry the derivative blocks while the rest adds only to X'X and X'Y, so
 one pass gives g over all n samples and g', g'' over the first n1
 (:func:`g_and_prefix_derivatives`).  T*y is formed over the first n1
-samples alone, so g and the amplitudes never form it.
+samples alone, so g and the amplitudes never form it.  When that start
+pass meets the same (n, p, lam, n1) twice in a row, as the replications
+of a Monte Carlo cell nearly always do, it keeps its data-free half, the
+design rows and both inverse factors of X'X, in :func:`_start_design`
+(about 8(n + n1) floats), and later replications pay only for their data.
 
 A single harmonic j is the p = 1 case at frequency j*lam: its projection
 norm R_j is g(signal, 1, j*lam), and ``compute_moments`` reads its six
@@ -56,6 +60,10 @@ __all__ = ["g", "g_and_prefix_derivatives", "g_with_derivatives"]
 # Floor on each squared Cholesky pivot of X'X, relative to n (a squared
 # pivot is ~ n/2 away from degenerate frequencies).
 _PIVOT_FLOOR = 1e-10
+
+# The (n, p, lam, n1) of the last start pass.  Only a start met twice in a
+# row is worth keeping, so a single estimate keeps nothing.
+_last_start: tuple[int, int, float, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -127,7 +135,9 @@ def g_with_derivatives(signal: Signal, p: int, lam: float) -> tuple[float, float
         g'' = 2 [r'M^{-1}r - (J^2 a)'(w - Ba) - (Ka)'B(Ka)].
     """
     _check_band(p, lam)
-    return _with_derivatives(_moments(signal.samples, p, lam, signal.n)[0], p, signal.n, lam)
+    q = 2 * p
+    mom = _moments(signal.samples, p, lam, signal.n)[0]
+    return _with_derivatives(mom, p, *_whitened(mom[q : 2 * q, q:], signal.n, lam))
 
 
 def g_and_prefix_derivatives(
@@ -137,20 +147,100 @@ def g_and_prefix_derivatives(
 
     Returns ``(g, prefix_derivatives)``.  A singular X'X over all n
     samples raises :class:`DegenerateFrequencyError` here; the derivatives
-    of the subsample y(1..n1) are solved, and raise, only when
-    ``prefix_derivatives()`` is called.  They come from the same product
-    as ``g_derivatives(Signal(signal.samples[:n1]), p, lam)``,
+    of the subsample y(1..n1) raise only when ``prefix_derivatives()`` is
+    called.  They come from the same product as
+    ``g_derivatives(Signal(signal.samples[:n1]), p, lam)``, bit for bit,
     and g agrees with :func:`g` to rounding.
+
+    The replications of a Monte Carlo cell share their start, so a start
+    met twice in a row takes everything but the data from
+    :func:`_start_design`: the data fill two rows of a copy of its head
+    rows.  A start met once builds the same rows with the data in them and
+    keeps nothing.  Both take the same products of the same rows and the
+    same factors, so g and the derivatives are the same bit for bit
+    either way: X'Y over the first n1 samples comes with the derivative
+    moments from the head product, and one product of the X rows with y
+    gives X'Y over the rest.
     """
+    global _last_start
     _check_band(p, lam)
     n = signal.n
     if not 0 < n1 < n:
         raise DomainError(f"need 0 < n1 < n = {n}, got n1 = {n1}")
-    head, tail = _moments(signal.samples, p, lam, n1)
     q = 2 * p
-    tail += head[q : 2 * q, q : 2 * q + 1]  # X'X and X'Y over all n samples
-    z = _whitened(tail, n, lam)[1]
-    return float(z.dot(z)), lambda: _with_derivatives(head, p, n1, lam)[1:]
+    y = signal.samples
+    if _last_start == (n, p, lam, n1):
+        rows, tail_x, full, prefix = _start_design(n, p, lam, n1)
+        s = rows.copy()
+        s[2 * q :] *= y[:n1]  # rows Y and TY
+        head = s[: 2 * q] @ s.T
+    else:
+        _last_start = (n, p, lam, n1)
+        s = _design_rows(p, lam, n, n1)
+        s[2 * q] = y
+        np.multiply(_ramp(n)[:n1], y[:n1], out=s[-1, :n1])
+        head = s[: 2 * q, :n1] @ s[:, :n1].T
+        full, prefix = _start_factors(s, head, p, lam, n1)
+        tail_x = s[q : 2 * q, n1:]
+    z = full.dot(tail_x @ y[n1:] + head[q : 2 * q, 2 * q])
+
+    def prefix_derivatives() -> tuple[float, float]:
+        if isinstance(prefix, str):
+            raise DegenerateFrequencyError(prefix)
+        return _with_derivatives(head, p, prefix, prefix.dot(head[q : 2 * q, 2 * q]))[1:]
+
+    return float(z.dot(z)), prefix_derivatives
+
+
+@functools.lru_cache(maxsize=1)  # the replications of a Monte Carlo cell share their start
+def _start_design(
+    n: int, p: int, lam: float, n1: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | str]:
+    """The data-free half of :func:`g_and_prefix_derivatives`, read-only,
+    built once per (n, p, lam, n1) and kept for the last one.
+
+    Returns ``(rows, tail_x, full, prefix)``: the rows of :func:`_moments`
+    over t <= n1, with 1 and t in the rows Y and TY for the data to
+    multiply; its X rows over t > n1; and the factors of
+    :func:`_start_factors`.  That is about 8(n + n1) floats.  The X'X
+    blocks of a product do not depend on its data rows, so the factors
+    are bit for bit those of a pass with the data in.
+    """
+    q = 2 * p
+    s = _design_rows(p, lam, n, n1)
+    s[2 * q] = 0.0
+    s[2 * q, :n1] = 1.0
+    s[-1, :n1] = _ramp(n)[:n1]
+    full, prefix = _start_factors(s, s[: 2 * q, :n1] @ s[:, :n1].T, p, lam, n1)
+    design = (s[:, :n1].copy(), s[q : 2 * q, n1:].copy(), full, prefix)
+    for a in design:
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return design
+
+
+def _start_factors(
+    s: np.ndarray, head: np.ndarray, p: int, lam: float, n1: int
+) -> tuple[np.ndarray, np.ndarray | str]:
+    """The inverse Cholesky factors L^{-1} of X'X over all n samples and
+    over the first n1, from the rows of :func:`_design_rows` and their
+    head product.
+
+    The tail product is the one :func:`_moments` takes, so X'X is the one
+    its pass sums, whatever the row Y holds.  A singular X'X over all n
+    raises; over the first n1 the second factor is the message of the
+    :class:`DegenerateFrequencyError` instead, raised when the
+    derivatives are read.
+    """
+    q = 2 * p
+    n = s.shape[1]
+    xx = s[q : 2 * q, n1:] @ s[q : 2 * q + 1, n1:].T  # X'X and X'Y over t > n1
+    xx[:, :q] += head[q : 2 * q, q : 2 * q]
+    full = _whitened(xx, n, lam)[0]
+    try:
+        return full, _whitened(head[q : 2 * q, q:], n1, lam)[0]
+    except DegenerateFrequencyError as exc:
+        return full, str(exc)
 
 
 def _solve(signal: Signal, p: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -197,10 +287,10 @@ def _cholesky(m: np.ndarray) -> np.ndarray:
 
 
 def _with_derivatives(
-    mom: np.ndarray, p: int, n: int, lam: float
+    mom: np.ndarray, p: int, linv: np.ndarray, zu: np.ndarray
 ) -> tuple[float, float, float]:
     """:func:`g_with_derivatives` from the head product of :func:`_moments`
-    over n samples.
+    and ``(linv, zu)``, what :func:`_whitened` returns for its X rows.
 
     K, K' and J^2 act by permuting and scaling entries, which gives what
     products with them give, bit for bit.  ``ndarray.dot`` dispatches in
@@ -209,7 +299,6 @@ def _with_derivatives(
     do not).
     """
     q = 2 * p
-    linv, zu = _whitened(mom[q : 2 * q, q:], n, lam)  # X rows: [X'X | X'Y | X'TY]
     a = linv.T.dot(zu)
     pick, scale, swap, kt = _harmonic_operators(p)
     aks = (a[pick] * scale).reshape(3, q)           # rows a, Ka, J^2 a
@@ -256,20 +345,28 @@ def _moments(
     """
     q = 2 * p
     n = y.size
-    z = _phases(lam, n, p)
-    s = np.empty((2 * q + 2, n))  # rows TX, X, Y, TY
-    s[q : 2 * q : 2] = z.real
-    s[q + 1 : 2 * q : 2] = z.imag
+    s = _design_rows(p, lam, n, n1)
     s[2 * q] = y
     head = tail = None
     if n1:
-        t = _ramp(n)[:n1]
-        np.multiply(t, y[:n1], out=s[-1, :n1])
-        np.multiply(s[q : 2 * q, :n1], t, out=s[:q, :n1])
+        np.multiply(_ramp(n)[:n1], y[:n1], out=s[-1, :n1])
         head = s[: 2 * q, :n1] @ s[:, :n1].T
     if n1 < n:
         tail = s[q : 2 * q, n1:] @ s[q : 2 * q + 1, n1:].T
     return head, tail
+
+
+def _design_rows(p: int, lam: float, n: int, n1: int) -> np.ndarray:
+    """The rows of :func:`_moments` before the data: TX over t <= n1 and X
+    over all n samples, then the rows Y and TY, unset."""
+    q = 2 * p
+    z = _phases(lam, n, p)
+    s = np.empty((2 * q + 2, n))
+    s[q : 2 * q : 2] = z.real
+    s[q + 1 : 2 * q : 2] = z.imag
+    if n1:
+        np.multiply(s[q : 2 * q, :n1], _ramp(n)[:n1], out=s[:q, :n1])
+    return s
 
 
 @functools.lru_cache(maxsize=1)  # every evaluation of an estimate runs at one n

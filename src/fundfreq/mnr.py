@@ -33,6 +33,14 @@ landing point: within about 1e-10 of the maximizer g differs from its
 peak by less than its own rounding, so comparing g values there could
 keep the iterate before the last step.  Every other status returns the
 iterate with the largest g seen.
+
+Record 0's g and the stage-2 derivatives come from one start pass,
+:func:`~fundfreq.criterion.g_and_prefix_derivatives`.  The replications of
+a Monte Carlo cell nearly always start on one grid point, so once a start
+comes twice in a row the pass keeps its data-free half, the design rows
+and both inverse factors of X'X (about 8(n + n1) floats), and later
+replications pay only for their data.  A single estimate keeps nothing
+but per-n and per-p tables.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ at L = n, where an off-grid fundamental can lose the start to its octave
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -79,8 +80,10 @@ def fourier_grid(n: int, p: int) -> np.ndarray:
     return 2.0 * math.pi * ks / n
 
 
+@functools.lru_cache(maxsize=1)  # every estimate of a Monte Carlo cell starts at one n
 def _smooth_length(m: int) -> int:
-    """The smallest 5-smooth integer 2^a 3^b 5^c that is at least m >= 1.
+    """The smallest 5-smooth integer 2^a 3^b 5^c that is at least m >= 1,
+    kept for the last m.
 
     numpy's FFT is fast at these lengths and falls to a slow path on
     lengths with a large prime factor.

@@ -2,7 +2,17 @@
 
 import pytest
 
+import fundfreq.criterion as criterion
 from fundfreq import MODEL1, MODEL2, synthesize
+
+
+@pytest.fixture(autouse=True)
+def cold_start_design():
+    """Every test starts with no start pass remembered and no start design
+    cached, so a test that counts or patches the factorizations of the
+    start pass sees them whatever ran before it."""
+    criterion._start_design.cache_clear()
+    criterion._last_start = None
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import fundfreq.criterion as criterion
+import fundfreq.spectrum as spectrum
 from fundfreq import (
     DegenerateFrequencyError,
     DomainError,
@@ -229,6 +230,64 @@ class TestPrefixPass:
         with pytest.raises(DegenerateFrequencyError):
             prefix_derivatives()
 
+    @pytest.mark.parametrize("p, n, n1", [(1, 100, 51), (4, 500, 205), (4, 4000, 1223)])
+    def test_repeated_start_gives_what_a_fresh_one_gives(self, model1, p, n, n1):
+        # replications of one cell share their start: the first takes the
+        # fresh pass, the second builds the cached design, the third reads
+        # it; each gives what a fresh pass gives, bit for bit
+        noise = LinearProcessSpec((1.0, 0.5), 0.25)
+        sigs = [synthesize(model1, n, noise, seed=seed) for seed in (1, 2, 3)]
+        fresh = []
+        for sig in sigs:
+            criterion._last_start = None
+            g_full, prefix_derivatives = g_and_prefix_derivatives(sig, p, 0.2503, n1)
+            fresh.append((g_full, prefix_derivatives()))
+        assert criterion._start_design.cache_info().currsize == 0
+        criterion._last_start = None
+        for sig, want in zip(sigs, fresh, strict=True):
+            g_full, prefix_derivatives = g_and_prefix_derivatives(sig, p, 0.2503, n1)
+            assert (g_full, prefix_derivatives()) == want
+        info = criterion._start_design.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_repeated_start_builds_no_phases_and_factors_nothing(self, model1, monkeypatch):
+        # from the third replication of a cell on, the start pass reads the
+        # design rows and both factors of X'X from the cache
+        noise = LinearProcessSpec((1.0, 0.5), 0.25)
+        for seed in (1, 2):
+            g_and_prefix_derivatives(synthesize(model1, 500, noise, seed=seed), 4, 0.2503, 205)
+        calls = []
+        for name in ("_phases", "_whitened"):
+            inner = getattr(criterion, name)
+            monkeypatch.setattr(criterion, name,
+                                lambda *args, inner=inner, name=name: calls.append(name) or inner(*args))
+        g_full, prefix_derivatives = g_and_prefix_derivatives(
+            synthesize(model1, 500, noise, seed=3), 4, 0.2503, 205)
+        prefix_derivatives()
+        assert calls == []
+        assert criterion._start_design.cache_info().hits == 1
+
+    def test_singular_full_sample_raises_on_a_repeated_start(self, model1):
+        # a singular X'X is never cached: the fresh pass and every later
+        # call at that start raise
+        sig = synthesize(model1, 3000, LinearProcessSpec((1.0, 0.5), 0.25), seed=3)
+        g_and_prefix_derivatives(sig, 4, 0.2503, 955)
+        for _ in range(2):
+            with pytest.raises(DegenerateFrequencyError):
+                g_and_prefix_derivatives(sig, 4, math.pi / 4 - 1e-9, 955)
+
+    def test_singular_prefix_raises_when_read_on_a_repeated_start(self, model1):
+        # the fresh pass, the one that builds the design and the one that
+        # reads it all raise only when the derivatives are read
+        sig = synthesize(model1, 3000, LinearProcessSpec((1.0, 0.5), 0.25), seed=3)
+        lam = math.pi / 4 - 1e-7
+        for _ in range(3):
+            g_full, prefix_derivatives = g_and_prefix_derivatives(sig, 4, lam, 25)
+            assert g_full == pytest.approx(g(sig, 4, lam), rel=1e-13)
+            with pytest.raises(DegenerateFrequencyError, match="pivot floor"):
+                prefix_derivatives()
+        assert criterion._start_design.cache_info().hits == 1
+
 
 class TestMomentOracle:
     """Per-harmonic moment blocks against direct O(n) cos/sin sums."""
@@ -297,10 +356,11 @@ class TestCaches:
 
     def test_cached_arrays_are_read_only(self):
         for cached in (criterion._ramp(100), _phase_angles(100),
-                       *criterion._harmonic_operators(3)):
+                       *criterion._harmonic_operators(3),
+                       *criterion._start_design(100, 4, 0.25, 51)):
             assert not cached.flags.writeable
 
-    @pytest.mark.parametrize("cached", [criterion._ramp, _phase_angles])
+    @pytest.mark.parametrize("cached", [criterion._ramp, _phase_angles, spectrum._smooth_length])
     def test_per_n_caches_are_bounded(self, cached):
         # a long run over many n must not grow the process
         maxsize = cached.cache_info().maxsize
@@ -316,6 +376,30 @@ class TestCaches:
             m[...] = np.nan
         got = criterion._moments(y, 4, 0.2503, 100)
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+    def test_start_design_is_bounded(self):
+        maxsize = criterion._start_design.cache_info().maxsize
+        assert maxsize is not None
+        for n in range(100, 100 + 3 * maxsize):
+            criterion._start_design(n, 4, 0.25, 51)
+        assert criterion._start_design.cache_info().currsize <= maxsize
+
+    def test_start_design_cannot_be_poisoned(self, model1):
+        # writing the cached design fails, also through a view's base, and
+        # a writable copy of it is the caller's own
+        sig = synthesize(model1, 300, LinearProcessSpec((1.0, 0.5), 0.25), seed=2)
+        g_full, prefix_derivatives = g_and_prefix_derivatives(sig, 4, 0.2503, 100)
+        want = (g_full, prefix_derivatives())
+        for cached in criterion._start_design(300, 4, 0.2503, 100):
+            for array in (cached, cached.base):
+                if array is not None:
+                    with pytest.raises(ValueError):
+                        array[...] = np.nan
+            mine = cached.copy()
+            mine[...] = np.nan
+        g_full, prefix_derivatives = g_and_prefix_derivatives(sig, 4, 0.2503, 100)
+        assert (g_full, prefix_derivatives()) == want
+        assert criterion._start_design.cache_info().hits == 1
 
 
 def _direct_moments(y, j, lam):

@@ -226,6 +226,21 @@ class TestEstimateFundamental:
             assert len(trace.records) == 1
             assert sizes == [100, 51]
 
+    def test_singular_subsample_ends_degenerate_on_a_repeated_start(self, model1, monkeypatch):
+        # harmonic 4 near pi: X'X over the first 955 samples is below its
+        # pivot floor, over all 3000 it is not.  The run that builds the
+        # start design and the one that reads it end degenerate after
+        # record 0, as the fresh one does
+        monkeypatch.setattr(mnr, "fourier_grid_init", lambda *args: math.pi / 4 - 4e-9)
+        sig = synthesize(model1, 3000, LinearProcessSpec((1.0, 0.5), 0.25), seed=3)
+        for _ in range(3):
+            lam_hat, trace = estimate_fundamental(sig, 4)
+            assert trace.status == "degenerate"
+            assert len(trace.records) == 1
+            assert trace.evaluations == 2
+            assert lam_hat == math.pi / 4 - 4e-9
+        assert criterion._start_design.cache_info().hits == 1
+
     def test_inadmissible_grid_point_not_used_as_start(self):
         # pure noise whose spectrum peaks at the top of the grid: the start
         # used to be pi itself, where X'X is singular and record 0's g raised

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import fundfreq.criterion as criterion
 import fundfreq.montecarlo as mc
 from fundfreq import (
     DegenerateFrequencyError,
@@ -104,6 +105,32 @@ class TestDeterminism:
         assert len(seen) == len(expected) == 20
         for sig, ref in zip(seen, expected):
             assert np.array_equal(sig.samples, ref.samples)
+
+    @pytest.mark.parametrize("n", [100, 200, 500])
+    def test_replications_do_not_depend_on_the_cached_start(self, n, monkeypatch):
+        # the replications of a cell share the start pass's data-free half;
+        # forgetting it before each one changes no estimate, trace or CSV byte
+        inner = mc.estimate_fundamental
+        spec = small_spec(sample_sizes=(n,), replications=20, master_seed=3)
+        runs = []
+        for cold in (False, True):
+            estimates = []
+
+            def recorded(signal, p, cold=cold, estimates=estimates):
+                if cold:
+                    criterion._start_design.cache_clear()
+                    criterion._last_start = None
+                estimates.append(inner(signal, p))
+                return estimates[-1]
+
+            monkeypatch.setattr(mc, "estimate_fundamental", recorded)
+            criterion._start_design.cache_clear()
+            criterion._last_start = None
+            lines = summary_csv_lines(run_experiment(spec))
+            runs.append((lines, [(lam, t.status, t.evaluations, t.records) for lam, t in estimates]))
+            if not cold:
+                assert criterion._start_design.cache_info().hits >= 15
+        assert runs[0] == runs[1]
 
     def test_master_seed_changes_results(self):
         a = run_experiment(small_spec())[0]
