@@ -23,15 +23,18 @@ factor serves every solve: g, the amplitudes, the start pass and the
 derivatives.  g and the amplitudes share one solve, :func:`_solve`.  The
 2p x 2p algebra after the pass applies K and J^2 by permuting and scaling
 entries, not by matrix products.
-The pass can split after a sample n1: the moments over y(1..n1) then
-carry the derivative blocks while the rest adds only to X'X and X'Y, so
-one pass gives g over all n samples and g', g'' over the first n1
-(:func:`g_and_prefix_derivatives`).  T*y is formed over the first n1
-samples alone, so g and the amplitudes never form it.  When that start
+Every pass builds the design and takes its products in one routine,
+:func:`_moments`, which splits the product after a sample n1: the
+moments over y(1..n1) carry the derivative blocks while the rest adds
+only to X'X and X'Y.  At n1 = n it is the pass of g and its derivatives;
+at n1 = 0 it is the solve of g and the amplitudes, which never forms
+T*y; in between it gives g over all n samples and g', g'' over the first
+n1 (:func:`g_and_prefix_derivatives`, the start pass).  When the start
 pass meets the same (n, p, lam, n1) twice in a row, as the replications
-of a Monte Carlo cell nearly always do, it keeps its data-free half, the
-design rows and both inverse factors of X'X, in :func:`_start_design`
-(about 8(n + n1) floats), and later replications pay only for their data.
+of a Monte Carlo cell nearly always do, it keeps its data-free half in
+:func:`_start_design`: the same routine's rows over data that are 1 up
+to n1 and 0 after, and both inverse factors of X'X ((4p + 2)n
+floats).  Later replications pay only for their data.
 
 A single harmonic j is the p = 1 case at frequency j*lam: its projection
 norm R_j is g(signal, 1, j*lam), and ``compute_moments`` reads its six
@@ -41,7 +44,6 @@ moment blocks off the same kernel, with D = jT in place of T.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +101,7 @@ def compute_moments(signal: Signal, j: int, lam: float) -> HarmonicDesignMoments
     """The six moment blocks of harmonic j: the p = 1 kernel at j*lam, D = jT."""
     _check_band(j, lam)
     # Rows (tc, ts, c, s) against columns (tc, ts, c, s, y, ty).
-    mom = _moments(signal.samples, 1, j * lam, signal.n)[0]
+    mom = _moments(signal.samples, 1, j * lam, signal.n)[1]
     blocks = (mom[2:4, 2:4], j * mom[2:4, :2], j * j * mom[:2, :2])
     for b in blocks:
         b[1, 0] = b[0, 1]   # the product's two triangles differ in the last bit
@@ -136,31 +138,30 @@ def g_with_derivatives(signal: Signal, p: int, lam: float) -> tuple[float, float
     """
     _check_band(p, lam)
     q = 2 * p
-    mom = _moments(signal.samples, p, lam, signal.n)[0]
+    mom = _moments(signal.samples, p, lam, signal.n)[1]
     return _with_derivatives(mom, p, *_whitened(mom[q : 2 * q, q:], signal.n, lam))
 
 
 def g_and_prefix_derivatives(
     signal: Signal, p: int, lam: float, n1: int
-) -> tuple[float, Callable[[], tuple[float, float]]]:
+) -> tuple[float, tuple[float, float] | None]:
     """g over all n samples and (g', g'') over the first n1, from one pass.
 
-    Returns ``(g, prefix_derivatives)``.  A singular X'X over all n
-    samples raises :class:`DegenerateFrequencyError` here; the derivatives
-    of the subsample y(1..n1) raise only when ``prefix_derivatives()`` is
-    called.  They come from the same product as
-    ``g_derivatives(Signal(signal.samples[:n1]), p, lam)``, bit for bit,
-    and g agrees with :func:`g` to rounding.
+    Returns ``(g, (g', g''))``, with None for the derivatives where X'X
+    over the first n1 samples is singular; a singular X'X over all n
+    raises :class:`DegenerateFrequencyError`.  The derivatives come from
+    the same product as ``g_derivatives(Signal(signal.samples[:n1]), p,
+    lam)``, bit for bit, and g agrees with :func:`g` to rounding.
 
     The replications of a Monte Carlo cell share their start, so a start
     met twice in a row takes everything but the data from
-    :func:`_start_design`: the data fill two rows of a copy of its head
-    rows.  A start met once builds the same rows with the data in them and
-    keeps nothing.  Both take the same products of the same rows and the
-    same factors, so g and the derivatives are the same bit for bit
-    either way: X'Y over the first n1 samples comes with the derivative
-    moments from the head product, and one product of the X rows with y
-    gives X'Y over the rest.
+    :func:`_start_design`: the data fill two rows of a copy of its rows
+    over t <= n1.  A start met once takes the products of :func:`_moments`
+    with the data in and keeps nothing.  Both take the same head product
+    of the same rows and the same factors, so g and the derivatives are
+    the same bit for bit either way: X'Y over the first n1 samples comes
+    with the derivative moments from the head product, and one product of
+    the X rows with y gives X'Y over the rest.
     """
     global _last_start
     _check_band(p, lam)
@@ -170,77 +171,60 @@ def g_and_prefix_derivatives(
     q = 2 * p
     y = signal.samples
     if _last_start == (n, p, lam, n1):
-        rows, tail_x, full, prefix = _start_design(n, p, lam, n1)
-        s = rows.copy()
+        rows, full, prefix = _start_design(n, p, lam, n1)
+        s = rows[:, :n1].copy()
         s[2 * q :] *= y[:n1]  # rows Y and TY
         head = s[: 2 * q] @ s.T
     else:
         _last_start = (n, p, lam, n1)
-        s = _design_rows(p, lam, n, n1)
-        s[2 * q] = y
-        np.multiply(_ramp(n)[:n1], y[:n1], out=s[-1, :n1])
-        head = s[: 2 * q, :n1] @ s[:, :n1].T
-        full, prefix = _start_factors(s, head, p, lam, n1)
-        tail_x = s[q : 2 * q, n1:]
-    z = full.dot(tail_x @ y[n1:] + head[q : 2 * q, 2 * q])
-
-    def prefix_derivatives() -> tuple[float, float]:
-        if isinstance(prefix, str):
-            raise DegenerateFrequencyError(prefix)
-        return _with_derivatives(head, p, prefix, prefix.dot(head[q : 2 * q, 2 * q]))[1:]
-
-    return float(z.dot(z)), prefix_derivatives
+        rows, head, tail = _moments(y, p, lam, n1)
+        full, prefix = _start_factors(head, tail, n, n1, lam)
+    z = full.dot(rows[q : 2 * q, n1:] @ y[n1:] + head[q : 2 * q, 2 * q])
+    derivatives = None
+    if prefix is not None:
+        derivatives = _with_derivatives(head, p, prefix, prefix.dot(head[q : 2 * q, 2 * q]))[1:]
+    return float(z.dot(z)), derivatives
 
 
 @functools.lru_cache(maxsize=1)  # the replications of a Monte Carlo cell share their start
 def _start_design(
     n: int, p: int, lam: float, n1: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | str]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The data-free half of :func:`g_and_prefix_derivatives`, read-only,
     built once per (n, p, lam, n1) and kept for the last one.
 
-    Returns ``(rows, tail_x, full, prefix)``: the rows of :func:`_moments`
-    over t <= n1, with 1 and t in the rows Y and TY for the data to
-    multiply; its X rows over t > n1; and the factors of
-    :func:`_start_factors`.  That is about 8(n + n1) floats.  The X'X
-    blocks of a product do not depend on its data rows, so the factors
-    are bit for bit those of a pass with the data in.
+    Returns ``(rows, full, prefix)``: the rows of :func:`_moments` run on
+    the data 1 over t <= n1 and 0 after, so that 1 and t stand in the rows
+    Y and TY for the data to multiply ((4p + 2)n floats), and the
+    factors of :func:`_start_factors`.  The X'X blocks of a product do not
+    depend on its data rows, so the factors are bit for bit those of a
+    pass with the data in.
     """
-    q = 2 * p
-    s = _design_rows(p, lam, n, n1)
-    s[2 * q] = 0.0
-    s[2 * q, :n1] = 1.0
-    s[-1, :n1] = _ramp(n)[:n1]
-    full, prefix = _start_factors(s, s[: 2 * q, :n1] @ s[:, :n1].T, p, lam, n1)
-    design = (s[:, :n1].copy(), s[q : 2 * q, n1:].copy(), full, prefix)
+    rows, head, tail = _moments(np.repeat([1.0, 0.0], (n1, n - n1)), p, lam, n1)
+    design = (rows, *_start_factors(head, tail, n, n1, lam))
     for a in design:
-        if isinstance(a, np.ndarray):
+        if a is not None:
             a.setflags(write=False)
     return design
 
 
 def _start_factors(
-    s: np.ndarray, head: np.ndarray, p: int, lam: float, n1: int
-) -> tuple[np.ndarray, np.ndarray | str]:
+    head: np.ndarray, tail: np.ndarray, n: int, n1: int, lam: float
+) -> tuple[np.ndarray, np.ndarray | None]:
     """The inverse Cholesky factors L^{-1} of X'X over all n samples and
-    over the first n1, from the rows of :func:`_design_rows` and their
-    head product.
+    over the first n1, from the products of :func:`_moments` split after
+    sample n1; the head's X'X is added into ``tail`` in place.
 
-    The tail product is the one :func:`_moments` takes, so X'X is the one
-    its pass sums, whatever the row Y holds.  A singular X'X over all n
-    raises; over the first n1 the second factor is the message of the
-    :class:`DegenerateFrequencyError` instead, raised when the
-    derivatives are read.
+    A singular X'X over all n raises; over the first n1 the second factor
+    is None.
     """
-    q = 2 * p
-    n = s.shape[1]
-    xx = s[q : 2 * q, n1:] @ s[q : 2 * q + 1, n1:].T  # X'X and X'Y over t > n1
-    xx[:, :q] += head[q : 2 * q, q : 2 * q]
-    full = _whitened(xx, n, lam)[0]
+    q = len(tail)
+    tail[:, :q] += head[q : 2 * q, q : 2 * q]
+    full = _whitened(tail, n, lam)[0]
     try:
         return full, _whitened(head[q : 2 * q, q:], n1, lam)[0]
-    except DegenerateFrequencyError as exc:
-        return full, str(exc)
+    except DegenerateFrequencyError:
+        return full, None
 
 
 def _solve(signal: Signal, p: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -250,7 +234,7 @@ def _solve(signal: Signal, p: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
     L^{-T} L^{-1}X'Y.
     """
     _check_band(p, lam)
-    return _whitened(_moments(signal.samples, p, lam, 0)[1], signal.n, lam)
+    return _whitened(_moments(signal.samples, p, lam, 0)[2], signal.n, lam)
 
 
 def _whitened(mom: np.ndarray, n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -333,40 +317,34 @@ def _harmonic_operators(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 
 def _moments(
     y: np.ndarray, p: int, lam: float, n1: int
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Products of the design rows with the data, split after sample n1.
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """The design rows and their products with the data, split after sample n1.
 
-    Returns ``(head, tail)``.  The head sums, over t <= n1, the products
-    D S' of the rows D = [(TX)'; X'] with S = [D; Y'; (TY)']: X'T^2X, X'TX
-    and X'X are its square blocks, X'T^2Y, X'TY and X'Y its last two
-    columns.  The tail sums X'[X Y] over t > n1: the T-weighted rows are
-    filled only for the head.  Either is None when its range is empty.
-    The head is the product that a pass over y[:n1] alone takes.
+    This is the one place the design is built and multiplied.  Returns
+    ``(rows, head, tail)``.  The rows are S = [D; Y'; (TY)'] with
+    D = [(TX)'; X'], every harmonic's cos and sin from one
+    :func:`_phases` call; the T-weighted rows are filled only over
+    t <= n1.  The head sums, over t <= n1, the products D S': X'T^2X,
+    X'TX and X'X are its square blocks, X'T^2Y, X'TY and X'Y its last two
+    columns.  The tail sums X'[X Y] over t > n1.  Either is None when its
+    range is empty.  The head is the product that a pass over y[:n1]
+    alone takes.
     """
     q = 2 * p
     n = y.size
-    s = _design_rows(p, lam, n, n1)
-    s[2 * q] = y
-    head = tail = None
-    if n1:
-        np.multiply(_ramp(n)[:n1], y[:n1], out=s[-1, :n1])
-        head = s[: 2 * q, :n1] @ s[:, :n1].T
-    if n1 < n:
-        tail = s[q : 2 * q, n1:] @ s[q : 2 * q + 1, n1:].T
-    return head, tail
-
-
-def _design_rows(p: int, lam: float, n: int, n1: int) -> np.ndarray:
-    """The rows of :func:`_moments` before the data: TX over t <= n1 and X
-    over all n samples, then the rows Y and TY, unset."""
-    q = 2 * p
     z = _phases(lam, n, p)
     s = np.empty((2 * q + 2, n))
     s[q : 2 * q : 2] = z.real
     s[q + 1 : 2 * q : 2] = z.imag
+    s[2 * q] = y
+    head = tail = None
     if n1:
         np.multiply(s[q : 2 * q, :n1], _ramp(n)[:n1], out=s[:q, :n1])
-    return s
+        np.multiply(_ramp(n)[:n1], y[:n1], out=s[-1, :n1])
+        head = s[: 2 * q, :n1] @ s[:, :n1].T
+    if n1 < n:
+        tail = s[q : 2 * q, n1:] @ s[q : 2 * q + 1, n1:].T
+    return s, head, tail
 
 
 @functools.lru_cache(maxsize=1)  # every evaluation of an estimate runs at one n

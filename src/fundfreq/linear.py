@@ -45,9 +45,12 @@ def sample_acf(series, max_lag: int) -> np.ndarray:
     """Sample autocorrelations r_0..r_max_lag (biased covariance convention).
 
     The divide-by-n convention keeps the implied covariance sequence
-    positive semidefinite.  A constant series has no ACF.
+    positive semidefinite.  A constant series has no ACF, and a series
+    with a non-finite value raises :class:`DomainError`.  The ACF is
+    scale-free: it is taken on the ``_unit`` view of ``Signal(series)``,
+    so its sums of squares stay in the float range.
     """
-    x = np.asarray(series, dtype=float)
+    x = Signal(series)._unit.samples
     n = x.size
     if not (0 < max_lag < n):
         raise DomainError(f"need 0 < max_lag < n, got max_lag={max_lag}, n={n}")

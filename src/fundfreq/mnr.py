@@ -35,12 +35,15 @@ keep the iterate before the last step.  Every other status returns the
 iterate with the largest g seen.
 
 Record 0's g and the stage-2 derivatives come from one start pass,
-:func:`~fundfreq.criterion.g_and_prefix_derivatives`.  The replications of
-a Monte Carlo cell nearly always start on one grid point, so once a start
-comes twice in a row the pass keeps its data-free half, the design rows
-and both inverse factors of X'X (about 8(n + n1) floats), and later
-replications pay only for their data.  A single estimate keeps nothing
-but per-n and per-p tables.
+:func:`~fundfreq.criterion.g_and_prefix_derivatives`, which returns them
+as values: (g', g'') over the first n1 samples, or None where X'X there
+is singular, which ends the run ``degenerate``.  The start pass and every
+stage-3 pass take their design products from one routine.  The
+replications of a Monte Carlo cell nearly always start on one grid point,
+so once a start comes twice in a row the pass keeps its data-free half,
+the design rows and both inverse factors of X'X ((4p + 2)n floats), and
+later replications pay only for their data.  A single estimate keeps
+nothing but per-n and per-p tables.
 """
 
 from __future__ import annotations
@@ -123,12 +126,13 @@ def estimate_fundamental(signal: Signal, p: int) -> tuple[float, EstimationTrace
     n1 = _subsample_size(n)
     # Record 0's g over all n samples and the stage-2 derivatives over the
     # first n1 come from one pass over the design: two evaluations.  A
-    # singular full sample raises here, a singular subsample in stage 2.
-    g0, prefix_derivatives = g_and_prefix_derivatives(signal, p, lam0, n1)
+    # singular full sample raises here; a singular subsample gives no
+    # derivatives, and stage 2 ends the run degenerate.
+    g0, prefix = g_and_prefix_derivatives(signal, p, lam0, n1)
     trace = EstimationTrace(evaluations=2)
     trace.records.append(TraceRecord(0, lam0, n, g0, 0.0))
     try:
-        trace.status = _refine(signal, p, n1, prefix_derivatives(), trace)
+        trace.status = _refine(signal, p, n1, prefix, trace)
     except DegenerateFrequencyError:
         trace.status = "degenerate"
     if e:
@@ -140,13 +144,15 @@ def estimate_fundamental(signal: Signal, p: int) -> tuple[float, EstimationTrace
 
 
 def _refine(
-    signal: Signal, p: int, n1: int, prefix: tuple[float, float], trace: EstimationTrace
+    signal: Signal, p: int, n1: int, prefix: tuple[float, float] | None,
+    trace: EstimationTrace,
 ) -> str:
     """Stages 2 and 3 from the start in ``trace``, given the subsample's
-    (g', g'') there; appends their iterates and returns the status."""
+    (g', g'') there, or None where its X'X is singular; appends their
+    iterates and returns the status."""
     n = signal.n
     # Stage 2: one reduced step on the first n1 samples.
-    correction = _newton(*prefix, _STEP_FACTOR)
+    correction = None if prefix is None else _newton(*prefix, _STEP_FACTOR)
     if correction is None:
         return "degenerate"
     lam_k = trace.records[0].lam + correction

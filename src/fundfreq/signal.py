@@ -261,8 +261,13 @@ def synthesize(
 
 
 def mean_correct(signal: Signal) -> Signal:
-    """Subtract the arithmetic mean from every sample."""
-    return Signal(signal.samples - signal.samples.mean())
+    """Subtract the arithmetic mean from every sample.
+
+    The mean is taken and subtracted on the ``_unit`` view y 2^-e and the
+    result scaled back by 2^e, so the sum of the samples cannot overflow.
+    """
+    unit = signal._unit.samples
+    return Signal(np.ldexp(unit - unit.mean(), signal._exponent))
 
 
 def write_signal(signal: Signal, path: str) -> None:

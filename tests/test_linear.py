@@ -161,3 +161,18 @@ class TestSampleAcf:
     def test_max_lag_bounds(self):
         with pytest.raises(DomainError):
             sample_acf(np.arange(10.0), 10)
+
+    @pytest.mark.parametrize("k", [700, -700])
+    def test_scale_free(self, model1, k):
+        # the ACF is taken on the 2^-e view, so y 2^k gives the ACF of y;
+        # its sums of squares would leave the float range at 2^700
+        y = synthesize(model1, 300, LinearProcessSpec((1.0, 0.5), 0.25), seed=4).samples
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sample_acf(np.ldexp(y, k), 5).tobytes() == sample_acf(y, 5).tobytes()
+            assert np.all(np.isfinite(sample_acf(y * 1e200, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_series_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            sample_acf([1.0, bad, 2.0, 3.0], 2)

@@ -79,7 +79,7 @@ class TestStage2:
         start = mnr.g_and_prefix_derivatives
 
         def steep(signal, p, lam, n1):
-            return start(signal, p, lam, n1)[0], lambda: (1.0, -1e-9)
+            return start(signal, p, lam, n1)[0], (1.0, -1e-9)
 
         monkeypatch.setattr(mnr, "g_and_prefix_derivatives", steep)
         lam_hat, trace = estimate_fundamental(synthesize(model1, 500), 4)
@@ -187,10 +187,7 @@ class TestEstimateFundamental:
         start = mnr.g_and_prefix_derivatives
 
         def singular_prefix(signal, p, lam, n1):
-            def singular():
-                raise DegenerateFrequencyError("singular subsample normal equations")
-
-            return start(signal, p, lam, n1)[0], singular
+            return start(signal, p, lam, n1)[0], None
 
         monkeypatch.setattr(mnr, "g_and_prefix_derivatives", singular_prefix)
         sig = synthesize(model1, 100, LinearProcessSpec((1.0, 0.5), 0.25), seed=3)
@@ -301,15 +298,9 @@ class TestStage3:
         start = mnr.g_and_prefix_derivatives
 
         def counted_start(*args):
-            # record 0's g, then the stage-2 derivatives when they are read
-            g_value, prefix_derivatives = start(*args)
-            calls.append("g")
-
-            def counted_prefix():
-                calls.append("g_derivatives")
-                return prefix_derivatives()
-
-            return g_value, counted_prefix
+            # record 0's g and the stage-2 derivatives
+            calls.extend(["g", "g_derivatives"])
+            return start(*args)
 
         monkeypatch.setattr(mnr, "g_and_prefix_derivatives", counted_start)
         return calls
@@ -338,6 +329,23 @@ class TestStage3:
                   for n in (100, 200, 400, 500) for seed in range(100)]
         assert np.median(counts) == 5
         assert max(counts) <= 5
+
+    @pytest.mark.parametrize("noise", [None, LinearProcessSpec((1.0, 0.5), 0.25)],
+                             ids=["noiseless", "ma1"])
+    def test_each_pass_builds_the_phases_once(self, model1, monkeypatch, noise):
+        # one routine builds the design of every pass: on a fresh start the
+        # start pass, each stage-3 pass and the amplitude fit call _phases
+        # once each
+        calls = []
+        inner = criterion._phases
+        monkeypatch.setattr(criterion, "_phases", lambda *args: calls.append(args) or inner(*args))
+        sig = synthesize(model1, 500, noise, seed=30)
+        lam_hat, trace = estimate_fundamental(sig, 4)
+        assert calls[0] == (trace.records[0].lam, 500, 4)
+        assert len(calls) == 1 + (trace.evaluations - 2)
+        lse_linear(sig, lam_hat, 4)
+        assert len(calls) == trace.evaluations
+        assert calls[-1] == (lam_hat, 500, 4)
 
     def test_step_cap_ends_max_iter(self, model1, monkeypatch):
         # one stage-3 step allowed, and it is longer than _TOL: the run stops

@@ -57,6 +57,8 @@ REMOVED = ["BoundaryError", "CurvatureError", "mnr_step", "polar_to_cartesian",
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+SOURCES = {path: ast.parse(path.read_text())
+           for path in sorted((ROOT / "src" / "fundfreq").glob("*.py"))}
 
 
 def _layer_functions() -> dict:
@@ -118,6 +120,33 @@ def test_tracer_only_names_stay_on_their_home_module(layer):
     for name in TRACER_ONLY[layer]:
         assert callable(getattr(module, name)), f"fundfreq.{layer}.{name}"
         assert name not in module.__all__
+
+
+def _private_functions() -> list[tuple[Path, ast.FunctionDef]]:
+    """Every module-level function of the package whose name starts with one underscore."""
+    return [(path, node) for path, tree in SOURCES.items() for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            and not node.name.startswith("__")]
+
+
+@pytest.mark.parametrize("path, func", _private_functions(),
+                         ids=lambda x: x.name if isinstance(x, ast.FunctionDef) else x.stem)
+def test_private_function_has_a_caller(path, func):
+    # a helper folded into another, or left with no caller, must go: some
+    # module of the package names it outside its own def (an import alone
+    # does not count)
+    for source, tree in SOURCES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            inside = source == path and func.lineno <= node.lineno <= func.end_lineno
+            if name == func.name and not inside:
+                return
+    pytest.fail(f"{path.name}: {func.name} is never referenced in src/")
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)

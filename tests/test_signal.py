@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -317,6 +318,16 @@ class TestMeanCorrect:
         twice = mean_correct(once)
         assert np.allclose(once.samples, twice.samples, atol=1e-15)
         assert abs(once.samples.mean()) < 1e-15
+
+    def test_scale_free_near_the_top_of_the_float_range(self):
+        # the sum of the samples of MODEL1 times 1e307 overflows; centring
+        # the 2^-e view does not, and a power of two scales exactly
+        y = synthesize(MODEL1, 200, LinearProcessSpec((1.0, 0.5), 0.25), seed=4).samples
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = mean_correct(Signal(np.ldexp(y, 1000)))
+            assert big.samples.tobytes() == np.ldexp(mean_correct(Signal(y)).samples, 1000).tobytes()
+            assert np.all(np.isfinite(mean_correct(Signal(y * 1e307)).samples))
 
 
 class TestSerialization:
