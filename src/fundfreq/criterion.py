@@ -31,10 +31,10 @@ at n1 = 0 it is the solve of g and the amplitudes, which never forms
 T*y; in between it gives g over all n samples and g', g'' over the first
 n1 (:func:`g_and_prefix_derivatives`, the start pass).  When the start
 pass meets the same (n, p, lam, n1) twice in a row, as the replications
-of a Monte Carlo cell nearly always do, it keeps its data-free half in
-:func:`_start_design`: the same routine's rows over data that are 1 up
-to n1 and 0 after, and both inverse factors of X'X ((4p + 2)n
-floats).  Later replications pay only for their data.
+of a Monte Carlo cell nearly always do, that second pass keeps its own
+rows and both inverse factors of X'X ((4p + 2)n floats) in one memo,
+``_last_start``.  Later replications at that start write their data
+into a copy of the kept rows and pay only for the head product.
 
 A single harmonic j is the p = 1 case at frequency j*lam: its projection
 norm R_j is g(signal, 1, j*lam), and ``compute_moments`` reads its six
@@ -44,7 +44,6 @@ moment blocks off the same kernel, with D = jT in place of T.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg  # the gufuncs behind np.linalg
@@ -54,60 +53,37 @@ from .signal import Signal, _check_band, _phases
 
 __all__ = ["g", "g_and_prefix_derivatives", "g_with_derivatives"]
 
-# HarmonicDesignMoments, compute_moments and g_derivatives serve only the
-# tests.  They stay defined here because the LAYER_FUNCTIONS of
-# perfbench/tracing.py look compute_moments and g_derivatives up on this
-# module with no default; once that lookup falls back, move them into the tests.
+# compute_moments and g_derivatives serve only the tests.  They stay
+# defined here because the LAYER_FUNCTIONS of perfbench/tracing.py look
+# them up on this module with no default; once that lookup falls back,
+# move them into the tests.
 
 # Floor on each squared Cholesky pivot of X'X, relative to n (a squared
 # pivot is ~ n/2 away from degenerate frequencies).
 _PIVOT_FLOOR = 1e-10
 
-# The (n, p, lam, n1) of the last start pass.  Only a start met twice in a
-# row is worth keeping, so a single estimate keeps nothing.
-_last_start: tuple[int, int, float, int] | None = None
+# The (n, p, lam, n1) of the last start pass, and for a start met at least
+# twice in a row the rows and factors of its second pass; a single
+# estimate keeps nothing.
+_last_start: tuple[tuple[int, int, float, int] | None, tuple | None] = (None, None)
 
 
-@dataclass(frozen=True)
-class HarmonicDesignMoments:
-    """Moment blocks of harmonic j alone for fixed (j, lam, n).
+def compute_moments(
+    signal: Signal, j: int, lam: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The six moment blocks of harmonic j alone: the p = 1 kernel at j*lam.
 
-    Here X = [cos(j lam t), sin(j lam t)] and D = diag(j t).
-
-    Attributes
-    ----------
-    m_xx : 2x2 ndarray
-        X'X (symmetric positive semidefinite).
-    m_xdx : 2x2 ndarray
-        X'DX (symmetric).
-    m_xd2x : 2x2 ndarray
-        X'D^2X (symmetric).
-    v_xy, v_dxy, v_d2xy : 2-vectors
-        X'Y, X'DY, X'D^2Y.
+    With X = [cos(j lam t), sin(j lam t)] and D = diag(j t), returns
+    ``(m_xx, m_xdx, m_xd2x, v_xy, v_dxy, v_d2xy)``: the symmetric 2x2
+    blocks X'X, X'DX and X'D^2X and the 2-vectors X'Y, X'DY and X'D^2Y.
     """
-
-    j: int
-    lam: float
-    n: int
-    m_xx: np.ndarray
-    m_xdx: np.ndarray
-    m_xd2x: np.ndarray
-    v_xy: np.ndarray
-    v_dxy: np.ndarray
-    v_d2xy: np.ndarray
-
-
-def compute_moments(signal: Signal, j: int, lam: float) -> HarmonicDesignMoments:
-    """The six moment blocks of harmonic j: the p = 1 kernel at j*lam, D = jT."""
     _check_band(j, lam)
     # Rows (tc, ts, c, s) against columns (tc, ts, c, s, y, ty).
     mom = _moments(signal.samples, 1, j * lam, signal.n)[1]
     blocks = (mom[2:4, 2:4], j * mom[2:4, :2], j * j * mom[:2, :2])
     for b in blocks:
         b[1, 0] = b[0, 1]   # the product's two triangles differ in the last bit
-    return HarmonicDesignMoments(
-        j, lam, signal.n, *blocks, mom[2:4, 4], j * mom[2:4, 5], j * j * mom[:2, 5]
-    )
+    return (*blocks, mom[2:4, 4], j * mom[2:4, 5], j * j * mom[:2, 5])
 
 
 def g(signal: Signal, p: int, lam: float) -> float:
@@ -153,15 +129,16 @@ def g_and_prefix_derivatives(
     the same product as ``g_derivatives(Signal(signal.samples[:n1]), p,
     lam)``, bit for bit, and g agrees with :func:`g` to rounding.
 
-    The replications of a Monte Carlo cell share their start, so a start
-    met twice in a row takes everything but the data from
-    :func:`_start_design`: the data fill two rows of a copy of its rows
-    over t <= n1.  A start met once takes the products of :func:`_moments`
-    with the data in and keeps nothing.  Both take the same head product
-    of the same rows and the same factors, so g and the derivatives are
-    the same bit for bit either way: X'Y over the first n1 samples comes
-    with the derivative moments from the head product, and one product of
-    the X rows with y gives X'Y over the rest.
+    The replications of a Monte Carlo cell share their start, so the
+    pass that meets a start for the second time in a row keeps its own
+    rows of :func:`_moments` and both inverse factors of X'X in
+    ``_last_start``, read-only.  Later passes at that start write their
+    data into two rows of a copy of the kept rows over t <= n1, as
+    :func:`_moments` does, and take the same head product; a start met
+    once keeps nothing.  The rows and factors are the same either way, so
+    g and the derivatives are the same bit for bit: X'Y over the first n1
+    samples comes with the derivative moments from the head product, and
+    one product of the X rows with y gives X'Y over the rest.
     """
     global _last_start
     _check_band(p, lam)
@@ -170,61 +147,34 @@ def g_and_prefix_derivatives(
         raise DomainError(f"need 0 < n1 < n = {n}, got n1 = {n1}")
     q = 2 * p
     y = signal.samples
-    if _last_start == (n, p, lam, n1):
-        rows, full, prefix = _start_design(n, p, lam, n1)
+    start = (n, p, lam, n1)
+    key, kept = _last_start
+    if key == start and kept is not None:
+        rows, full, prefix = kept
         s = rows[:, :n1].copy()
-        s[2 * q :] *= y[:n1]  # rows Y and TY
+        s[2 * q] = y[:n1]
+        np.multiply(_ramp(n)[:n1], y[:n1], out=s[-1])
         head = s[: 2 * q] @ s.T
     else:
-        _last_start = (n, p, lam, n1)
         rows, head, tail = _moments(y, p, lam, n1)
-        full, prefix = _start_factors(head, tail, n, n1, lam)
+        tail[:, :q] += head[q : 2 * q, q : 2 * q]  # X'X over all n
+        full = _whitened(tail, n, lam)[0]
+        try:
+            prefix = _whitened(head[q : 2 * q, q:], n1, lam)[0]
+        except DegenerateFrequencyError:
+            prefix = None
+        kept = None
+        if key == start:
+            kept = (rows, full, prefix)
+            for a in kept:
+                if a is not None:
+                    a.setflags(write=False)
+        _last_start = start, kept
     z = full.dot(rows[q : 2 * q, n1:] @ y[n1:] + head[q : 2 * q, 2 * q])
     derivatives = None
     if prefix is not None:
         derivatives = _with_derivatives(head, p, prefix, prefix.dot(head[q : 2 * q, 2 * q]))[1:]
     return float(z.dot(z)), derivatives
-
-
-@functools.lru_cache(maxsize=1)  # the replications of a Monte Carlo cell share their start
-def _start_design(
-    n: int, p: int, lam: float, n1: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The data-free half of :func:`g_and_prefix_derivatives`, read-only,
-    built once per (n, p, lam, n1) and kept for the last one.
-
-    Returns ``(rows, full, prefix)``: the rows of :func:`_moments` run on
-    the data 1 over t <= n1 and 0 after, so that 1 and t stand in the rows
-    Y and TY for the data to multiply ((4p + 2)n floats), and the
-    factors of :func:`_start_factors`.  The X'X blocks of a product do not
-    depend on its data rows, so the factors are bit for bit those of a
-    pass with the data in.
-    """
-    rows, head, tail = _moments(np.repeat([1.0, 0.0], (n1, n - n1)), p, lam, n1)
-    design = (rows, *_start_factors(head, tail, n, n1, lam))
-    for a in design:
-        if a is not None:
-            a.setflags(write=False)
-    return design
-
-
-def _start_factors(
-    head: np.ndarray, tail: np.ndarray, n: int, n1: int, lam: float
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The inverse Cholesky factors L^{-1} of X'X over all n samples and
-    over the first n1, from the products of :func:`_moments` split after
-    sample n1; the head's X'X is added into ``tail`` in place.
-
-    A singular X'X over all n raises; over the first n1 the second factor
-    is None.
-    """
-    q = len(tail)
-    tail[:, :q] += head[q : 2 * q, q : 2 * q]
-    full = _whitened(tail, n, lam)[0]
-    try:
-        return full, _whitened(head[q : 2 * q, q:], n1, lam)[0]
-    except DegenerateFrequencyError:
-        return full, None
 
 
 def _solve(signal: Signal, p: int, lam: float) -> tuple[np.ndarray, np.ndarray]:

@@ -40,10 +40,10 @@ as values: (g', g'') over the first n1 samples, or None where X'X there
 is singular, which ends the run ``degenerate``.  The start pass and every
 stage-3 pass take their design products from one routine.  The
 replications of a Monte Carlo cell nearly always start on one grid point,
-so once a start comes twice in a row the pass keeps its data-free half,
-the design rows and both inverse factors of X'X ((4p + 2)n floats), and
-later replications pay only for their data.  A single estimate keeps
-nothing but per-n and per-p tables.
+so the pass that meets a start for the second time in a row keeps its
+own design rows and both inverse factors of X'X ((4p + 2)n floats), and
+later replications at that start pay only for their data.  A single
+estimate keeps nothing but per-n and per-p tables.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -89,18 +90,28 @@ class ExperimentSpec:
     def __post_init__(self):
         if not -(2**63) <= self.master_seed < 2**63:  # packed as int64 per replication
             raise DomainError(f"master_seed must fit in int64, got {self.master_seed}")
-        if self.replications < 1:
+        if _integer("replications", self.replications) < 1:
             raise DomainError(f"replications must be >= 1, got {self.replications}")
         if not self.sample_sizes or not self.sigma2_values:
             raise DomainError("sample_sizes and sigma2_values must be nonempty")
         object.__setattr__(self, "noise_coeffs", tuple(float(c) for c in self.noise_coeffs))
-        object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
+        object.__setattr__(self, "sample_sizes",
+                           tuple(_integer("sample size", n) for n in self.sample_sizes))
         object.__setattr__(self, "sigma2_values", tuple(float(s) for s in self.sigma2_values))
         n_min, p = min(self.sample_sizes), self.model.p
         if n_min < 10 * p:
             raise DomainError(f"need n >= 10*p = {10 * p} in every cell, got n = {n_min}")
         for sigma2 in self.sigma2_values:  # fail before any cell runs
             LinearProcessSpec(self.noise_coeffs, sigma2)
+
+
+def _integer(name: str, value) -> int:
+    """value as an int: Python and numpy integers pass, anything else
+    (a float such as 100.7 or 2.5 included) raises DomainError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,10 @@ from fundfreq import MODEL1, MODEL2, synthesize
 
 @pytest.fixture(autouse=True)
 def cold_start_design():
-    """Every test starts with no start pass remembered and no start design
-    cached, so a test that counts or patches the factorizations of the
-    start pass sees them whatever ran before it."""
-    criterion._start_design.cache_clear()
-    criterion._last_start = None
+    """Every test starts with no start pass remembered and no rows or
+    factors kept, so a test that counts or patches the factorizations of
+    the start pass sees them whatever ran before it."""
+    criterion._last_start = (None, None)
 
 
 @pytest.fixture(scope="session")

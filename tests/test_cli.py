@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,45 @@ class TestEstimate:
         expected = tmp_path / "expected.txt"
         write_signal(Signal(resid), str(expected))
         assert res_path.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_out_of_range_signal_reports_the_variances_at_scale_one(self, tmp_path, capsys, k):
+        # MODEL1 with MA(1) noise times 2^600 overflowed in the residual
+        # variance, and times 2^-600 gave beta* = 0; the command exited 1.
+        # var_lse and var_mnr are y's bit for bit, and the squared scales
+        # read inf or 0 past the float range
+        y = fundfreq.synthesize(fundfreq.MODEL1, 200,
+                                fundfreq.LinearProcessSpec((1.0, 0.5), 0.25), seed=4).samples
+        reports = []
+        for name, samples in (("y.txt", y), ("scaled.txt", np.ldexp(y, k))):
+            write_signal(Signal(samples), str(tmp_path / name))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(["estimate", "--input", str(tmp_path / name), "--p", "4",
+                                          "--noise", "ma:1,0.5"], capsys)
+            assert (code, err) == (0, "")
+            reports.append(json.loads(out))
+        ref, got = reports
+        assert got["lambda_hat"] == ref["lambda_hat"]
+        for key in ("var_lse", "var_mnr", "c_weights"):
+            assert got["asym"][key] == ref["asym"][key]
+        assert got["residual_summary"]["mean"] == math.ldexp(ref["residual_summary"]["mean"], k)
+        beyond = math.inf if k > 0 else 0.0
+        assert [got["residual_summary"]["variance"], got["residual_summary"]["sigma2_hat"],
+                got["asym"]["sigma2"], got["asym"]["beta_star"], got["asym"]["delta_g"]] == [beyond] * 5
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_noiseless_out_of_range_signal_has_a_variance_report(self, tmp_path, capsys, scale):
+        # "beta*^2 n^3 is out of the float range" (beta* = inf or 0) and exit 1
+        path = tmp_path / "sig.txt"
+        write_signal(Signal(scale * fundfreq.synthesize(fundfreq.MODEL1, 200).samples), str(path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["estimate", "--input", str(path), "--p", "4"], capsys)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert abs(report["lambda_hat"] - fundfreq.MODEL1.lam) < 1e-10
+        assert math.isfinite(report["asym"]["var_lse"]) and report["asym"]["var_lse"] > 0.0
 
     def test_mean_correct_flag(self, tmp_path, capsys):
         # a large DC offset: removable preprocessing, the tone still found

@@ -7,6 +7,7 @@ independently of the moment-block assembly under test.
 
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from fundfreq import (
     DomainError,
     LinearProcessSpec,
     Signal,
+    estimate_fundamental,
     g,
     lse_linear,
     synthesize,
@@ -38,36 +40,36 @@ POWER_SUM_1 = 78.3125   # sum (A_j^2+B_j^2) for benchmark model 1
 class TestMoments:
     def test_zero_signal_projections(self):
         sig = Signal(np.zeros(128))
-        mom = compute_moments(sig, 1, 0.4)
-        assert np.allclose(mom.v_xy, 0) and np.allclose(mom.v_dxy, 0)
-        assert np.allclose(mom.v_d2xy, 0)
-        assert mom.m_xx[0, 0] > 0  # design moments independent of y
+        m_xx, _, _, v_xy, v_dxy, v_d2xy = compute_moments(sig, 1, 0.4)
+        assert np.allclose(v_xy, 0) and np.allclose(v_dxy, 0)
+        assert np.allclose(v_d2xy, 0)
+        assert m_xx[0, 0] > 0  # design moments independent of y
 
     def test_m_xx_limit(self, m1_clean_2000):
         # (1/n) X'X -> I/2 with O(1/n) remainder
         n = 2000
-        mom = compute_moments(m1_clean_2000, 1, 0.25)
-        assert np.abs(mom.m_xx / n - 0.5 * np.eye(2)).max() < 5.0 / n
+        m_xx = compute_moments(m1_clean_2000, 1, 0.25)[0]
+        assert np.abs(m_xx / n - 0.5 * np.eye(2)).max() < 5.0 / n
 
     @pytest.mark.parametrize("j", [1, 2, 3, 4])
     def test_m_xdx_limit(self, m1_clean_2000, j):
         # (1/n^2) X'DX -> (j/4) I; measured deviation is O(j/n)
         n = 2000
-        mom = compute_moments(m1_clean_2000, j, 0.25)
-        assert np.abs(mom.m_xdx / n**2 - (j / 4.0) * np.eye(2)).max() < 5.0 * j / n
+        m_xdx = compute_moments(m1_clean_2000, j, 0.25)[1]
+        assert np.abs(m_xdx / n**2 - (j / 4.0) * np.eye(2)).max() < 5.0 * j / n
 
     @pytest.mark.parametrize("j", [1, 4])
     def test_m_xd2x_limit(self, m1_clean_2000, j):
         # (1/n^3) X'D^2X -> (j^2/6) I
         n = 2000
-        mom = compute_moments(m1_clean_2000, j, 0.25)
-        assert np.abs(mom.m_xd2x / n**3 - (j * j / 6.0) * np.eye(2)).max() < 5.0 * j * j / n
+        m_xd2x = compute_moments(m1_clean_2000, j, 0.25)[2]
+        assert np.abs(m_xd2x / n**3 - (j * j / 6.0) * np.eye(2)).max() < 5.0 * j * j / n
 
     def test_symmetry(self, m1_clean_1000):
-        mom = compute_moments(m1_clean_1000, 2, 0.3)
-        assert mom.m_xx[0, 1] == mom.m_xx[1, 0]
-        assert mom.m_xdx[0, 1] == mom.m_xdx[1, 0]
-        assert mom.m_xd2x[0, 1] == mom.m_xd2x[1, 0]
+        m_xx, m_xdx, m_xd2x = compute_moments(m1_clean_1000, 2, 0.3)[:3]
+        assert m_xx[0, 1] == m_xx[1, 0]
+        assert m_xdx[0, 1] == m_xdx[1, 0]
+        assert m_xd2x[0, 1] == m_xd2x[1, 0]
 
     def test_domain(self, m1_clean_1000):
         with pytest.raises(DomainError):
@@ -233,56 +235,93 @@ class TestPrefixPass:
 
     @pytest.mark.parametrize("p, n, n1", [(1, 100, 51), (4, 500, 205), (4, 4000, 1223)])
     def test_repeated_start_gives_what_a_fresh_one_gives(self, model1, p, n, n1):
-        # replications of one cell share their start: the first takes the
-        # fresh pass, the second builds the cached design, the third reads
-        # it; each gives what a fresh pass gives, bit for bit
+        # replications of one cell share their start: the first takes a
+        # fresh pass, the second a fresh pass that keeps its rows and
+        # factors, the third reads them; each gives what a fresh pass
+        # gives, bit for bit
         noise = LinearProcessSpec((1.0, 0.5), 0.25)
         sigs = [synthesize(model1, n, noise, seed=seed) for seed in (1, 2, 3)]
         fresh = []
         for sig in sigs:
-            criterion._last_start = None
+            criterion._last_start = (None, None)
             fresh.append(g_and_prefix_derivatives(sig, p, 0.2503, n1))
-        assert criterion._start_design.cache_info().currsize == 0
-        criterion._last_start = None
+            assert criterion._last_start[1] is None
+        criterion._last_start = (None, None)
+        kept = []
         for sig, want in zip(sigs, fresh, strict=True):
             assert g_and_prefix_derivatives(sig, p, 0.2503, n1) == want
-        info = criterion._start_design.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+            kept.append(criterion._last_start[1])
+        assert kept[0] is None and kept[1] is not None and kept[2] is kept[1]
 
     def test_repeated_start_builds_no_phases_and_factors_nothing(self, model1, monkeypatch):
         # from the third replication of a cell on, the start pass reads the
-        # design rows and both factors of X'X from the cache
+        # design rows and both factors of X'X that the second one kept
         noise = LinearProcessSpec((1.0, 0.5), 0.25)
         for seed in (1, 2):
             g_and_prefix_derivatives(synthesize(model1, 500, noise, seed=seed), 4, 0.2503, 205)
+        kept = criterion._last_start[1]
         calls = []
-        for name in ("_phases", "_whitened"):
+        for name in ("_phases", "_whitened", "_moments"):
             inner = getattr(criterion, name)
             monkeypatch.setattr(criterion, name,
                                 lambda *args, inner=inner, name=name: calls.append(name) or inner(*args))
-        g_and_prefix_derivatives(synthesize(model1, 500, noise, seed=3), 4, 0.2503, 205)
+        for seed in (3, 4):
+            g_and_prefix_derivatives(synthesize(model1, 500, noise, seed=seed), 4, 0.2503, 205)
         assert calls == []
-        assert criterion._start_design.cache_info().hits == 1
+        assert kept is not None and criterion._last_start[1] is kept
 
     def test_singular_full_sample_raises_on_a_repeated_start(self, model1):
-        # a singular X'X is never cached: the fresh pass and every later
+        # a singular X'X is never kept: the fresh pass and every later
         # call at that start raise
         sig = synthesize(model1, 3000, LinearProcessSpec((1.0, 0.5), 0.25), seed=3)
         g_and_prefix_derivatives(sig, 4, 0.2503, 955)
-        for _ in range(2):
+        for _ in range(3):
             with pytest.raises(DegenerateFrequencyError):
                 g_and_prefix_derivatives(sig, 4, math.pi / 4 - 1e-9, 955)
+            assert criterion._last_start[1] is None
 
     def test_singular_prefix_gives_no_derivatives_on_a_repeated_start(self, model1):
-        # the fresh pass, the one that builds the design and the one that
-        # reads it all give g and no derivatives
+        # the fresh pass, the one that keeps its rows and factors and the
+        # ones that read them all give g and no derivatives
         sig = synthesize(model1, 3000, LinearProcessSpec((1.0, 0.5), 0.25), seed=3)
         lam = math.pi / 4 - 1e-7
-        for _ in range(3):
+        kept = []
+        for _ in range(4):
             g_full, derivatives = g_and_prefix_derivatives(sig, 4, lam, 25)
             assert g_full == pytest.approx(g(sig, 4, lam), rel=1e-13)
             assert derivatives is None
-        assert criterion._start_design.cache_info().hits == 1
+            kept.append(criterion._last_start[1])
+        assert kept[0] is None and kept[1][2] is None
+        assert kept[2] is kept[1] and kept[3] is kept[1]
+
+    def test_interleaved_starts_keep_at_most_one_design(self, model1):
+        # starts A, A, A, B, A, A, A: the second A of each run keeps its
+        # rows and factors and the third reads them; the single B keeps
+        # nothing and lets the first run's arrays go
+        noise = LinearProcessSpec((1.0, 0.5), 0.25)
+        starts = [0.2503, 0.2503, 0.2503, 0.2611, 0.2503, 0.2503, 0.2503]
+        sigs = [synthesize(model1, 500, noise, seed=seed) for seed in range(len(starts))]
+        fresh = []
+        for sig, lam in zip(sigs, starts, strict=True):
+            criterion._last_start = (None, None)
+            fresh.append(g_and_prefix_derivatives(sig, 4, lam, 205))
+        criterion._last_start = (None, None)
+        held = []  # weak references to every kept row array
+        kept = []
+        for sig, lam, want in zip(sigs, starts, fresh, strict=True):
+            assert g_and_prefix_derivatives(sig, 4, lam, 205) == want
+            memo = criterion._last_start[1]
+            if memo is not None and not (held and held[-1]() is memo[0]):
+                held.append(weakref.ref(memo[0]))
+            kept.append(None if memo is None else len(held))
+            del memo
+            assert sum(ref() is not None for ref in held) <= 1
+        assert kept == [None, 1, 1, None, None, 2, 2]
+        assert held[0]() is None
+        # a single estimate on a new start keeps nothing either
+        estimate_fundamental(synthesize(model1, 300, noise, seed=9), 4)
+        assert criterion._last_start[1] is None
+        assert all(ref() is None for ref in held)
 
 
 class TestMomentOracle:
@@ -296,8 +335,7 @@ class TestMomentOracle:
         for j in range(1, 5):
             mom = compute_moments(sig, j, 0.2503)
             ref = _direct_moments(sig.samples, j, 0.2503)
-            for name, want in ref.items():
-                got = getattr(mom, name)
+            for (name, want), got in zip(ref.items(), mom, strict=True):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
 
@@ -350,10 +388,12 @@ class TestCaches:
     """Arrays kept per n or per p are read-only, and the per-n caches of
     the criterion pass are bounded."""
 
-    def test_cached_arrays_are_read_only(self):
+    def test_cached_arrays_are_read_only(self, model1):
+        sig = synthesize(model1, 100)
+        for _ in range(2):
+            g_and_prefix_derivatives(sig, 4, 0.25, 51)
         for cached in (criterion._ramp(100), _phase_angles(100),
-                       *criterion._harmonic_operators(3),
-                       *criterion._start_design(100, 4, 0.25, 51)):
+                       *criterion._harmonic_operators(3), *criterion._last_start[1]):
             assert not cached.flags.writeable
 
     @pytest.mark.parametrize("cached", [criterion._ramp, _phase_angles, spectrum._smooth_length])
@@ -375,19 +415,25 @@ class TestCaches:
         got = criterion._moments(y, 4, 0.2503, 100)[1:]
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
-    def test_start_design_is_bounded(self):
-        maxsize = criterion._start_design.cache_info().maxsize
-        assert maxsize is not None
-        for n in range(100, 100 + 3 * maxsize):
-            criterion._start_design(n, 4, 0.25, 51)
-        assert criterion._start_design.cache_info().currsize <= maxsize
+    def test_start_design_is_bounded(self, model1):
+        # a long run over many starts, each met three times in a row, keeps
+        # the rows of the last start only
+        held = []
+        for n in range(100, 106):
+            sig = synthesize(model1, n)
+            for _ in range(3):
+                g_and_prefix_derivatives(sig, 4, 0.25, 51)
+            held.append(weakref.ref(criterion._last_start[1][0]))
+        assert [ref() is not None for ref in held] == [False] * 5 + [True]
 
     def test_start_design_cannot_be_poisoned(self, model1):
-        # writing the cached design fails, also through a view's base, and
-        # a writable copy of it is the caller's own
+        # writing the kept rows or factors fails, also through a view's
+        # base, and a writable copy of them is the caller's own
         sig = synthesize(model1, 300, LinearProcessSpec((1.0, 0.5), 0.25), seed=2)
         want = g_and_prefix_derivatives(sig, 4, 0.2503, 100)
-        for cached in criterion._start_design(300, 4, 0.2503, 100):
+        assert g_and_prefix_derivatives(sig, 4, 0.2503, 100) == want
+        kept = criterion._last_start[1]
+        for cached in kept:
             for array in (cached, cached.base):
                 if array is not None:
                     with pytest.raises(ValueError):
@@ -395,7 +441,7 @@ class TestCaches:
             mine = cached.copy()
             mine[...] = np.nan
         assert g_and_prefix_derivatives(sig, 4, 0.2503, 100) == want
-        assert criterion._start_design.cache_info().hits == 1
+        assert criterion._last_start[1] is kept
 
 
 def _direct_moments(y, j, lam):

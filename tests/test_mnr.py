@@ -225,18 +225,20 @@ class TestEstimateFundamental:
 
     def test_singular_subsample_ends_degenerate_on_a_repeated_start(self, model1, monkeypatch):
         # harmonic 4 near pi: X'X over the first 955 samples is below its
-        # pivot floor, over all 3000 it is not.  The run that builds the
-        # start design and the one that reads it end degenerate after
-        # record 0, as the fresh one does
+        # pivot floor, over all 3000 it is not.  The run that keeps the
+        # start's rows and factors and the one that reads them end
+        # degenerate after record 0, as the fresh one does
         monkeypatch.setattr(mnr, "fourier_grid_init", lambda *args: math.pi / 4 - 4e-9)
         sig = synthesize(model1, 3000, LinearProcessSpec((1.0, 0.5), 0.25), seed=3)
+        kept = []
         for _ in range(3):
             lam_hat, trace = estimate_fundamental(sig, 4)
             assert trace.status == "degenerate"
             assert len(trace.records) == 1
             assert trace.evaluations == 2
             assert lam_hat == math.pi / 4 - 4e-9
-        assert criterion._start_design.cache_info().hits == 1
+            kept.append(criterion._last_start[1])
+        assert kept[0] is None and kept[1] is not None and kept[2] is kept[1]
 
     def test_inadmissible_grid_point_not_used_as_start(self):
         # pure noise whose spectrum peaks at the top of the grid: the start

@@ -108,28 +108,30 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("n", [100, 200, 500])
     def test_replications_do_not_depend_on_the_cached_start(self, n, monkeypatch):
-        # the replications of a cell share the start pass's data-free half;
-        # forgetting it before each one changes no estimate, trace or CSV byte
+        # the replications of a cell share the rows and factors of their
+        # start pass; forgetting them before each one changes no estimate,
+        # trace or CSV byte
         inner = mc.estimate_fundamental
         spec = small_spec(sample_sizes=(n,), replications=20, master_seed=3)
         runs = []
         for cold in (False, True):
             estimates = []
+            reads = []
 
-            def recorded(signal, p, cold=cold, estimates=estimates):
+            def recorded(signal, p, cold=cold, estimates=estimates, reads=reads):
                 if cold:
-                    criterion._start_design.cache_clear()
-                    criterion._last_start = None
+                    criterion._last_start = (None, None)
+                kept = criterion._last_start[1]
                 estimates.append(inner(signal, p))
+                # a pass that reads the kept arrays leaves the memo as it was
+                reads.append(kept is not None and criterion._last_start[1] is kept)
                 return estimates[-1]
 
             monkeypatch.setattr(mc, "estimate_fundamental", recorded)
-            criterion._start_design.cache_clear()
-            criterion._last_start = None
+            criterion._last_start = (None, None)
             lines = summary_csv_lines(run_experiment(spec))
             runs.append((lines, [(lam, t.status, t.evaluations, t.records) for lam, t in estimates]))
-            if not cold:
-                assert criterion._start_design.cache_info().hits >= 15
+            assert sum(reads) >= 15 if not cold else sum(reads) == 0
         assert runs[0] == runs[1]
 
     def test_master_seed_changes_results(self):
@@ -212,6 +214,23 @@ class TestAggregation:
         with pytest.raises(DomainError, match=r"need n >= 10\*p = 40 in every cell, got n = 39"):
             small_spec(sample_sizes=(100, 39))
         assert small_spec(sample_sizes=(40,)).sample_sizes == (40,)
+
+    def test_non_integer_sample_size_rejected(self):
+        # 100.7 used to run as n = 100
+        with pytest.raises(DomainError, match=r"sample size must be an integer, got 100\.7"):
+            small_spec(sample_sizes=(200, 100.7))
+
+    def test_non_integer_replications_rejected(self):
+        # 2.5 used to pass here and fail later inside range with a TypeError
+        with pytest.raises(DomainError, match=r"replications must be an integer, got 2\.5"):
+            small_spec(replications=2.5)
+
+    def test_numpy_integers_accepted(self):
+        spec = small_spec(sample_sizes=(np.int64(100), np.int32(120)), replications=np.int64(2))
+        assert spec.sample_sizes == (100, 120)
+        assert all(type(n) is int for n in spec.sample_sizes)
+        row = run_experiment(spec)[0]
+        assert row.replications == 2
 
 
 class TestCsv:

@@ -47,12 +47,12 @@ PUBLIC = [
 # Names that only the tests and the bench tracer use: off the package and
 # its modules' __all__, still defined on their home modules.
 TRACER_ONLY = {
-    "criterion": ["HarmonicDesignMoments", "compute_moments", "g_derivatives"],
+    "criterion": ["compute_moments", "g_derivatives"],
     "spectrum": ["fourier_grid", "harmonic_criterion_qn", "periodogram"],
 }
 
 REMOVED = ["BoundaryError", "CurvatureError", "mnr_step", "polar_to_cartesian",
-           "cartesian_to_polar", "alse_linear", "MnrConfig",
+           "cartesian_to_polar", "alse_linear", "MnrConfig", "HarmonicDesignMoments",
            *(name for names in TRACER_ONLY.values() for name in names)]
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -122,31 +122,54 @@ def test_tracer_only_names_stay_on_their_home_module(layer):
         assert name not in module.__all__
 
 
-def _private_functions() -> list[tuple[Path, ast.FunctionDef]]:
-    """Every module-level function of the package whose name starts with one underscore."""
-    return [(path, node) for path, tree in SOURCES.items() for node in tree.body
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
-            and not node.name.startswith("__")]
-
-
-@pytest.mark.parametrize("path, func", _private_functions(),
-                         ids=lambda x: x.name if isinstance(x, ast.FunctionDef) else x.stem)
-def test_private_function_has_a_caller(path, func):
-    # a helper folded into another, or left with no caller, must go: some
-    # module of the package names it outside its own def (an import alone
-    # does not count)
-    for source, tree in SOURCES.items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
+def _private_definitions(kind: type) -> list:
+    """Every module-level function (``kind`` ast.FunctionDef) or assigned
+    name (ast.Assign) of the package that starts with one underscore, as
+    (path, name, defining node)."""
+    found = []
+    for path, tree in SOURCES.items():
+        for node in tree.body:
+            if kind is ast.FunctionDef and isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            elif kind is ast.Assign and isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
                 continue
-            inside = source == path and func.lineno <= node.lineno <= func.end_lineno
-            if name == func.name and not inside:
-                return
-    pytest.fail(f"{path.name}: {func.name} is never referenced in src/")
+            found += [pytest.param(path, name, node, id=f"{path.stem}-{name}") for name in names
+                      if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+def _read_outside(path: Path, name: str, node: ast.stmt) -> bool:
+    """Whether some module of the package reads ``name`` outside the lines
+    of ``node``, its definition (an import, or a store, does not count)."""
+    for source, tree in SOURCES.items():
+        for ref in ast.walk(tree):
+            if isinstance(ref, ast.Name):
+                found = ref.id
+            elif isinstance(ref, ast.Attribute):
+                found = ref.attr
+            else:
+                continue
+            inside = source == path and node.lineno <= ref.lineno <= node.end_lineno
+            if found == name and isinstance(ref.ctx, ast.Load) and not inside:
+                return True
+    return False
+
+
+@pytest.mark.parametrize("path, name, func", _private_definitions(ast.FunctionDef))
+def test_private_function_has_a_caller(path, name, func):
+    # a helper folded into another, or left with no caller, must go: some
+    # module of the package names it outside its own def
+    assert _read_outside(path, name, func), f"{path.name}: {name} is never referenced in src/"
+
+
+@pytest.mark.parametrize("path, name, assign", _private_definitions(ast.Assign))
+def test_private_name_is_read(path, name, assign):
+    # a private module-level constant or memo that nothing reads must go:
+    # some module of the package reads it outside its own assignment
+    assert _read_outside(path, name, assign), f"{path.name}: {name} is never read in src/"
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
