@@ -19,7 +19,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
 
 from .asymptotics import asymptotic_variances
@@ -136,36 +135,33 @@ def cmd_estimate(args) -> int:
     if args.mean_correct:
         sig = mean_correct(sig)
     lam_hat, trace = estimate_fundamental(sig, args.p)
-    amps = lse_linear(sig, lam_hat, args.p)
-    resid = residuals(sig, lam_hat, amps)
-    # The variances are taken on the unit view y 2^-e (see Signal), where
-    # var_lse and var_mnr do not change with the scale; the rest is scaled
-    # back by 2^e or 2^(2e).
-    e = sig._exponent
-    unit_amps, unit_resid = amps, resid
-    if e:
-        unit_amps = lse_linear(sig._unit, lam_hat, args.p)
-        unit_resid = residuals(sig._unit, lam_hat, unit_amps)
-    variance = float(unit_resid.var())
+    # The fit, the residuals and the variances are taken on the unit view
+    # (see Signal), where var_lse and var_mnr do not change with the scale;
+    # the rest returns through _scale_back.
+    unit = sig._unit
+    amps = lse_linear(unit, lam_hat, args.p)
+    resid = residuals(unit, lam_hat, amps)
+    variance = float(resid.var())
     # innovation variance from the residuals: var(e) = sigma2 * sum a(k)^2
     sigma2_hat = variance / noise.process_variance
-    model_hat = HarmonicModel(args.p, lam_hat, tuple(unit_amps))
+    model_hat = HarmonicModel(args.p, lam_hat, tuple(amps))
     # a perfect noiseless fit gives sigma2_hat == 0; keep the spec valid
     asym = asymptotic_variances(
         model_hat, LinearProcessSpec(noise.coeffs, max(sigma2_hat, 1e-300)), sig.n
     )
     report = {
         "lambda_hat": lam_hat,
-        "amplitudes": [list(ab) for ab in amps],
+        "amplitudes": sig._scale_back(amps).tolist(),
         "residual_summary": {
             "n": sig.n,
-            "mean": _ldexp(float(unit_resid.mean()), e),
-            "variance": _ldexp(variance, 2 * e),
-            "sigma2_hat": _ldexp(sigma2_hat, 2 * e),
+            "mean": sig._scale_back(float(resid.mean())),
+            "variance": sig._scale_back(variance, 2),
+            "sigma2_hat": sig._scale_back(sigma2_hat, 2),
         },
         "asym": dataclasses.asdict(dataclasses.replace(
-            asym, sigma2=_ldexp(asym.sigma2, 2 * e), beta_star=_ldexp(asym.beta_star, 2 * e),
-            delta_g=_ldexp(asym.delta_g, 2 * e),
+            asym, sigma2=sig._scale_back(asym.sigma2, 2),
+            beta_star=sig._scale_back(asym.beta_star, 2),
+            delta_g=sig._scale_back(asym.delta_g, 2),
         )),
         "trace": {
             "status": trace.status,
@@ -188,18 +184,10 @@ def cmd_estimate(args) -> int:
         },
     }
     if args.residuals_out:
-        write_signal(Signal(resid), args.residuals_out)
+        write_signal(Signal(sig._scale_back(resid)), args.residuals_out)
     text = json.dumps(report, indent=2 if args.json else None)
     _write_text(args.out, text)
     return 0
-
-
-def _ldexp(x: float, e: int) -> float:
-    """x 2^e, inf past the float range, where math.ldexp raises."""
-    try:
-        return math.ldexp(x, e)
-    except OverflowError:
-        return math.copysign(math.inf, x)
 
 
 def cmd_periodogram(args) -> int:

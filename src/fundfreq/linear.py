@@ -25,12 +25,12 @@ def lse_linear(signal: Signal, lambda_hat: float, p: int) -> list[tuple[float, f
     its own 2x2 normal equations instead would ignore the cross-harmonic
     design moments X_j'X_k, which are O(1) rather than O(n), and leave an
     O(1/n) leakage error.  The solve is scale-free: it runs on the
-    signal's ``_unit`` view y 2^-e (see :class:`Signal`), the one the
-    estimate runs on, and its amplitudes are scaled back by 2^e, so it
-    holds up to the largest float.
+    signal's ``_unit`` view, the one the estimate runs on, and returns
+    through ``_scale_back`` (see :class:`Signal`), so it holds up to the
+    largest float.
     """
     linv, z = _solve(signal._unit, p, lambda_hat)
-    theta = np.ldexp(linv.T.dot(z), signal._exponent)
+    theta = signal._scale_back(linv.T.dot(z))
     return [(float(theta[2 * i]), float(theta[2 * i + 1])) for i in range(p)]
 
 

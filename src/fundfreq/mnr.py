@@ -114,30 +114,29 @@ def estimate_fundamental(signal: Signal, p: int) -> tuple[float, EstimationTrace
     than raising; the start search raises :class:`DomainError` when
     n < 10*p.
 
-    The estimate is scale-free: the run sees the signal's ``_unit`` view
-    y 2^-e (see :class:`Signal`), so every iterate is the one at scale 1.
-    The records' g values are scaled back by 2^(2e) and read inf past the
+    The estimate is scale-free: the run sees the signal's ``_unit`` view,
+    so every iterate is the one at scale 1, and the records' g values
+    return through ``_scale_back`` (see :class:`Signal`), inf past the
     float range.
     """
-    e = signal._exponent
-    signal = signal._unit
+    unit = signal._unit
     n = signal.n
-    lam0 = fourier_grid_init(signal, p)
+    lam0 = fourier_grid_init(unit, p)
     n1 = _subsample_size(n)
     # Record 0's g over all n samples and the stage-2 derivatives over the
     # first n1 come from one pass over the design: two evaluations.  A
     # singular full sample raises here; a singular subsample gives no
     # derivatives, and stage 2 ends the run degenerate.
-    g0, prefix = g_and_prefix_derivatives(signal, p, lam0, n1)
+    g0, prefix = g_and_prefix_derivatives(unit, p, lam0, n1)
     trace = EstimationTrace(evaluations=2)
     trace.records.append(TraceRecord(0, lam0, n, g0, 0.0))
     try:
-        trace.status = _refine(signal, p, n1, prefix, trace)
+        trace.status = _refine(unit, p, n1, prefix, trace)
     except DegenerateFrequencyError:
         trace.status = "degenerate"
-    if e:
-        h = 2.0 ** (e // 2)  # 2^(2e) = h^4, four exact products
-        trace.records = [replace(r, g_value=r.g_value * h * h * h * h) for r in trace.records]
+    if unit is not signal:
+        trace.records = [replace(r, g_value=signal._scale_back(r.g_value, 2))
+                         for r in trace.records]
     if trace.status == "converged_tol":
         return trace.records[-1].lam, trace
     return trace.best().lam, trace

@@ -88,9 +88,11 @@ class ExperimentSpec:
     master_seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "master_seed", _integer("master_seed", self.master_seed))
+        object.__setattr__(self, "replications", _integer("replications", self.replications))
         if not -(2**63) <= self.master_seed < 2**63:  # packed as int64 per replication
             raise DomainError(f"master_seed must fit in int64, got {self.master_seed}")
-        if _integer("replications", self.replications) < 1:
+        if self.replications < 1:
             raise DomainError(f"replications must be >= 1, got {self.replications}")
         if not self.sample_sizes or not self.sigma2_values:
             raise DomainError("sample_sizes and sigma2_values must be nonempty")
@@ -106,9 +108,11 @@ class ExperimentSpec:
 
 
 def _integer(name: str, value) -> int:
-    """value as an int: Python and numpy integers pass, anything else
-    (a float such as 100.7 or 2.5 included) raises DomainError."""
+    """value as a Python int: Python and numpy integers pass, anything else
+    (a float such as 100.7 or 2.5, or a bool, included) raises DomainError."""
     try:
+        if isinstance(value, bool):  # operator.index(True) is 1
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None

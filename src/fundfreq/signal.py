@@ -98,14 +98,15 @@ class Signal:
     signal compares and hashes by identity: two signals over the same
     samples are unequal, and a pickled or deep-copied signal is a new one.
 
-    The one scale rule of the package: ``_exponent`` is e, the multiple of
-    256 nearest the binary exponent of max|y|, 0 for max|y| inside 2^+-128.
-    ``_unit`` is the signal y 2^-e, whose squares and every sum of n of
-    them stay in the float range: the signal itself when e = 0, else a
-    new signal built when it is read.  The estimate, the amplitude fit and
-    the spectrum read ``_unit`` and scale their results back by 2^e or
-    2^(2e).  A power of two scales exactly, so inside 2^+-128 nothing
-    changes, and outside it every answer is the one at scale 1.
+    The one scale rule of the package, kept in this class: ``_exponent``
+    is e, the multiple of 256 nearest the binary exponent of max|y|, 0 for
+    max|y| inside 2^+-128.  ``_unit`` is the signal y 2^-e, whose squares
+    and every sum of n of them stay in the float range: the signal itself
+    when e = 0, else a new signal built when it is read.  Every other
+    module computes on ``_unit`` and returns its results through
+    ``_scale_back``, by 2^e for a value in y's units and by 2^(2e) for one
+    in their squares.  A power of two scales exactly, so inside 2^+-128
+    nothing changes, and outside it every answer is the one at scale 1.
     """
 
     samples: np.ndarray
@@ -134,6 +135,16 @@ class Signal:
         """y 2^-e, whose own exponent is 0: this signal when e = 0."""
         e = self._exponent
         return Signal(np.ldexp(self.samples, -e)) if e else self
+
+    def _scale_back(self, x, power: int = 1):
+        """x 2^(power e), a result of ``_unit`` in this signal's units.
+
+        Exact inside the float range, inf or 0 past it, with no warning.
+        A scalar comes back as a Python float, an array as an array.
+        """
+        with np.errstate(over="ignore", under="ignore"):
+            out = np.ldexp(x, power * self._exponent)
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -263,11 +274,11 @@ def synthesize(
 def mean_correct(signal: Signal) -> Signal:
     """Subtract the arithmetic mean from every sample.
 
-    The mean is taken and subtracted on the ``_unit`` view y 2^-e and the
-    result scaled back by 2^e, so the sum of the samples cannot overflow.
+    The mean is taken and subtracted on the ``_unit`` view, so the sum of
+    the samples cannot overflow, and the result is scaled back.
     """
     unit = signal._unit.samples
-    return Signal(np.ldexp(unit - unit.mean(), signal._exponent))
+    return Signal(signal._scale_back(unit - unit.mean()))
 
 
 def write_signal(signal: Signal, path: str) -> None:

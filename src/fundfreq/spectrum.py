@@ -52,7 +52,8 @@ def harmonic_criterion_qn(signal: Signal, lam: float, p: int) -> float:
 def _direct_power(signal: Signal, lam: float, p: int) -> float:
     """sum_{j<=p} |sum_t y(t) e^{i j lam t}|^2 by direct sums, for any lam in (0, pi/p).
 
-    The off-grid counterpart of the sums of :func:`_grid_power` at e = 0.
+    The off-grid counterpart of the sums of :func:`_grid_power` on a
+    signal that is its own ``_unit`` view.
     """
     _check_band(p, lam)
     y = signal.samples
@@ -109,8 +110,7 @@ def _grid_power(signal: Signal, p: int, length: int) -> tuple[np.ndarray, np.nda
     Returns ``(plain, harmonic)`` over k = 1..(length-1)//(2p), the grid
     of :func:`fourier_grid`: ``plain[k-1]`` is |X_k|^2 and
     ``harmonic[k-1]`` is sum_{j<=p} |X_{jk}|^2, where X is the real FFT of
-    y 2^-e (see :class:`Signal`) zero-padded to ``length`` >= n.  Times
-    2^(2e) they are the sums of y itself.
+    the ``_unit`` view (see :class:`Signal`) zero-padded to ``length`` >= n.
     """
     if p < 1:
         raise DomainError(f"p must be >= 1, got {p}")
@@ -141,14 +141,14 @@ def grid_spectrum(
     :func:`fourier_grid`, I = |X_k|^2/n and Q_N = sum_{j<=p} |X_{jk}|^2/n^2,
     the values :func:`periodogram` and :func:`harmonic_criterion_qn` give
     at those frequencies.  They are computed on the ``_unit`` view and
-    scaled back by 2^(2e): they read inf, with no warning, only where
-    they exceed the float range, as the estimate's g values do.  Raises
-    :class:`DomainError` when no grid point is admissible.
+    return through ``_scale_back`` (see :class:`Signal`): they read inf
+    only where they exceed the float range, as the estimate's g values
+    do.  Raises :class:`DomainError` when no grid point is admissible.
     """
-    n, e2 = signal.n, 2 * signal._exponent
+    n = signal.n
     plain, harmonic = _grid_power(signal, p, n)
-    with np.errstate(over="ignore"):
-        return fourier_grid(n, p), np.ldexp(plain / n, e2), np.ldexp(harmonic / n**2, e2)
+    return (fourier_grid(n, p), signal._scale_back(plain / n, 2),
+            signal._scale_back(harmonic / n**2, 2))
 
 
 def fourier_grid_init(signal: Signal, p: int) -> float:

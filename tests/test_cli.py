@@ -210,24 +210,38 @@ class TestEstimate:
         assert res_path.read_bytes() == expected.read_bytes()
 
     @pytest.mark.parametrize("k", [600, -600])
-    def test_out_of_range_signal_reports_the_variances_at_scale_one(self, tmp_path, capsys, k):
+    def test_out_of_range_signal_reports_the_variances_at_scale_one(
+        self, tmp_path, capsys, monkeypatch, k
+    ):
         # MODEL1 with MA(1) noise times 2^600 overflowed in the residual
         # variance, and times 2^-600 gave beta* = 0; the command exited 1.
-        # var_lse and var_mnr are y's bit for bit, and the squared scales
-        # read inf or 0 past the float range
+        # var_lse and var_mnr are y's bit for bit, the squared scales read
+        # inf or 0 past the float range, and the amplitudes and residuals
+        # are y's times 2^k, from a single amplitude solve
+        solves = []
+        solve = fundfreq.linear._solve
+        monkeypatch.setattr(fundfreq.linear, "_solve",
+                            lambda *args: solves.append(args) or solve(*args))
         y = fundfreq.synthesize(fundfreq.MODEL1, 200,
                                 fundfreq.LinearProcessSpec((1.0, 0.5), 0.25), seed=4).samples
-        reports = []
+        reports, resids = [], []
         for name, samples in (("y.txt", y), ("scaled.txt", np.ldexp(y, k))):
             write_signal(Signal(samples), str(tmp_path / name))
+            solves.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 code, out, err = run_cli(["estimate", "--input", str(tmp_path / name), "--p", "4",
-                                          "--noise", "ma:1,0.5"], capsys)
-            assert (code, err) == (0, "")
+                                          "--noise", "ma:1,0.5",
+                                          "--residuals-out", str(tmp_path / f"res-{name}")],
+                                         capsys)
+            assert (code, err, len(solves)) == (0, "", 1)
             reports.append(json.loads(out))
+            resids.append(read_signal(str(tmp_path / f"res-{name}")).samples)
         ref, got = reports
         assert got["lambda_hat"] == ref["lambda_hat"]
+        assert resids[1].tobytes() == np.ldexp(resids[0], k).tobytes()
+        assert got["amplitudes"] == [[math.ldexp(a, k), math.ldexp(b, k)]
+                                     for a, b in ref["amplitudes"]]
         for key in ("var_lse", "var_mnr", "c_weights"):
             assert got["asym"][key] == ref["asym"][key]
         assert got["residual_summary"]["mean"] == math.ldexp(ref["residual_summary"]["mean"], k)

@@ -216,21 +216,30 @@ class TestAggregation:
         assert small_spec(sample_sizes=(40,)).sample_sizes == (40,)
 
     def test_non_integer_sample_size_rejected(self):
-        # 100.7 used to run as n = 100
-        with pytest.raises(DomainError, match=r"sample size must be an integer, got 100\.7"):
-            small_spec(sample_sizes=(200, 100.7))
+        # 100.7 used to run as n = 100, and True as n = 1
+        for bad, text in ((100.7, r"100\.7"), (True, "True")):
+            with pytest.raises(DomainError, match=rf"sample size must be an integer, got {text}"):
+                small_spec(sample_sizes=(200, bad))
 
     def test_non_integer_replications_rejected(self):
-        # 2.5 used to pass here and fail later inside range with a TypeError
-        with pytest.raises(DomainError, match=r"replications must be an integer, got 2\.5"):
-            small_spec(replications=2.5)
+        # 2.5 used to pass here and fail later inside range with a TypeError,
+        # and True was kept, so SummaryRow.replications read True.  The seed,
+        # the spec's other integer scalar, is read the same way: 3.5 used to
+        # pass and fail inside run_experiment with a struct.error
+        for name, bad, text in (("replications", 2.5, r"2\.5"), ("replications", True, "True"),
+                                ("master_seed", 3.5, r"3\.5"), ("master_seed", True, "True")):
+            with pytest.raises(DomainError, match=rf"{name} must be an integer, got {text}"):
+                small_spec(**{name: bad})
 
     def test_numpy_integers_accepted(self):
-        spec = small_spec(sample_sizes=(np.int64(100), np.int32(120)), replications=np.int64(2))
+        spec = small_spec(sample_sizes=(np.int64(100), np.int32(120)), replications=np.int64(2),
+                          master_seed=np.int64(7))
         assert spec.sample_sizes == (100, 120)
         assert all(type(n) is int for n in spec.sample_sizes)
+        assert type(spec.replications) is int and type(spec.master_seed) is int
+        assert spec.master_seed == 7
         row = run_experiment(spec)[0]
-        assert row.replications == 2
+        assert row.replications == 2 and type(row.replications) is int
 
 
 class TestCsv:

@@ -141,9 +141,9 @@ def _private_definitions(kind: type) -> list:
     return found
 
 
-def _read_outside(path: Path, name: str, node: ast.stmt) -> bool:
-    """Whether some module of the package reads ``name`` outside the lines
-    of ``node``, its definition (an import, or a store, does not count)."""
+def _reads():
+    """(path, name, node) for every name or attribute some module of the
+    package reads (an import, or a store, does not count)."""
     for source, tree in SOURCES.items():
         for ref in ast.walk(tree):
             if isinstance(ref, ast.Name):
@@ -152,9 +152,17 @@ def _read_outside(path: Path, name: str, node: ast.stmt) -> bool:
                 found = ref.attr
             else:
                 continue
-            inside = source == path and node.lineno <= ref.lineno <= node.end_lineno
-            if found == name and isinstance(ref.ctx, ast.Load) and not inside:
-                return True
+            if isinstance(ref.ctx, ast.Load):
+                yield source, found, ref
+
+
+def _read_outside(path: Path, name: str, node: ast.stmt) -> bool:
+    """Whether some module of the package reads ``name`` outside the lines
+    of ``node``, its definition."""
+    for source, found, ref in _reads():
+        inside = source == path and node.lineno <= ref.lineno <= node.end_lineno
+        if found == name and not inside:
+            return True
     return False
 
 
@@ -170,6 +178,14 @@ def test_private_name_is_read(path, name, assign):
     # a private module-level constant or memo that nothing reads must go:
     # some module of the package reads it outside its own assignment
     assert _read_outside(path, name, assign), f"{path.name}: {name} is never read in src/"
+
+
+def test_scale_rule_stays_in_signal():
+    # the other modules compute on Signal._unit and return through
+    # Signal._scale_back: none reads the exponent or scales by a power of two
+    outside = sorted({(source.name, found) for source, found, _ in _reads()
+                      if found in ("_exponent", "ldexp") and source.name != "signal.py"})
+    assert outside == []
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
