@@ -1,8 +1,7 @@
 """Full estimation walkthrough: frequency, amplitudes, residuals.
 
-Runs the three-stage refinement (padded-grid start, one quarter-Newton
-step on a shrunken subsample, full Newton steps on the full sample until
-a step is shorter than 1e-7) and prints the iterate trace and its count of
+Runs the two-stage refinement (padded-grid start, then full Newton steps
+until a step is shorter than 1e-7) and prints the iterate trace and its count of
 criterion evaluations, then recovers amplitudes at the estimated frequency
 and checks the residual spectrum.
 """
@@ -25,10 +24,9 @@ sig = synthesize(MODEL1, n=500, noise=noise, seed=11)
 lam_hat, trace = estimate_fundamental(sig, p=4)
 print(f"lambda_hat = {lam_hat:.8f}   (true 0.25)   status = {trace.status}")
 print(f"trace ({trace.evaluations} criterion evaluations; "
-      "iteration, sample size, lambda, correction):")
+      "iteration, lambda, correction):")
 for r in trace.records:
-    print(f"  {r.iteration:2d}  m={r.sample_size_used:4d}  lam={r.lam:.10f}  "
-          f"corr={r.correction:+.2e}")
+    print(f"  {r.iteration:2d}  lam={r.lam:.10f}  corr={r.correction:+.2e}")
 
 # Amplitudes: the 2p-column solve (exact normal equations) and each
 # harmonic's own 2x2 solve, the p = 1 case at j*lambda_hat, which leaks

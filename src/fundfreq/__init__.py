@@ -2,7 +2,7 @@
 
 The package synthesizes p-harmonic signals with stationary moving-average
 noise, estimates the fundamental frequency with a Newton-Raphson refinement
-(a quarter step on a subsample, then full steps) of the least squares
+(a Fourier-grid start, then full Newton steps) of the least squares
 projection criterion, recovers amplitudes, evaluates closed-form asymptotic
 variances for both the least squares and the reduced-step estimators, and
 reproduces simulation tables with a deterministic Monte Carlo harness.

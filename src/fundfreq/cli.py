@@ -170,7 +170,6 @@ def cmd_estimate(args) -> int:
                 {
                     "iteration": r.iteration,
                     "lambda": r.lam,
-                    "sample_size_used": r.sample_size_used,
                     "g_value": r.g_value,
                     "correction": r.correction,
                 }

@@ -19,22 +19,16 @@ of ``signal._phases`` (one exp over about n/32 + 32 angles, then one
 complex multiply per sample and harmonic), and the ramp t is built once
 per n and kept read-only.  X'X is factored by Cholesky in one place,
 :func:`_whitened`, with one pivot floor and one error, and its inverse
-factor serves every solve: g, the amplitudes, the start pass and the
-derivatives.  g and the amplitudes share one solve, :func:`_solve`.  The
-2p x 2p algebra after the pass applies K and J^2 by permuting and scaling
-entries, not by matrix products.
-Every pass builds the design and takes its products in one routine,
-:func:`_moments`, which splits the product after a sample n1: the
-moments over y(1..n1) carry the derivative blocks while the rest adds
-only to X'X and X'Y.  At n1 = n it is the pass of g and its derivatives;
-at n1 = 0 it is the solve of g and the amplitudes, which never forms
-T*y; in between it gives g over all n samples and g', g'' over the first
-n1 (:func:`g_and_prefix_derivatives`, the start pass).  When the start
-pass meets the same (n, p, lam, n1) twice in a row, as the replications
-of a Monte Carlo cell nearly always do, that second pass keeps its own
-rows and both inverse factors of X'X ((4p + 2)n floats) in one memo,
-``_last_start``.  Later replications at that start write their data
-into a copy of the kept rows and pay only for the head product.
+factor serves every solve: g, the amplitudes and the derivatives.  g and
+the amplitudes share one solve, :func:`_solve`.  The 2p x 2p algebra after
+the pass applies K and J^2 by permuting and scaling entries, not by matrix
+products.
+
+Every pass builds the design and takes its product in one routine,
+:func:`_moments`, over all n samples: with the derivative rows it is the
+pass of g and its derivatives (:func:`g_with_derivatives`, which serves
+the start and every Newton step of an estimate); without them it is the
+solve of g and the amplitudes, which never forms T*y.
 
 A single harmonic j is the p = 1 case at frequency j*lam: its projection
 norm R_j is g(signal, 1, j*lam), and ``compute_moments`` reads its six
@@ -48,10 +42,10 @@ import functools
 import numpy as np
 from numpy.linalg import _umath_linalg  # the gufuncs behind np.linalg
 
-from .errors import DegenerateFrequencyError, DomainError
+from .errors import DegenerateFrequencyError
 from .signal import Signal, _check_band, _phases
 
-__all__ = ["g", "g_and_prefix_derivatives", "g_with_derivatives"]
+__all__ = ["g", "g_with_derivatives"]
 
 # compute_moments and g_derivatives serve only the tests.  They stay
 # defined here because the LAYER_FUNCTIONS of perfbench/tracing.py look
@@ -61,11 +55,6 @@ __all__ = ["g", "g_and_prefix_derivatives", "g_with_derivatives"]
 # Floor on each squared Cholesky pivot of X'X, relative to n (a squared
 # pivot is ~ n/2 away from degenerate frequencies).
 _PIVOT_FLOOR = 1e-10
-
-# The (n, p, lam, n1) of the last start pass, and for a start met at least
-# twice in a row the rows and factors of its second pass; a single
-# estimate keeps nothing.
-_last_start: tuple[tuple[int, int, float, int] | None, tuple | None] = (None, None)
 
 
 def compute_moments(
@@ -79,7 +68,7 @@ def compute_moments(
     """
     _check_band(j, lam)
     # Rows (tc, ts, c, s) against columns (tc, ts, c, s, y, ty).
-    mom = _moments(signal.samples, 1, j * lam, signal.n)[1]
+    mom = _moments(signal.samples, 1, j * lam, True)
     blocks = (mom[2:4, 2:4], j * mom[2:4, :2], j * j * mom[:2, :2])
     for b in blocks:
         b[1, 0] = b[0, 1]   # the product's two triangles differ in the last bit
@@ -114,67 +103,8 @@ def g_with_derivatives(signal: Signal, p: int, lam: float) -> tuple[float, float
     """
     _check_band(p, lam)
     q = 2 * p
-    mom = _moments(signal.samples, p, lam, signal.n)[1]
+    mom = _moments(signal.samples, p, lam, True)
     return _with_derivatives(mom, p, *_whitened(mom[q : 2 * q, q:], signal.n, lam))
-
-
-def g_and_prefix_derivatives(
-    signal: Signal, p: int, lam: float, n1: int
-) -> tuple[float, tuple[float, float] | None]:
-    """g over all n samples and (g', g'') over the first n1, from one pass.
-
-    Returns ``(g, (g', g''))``, with None for the derivatives where X'X
-    over the first n1 samples is singular; a singular X'X over all n
-    raises :class:`DegenerateFrequencyError`.  The derivatives come from
-    the same product as ``g_derivatives(Signal(signal.samples[:n1]), p,
-    lam)``, bit for bit, and g agrees with :func:`g` to rounding.
-
-    The replications of a Monte Carlo cell share their start, so the
-    pass that meets a start for the second time in a row keeps its own
-    rows of :func:`_moments` and both inverse factors of X'X in
-    ``_last_start``, read-only.  Later passes at that start write their
-    data into two rows of a copy of the kept rows over t <= n1, as
-    :func:`_moments` does, and take the same head product; a start met
-    once keeps nothing.  The rows and factors are the same either way, so
-    g and the derivatives are the same bit for bit: X'Y over the first n1
-    samples comes with the derivative moments from the head product, and
-    one product of the X rows with y gives X'Y over the rest.
-    """
-    global _last_start
-    _check_band(p, lam)
-    n = signal.n
-    if not 0 < n1 < n:
-        raise DomainError(f"need 0 < n1 < n = {n}, got n1 = {n1}")
-    q = 2 * p
-    y = signal.samples
-    start = (n, p, lam, n1)
-    key, kept = _last_start
-    if key == start and kept is not None:
-        rows, full, prefix = kept
-        s = rows[:, :n1].copy()
-        s[2 * q] = y[:n1]
-        np.multiply(_ramp(n)[:n1], y[:n1], out=s[-1])
-        head = s[: 2 * q] @ s.T
-    else:
-        rows, head, tail = _moments(y, p, lam, n1)
-        tail[:, :q] += head[q : 2 * q, q : 2 * q]  # X'X over all n
-        full = _whitened(tail, n, lam)[0]
-        try:
-            prefix = _whitened(head[q : 2 * q, q:], n1, lam)[0]
-        except DegenerateFrequencyError:
-            prefix = None
-        kept = None
-        if key == start:
-            kept = (rows, full, prefix)
-            for a in kept:
-                if a is not None:
-                    a.setflags(write=False)
-        _last_start = start, kept
-    z = full.dot(rows[q : 2 * q, n1:] @ y[n1:] + head[q : 2 * q, 2 * q])
-    derivatives = None
-    if prefix is not None:
-        derivatives = _with_derivatives(head, p, prefix, prefix.dot(head[q : 2 * q, 2 * q]))[1:]
-    return float(z.dot(z)), derivatives
 
 
 def _solve(signal: Signal, p: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -184,15 +114,15 @@ def _solve(signal: Signal, p: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
     L^{-T} L^{-1}X'Y.
     """
     _check_band(p, lam)
-    return _whitened(_moments(signal.samples, p, lam, 0)[2], signal.n, lam)
+    return _whitened(_moments(signal.samples, p, lam, False), signal.n, lam)
 
 
 def _whitened(mom: np.ndarray, n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """(L^{-1}, L^{-1} X'Y) for the lower Cholesky factor L of X'X = LL'.
 
     ``mom`` holds X'X in its leading square block and X'Y in the next
-    column, as the tail product of :func:`_moments` and the X rows of its
-    head product do.  This is the one place X'X is factored.  X'X is
+    column, as the solve product of :func:`_moments` and the X rows of its
+    derivative product do.  This is the one place X'X is factored.  X'X is
     singular when some j*lam nears 0 or pi; the guard is a floor on every
     squared pivot, scaled by n.  The factor and its inverse come from the
     gufuncs that np.linalg.cholesky and np.linalg.inv call, with the same
@@ -223,8 +153,9 @@ def _cholesky(m: np.ndarray) -> np.ndarray:
 def _with_derivatives(
     mom: np.ndarray, p: int, linv: np.ndarray, zu: np.ndarray
 ) -> tuple[float, float, float]:
-    """:func:`g_with_derivatives` from the head product of :func:`_moments`
-    and ``(linv, zu)``, what :func:`_whitened` returns for its X rows.
+    """:func:`g_with_derivatives` from the derivative product of
+    :func:`_moments` and ``(linv, zu)``, what :func:`_whitened` returns for
+    its X rows.
 
     K, K' and J^2 act by permuting and scaling entries, which gives what
     products with them give, bit for bit.  ``ndarray.dot`` dispatches in
@@ -265,20 +196,15 @@ def _harmonic_operators(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     return ops
 
 
-def _moments(
-    y: np.ndarray, p: int, lam: float, n1: int
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """The design rows and their products with the data, split after sample n1.
+def _moments(y: np.ndarray, p: int, lam: float, derivatives: bool) -> np.ndarray:
+    """The products of the design with the data, summed over all n samples.
 
-    This is the one place the design is built and multiplied.  Returns
-    ``(rows, head, tail)``.  The rows are S = [D; Y'; (TY)'] with
-    D = [(TX)'; X'], every harmonic's cos and sin from one
-    :func:`_phases` call; the T-weighted rows are filled only over
-    t <= n1.  The head sums, over t <= n1, the products D S': X'T^2X,
-    X'TX and X'X are its square blocks, X'T^2Y, X'TY and X'Y its last two
-    columns.  The tail sums X'[X Y] over t > n1.  Either is None when its
-    range is empty.  The head is the product that a pass over y[:n1]
-    alone takes.
+    This is the one place the design is built and multiplied.  The rows
+    are S = [D; Y'; (TY)'] with D = [(TX)'; X'], every harmonic's cos and
+    sin from one :func:`_phases` call.  With ``derivatives`` the product
+    is D S': X'T^2X, X'TX and X'X are its square blocks, X'T^2Y, X'TY and
+    X'Y its last two columns.  Without, it is X'[X Y], and the T-weighted
+    rows are never filled.
     """
     q = 2 * p
     n = y.size
@@ -287,14 +213,11 @@ def _moments(
     s[q : 2 * q : 2] = z.real
     s[q + 1 : 2 * q : 2] = z.imag
     s[2 * q] = y
-    head = tail = None
-    if n1:
-        np.multiply(s[q : 2 * q, :n1], _ramp(n)[:n1], out=s[:q, :n1])
-        np.multiply(_ramp(n)[:n1], y[:n1], out=s[-1, :n1])
-        head = s[: 2 * q, :n1] @ s[:, :n1].T
-    if n1 < n:
-        tail = s[q : 2 * q, n1:] @ s[q : 2 * q + 1, n1:].T
-    return s, head, tail
+    if not derivatives:
+        return s[q : 2 * q] @ s[q : 2 * q + 1].T
+    np.multiply(s[q : 2 * q], _ramp(n), out=s[:q])
+    np.multiply(_ramp(n), y, out=s[-1])
+    return s[: 2 * q] @ s.T
 
 
 @functools.lru_cache(maxsize=1)  # every evaluation of an estimate runs at one n

@@ -1,49 +1,39 @@
 """Newton-Raphson refinement of the fundamental frequency.
 
-The estimator runs in three stages:
+The estimator runs in two stages:
 
 1. coarse start: argmax of the harmonic criterion Q_N on the grid 2*pi*k/L,
    L the smallest 5-smooth length >= 8n (at most about 1/16 Fourier bin
    from any frequency),
-2. one Newton step with step factor 1/4 computed on the first
-   n1 = floor(n^(6/7)) samples; the run ends ``boundary`` if it leaves
-   (0, pi/p),
-3. full Newton steps -g'/g'' on the full sample.  A step that lowers the
+2. full Newton steps -g'/g'' on the full sample.  A step that lowers the
    criterion g or leaves (0, pi/p) is halved until it does neither or is
-   shorter than ``_TOL``; an iterate with g'' >= 0 takes no step (the run
-   ends ``converged_objective``).  The run ends ``converged_tol`` once a
-   step shorter than ``_TOL`` has been taken, ``boundary`` if even that step
+   shorter than ``_TOL``.  The run ends ``converged_tol`` once a step
+   shorter than ``_TOL`` has been taken, ``boundary`` if even that step
    leaves (0, pi/p), or ``max_iter`` after ``_MAX_ITER`` Newton steps.
 
-Every exit of stages 2 and 3 is a status that :func:`_refine` returns.  A
-zero or non-finite g'' (or a non-finite g') at any iterate ends the run
-``degenerate``, and so does the one exception caught: the criterion's
-:class:`DegenerateFrequencyError` for a singular X'X.
+At every iterate, the start included, a zero or non-finite g'' (or a
+non-finite g') ends the run ``degenerate``: no Newton step exists there.
+Only then is the sign of g'' read: an iterate with g'' > 0 takes no step,
+and the run ends ``converged_objective``.  A singular X'X at a Newton
+iterate (the criterion's :class:`DegenerateFrequencyError`) also ends the
+run ``degenerate``; at the start it raises.
 
-Run to convergence, stage 3 returns the least squares estimate, the
-maximizer of g near the start.  Full steps converge to it quadratically,
-in about four full-sample criterion evaluations, and the step shorter than
-``_TOL`` that ends a run lands on it to rounding accuracy, so no extra
-closing step follows and the landing point's g is the Newton model's
-(Nielsen et al., Signal Processing 135, 2017, on Newton refinement of the
-exact least squares pitch criterion).  The quarter step of stage 2 damps the
-classical Newton update on the shrunken subsample, which widens the
-curvature basin around the start.  A ``converged_tol`` run returns that
-landing point: within about 1e-10 of the maximizer g differs from its
-peak by less than its own rounding, so comparing g values there could
-keep the iterate before the last step.  Every other status returns the
-iterate with the largest g seen.
+Run to convergence, the full steps return the least squares estimate, the
+maximizer of g near the start.  They converge to it quadratically, in
+about three criterion evaluations after the start, and the step shorter
+than ``_TOL`` that ends a run lands on it to rounding accuracy, so no
+extra closing step follows and the landing point's g is the Newton
+model's (Nielsen et al., Signal Processing 135, 2017, on Newton refinement
+of the exact least squares pitch criterion).  A ``converged_tol`` run
+returns that landing point: within about 1e-10 of the maximizer g differs
+from its peak by less than its own rounding, so comparing g values there
+could keep the iterate before the last step.  Every other status returns
+the iterate with the largest g seen.
 
-Record 0's g and the stage-2 derivatives come from one start pass,
-:func:`~fundfreq.criterion.g_and_prefix_derivatives`, which returns them
-as values: (g', g'') over the first n1 samples, or None where X'X there
-is singular, which ends the run ``degenerate``.  The start pass and every
-stage-3 pass take their design products from one routine.  The
-replications of a Monte Carlo cell nearly always start on one grid point,
-so the pass that meets a start for the second time in a row keeps its
-own design rows and both inverse factors of X'X ((4p + 2)n floats), and
-later replications at that start pay only for their data.  A single
-estimate keeps nothing but per-n and per-p tables.
+Every pass is one :func:`~fundfreq.criterion.g_with_derivatives` call:
+the one at the start gives record 0's g and the first step's g' and g''.
+The paper's reduced step on a subsample is not part of this estimator: it
+cannot change where a run to convergence lands.
 """
 
 from __future__ import annotations
@@ -51,27 +41,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .criterion import g_and_prefix_derivatives, g_with_derivatives
+from .criterion import g_with_derivatives
 from .errors import DegenerateFrequencyError
 from .signal import Signal
 from .spectrum import fourier_grid_init
 
 __all__ = ["TraceRecord", "EstimationTrace", "estimate_fundamental"]
 
-# Constants, not options: stage 3 runs to the least squares maximizer, so
-# these set how a run gets there, not where it lands.
-_STEP_FACTOR = 0.25  # stage-2 subsample step; stage 3 takes full steps
+# Constants, not options: the run goes to the least squares maximizer, so
+# these set how it gets there, not where it lands.
 _TOL = 1e-7
-_MAX_ITER = 50  # stage-3 Newton steps, halvings excluded
+_MAX_ITER = 50  # Newton steps, halvings excluded
 
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One iterate: which sample size produced it and how good it is."""
+    """One iterate: its frequency, its g and the step that reached it."""
 
     iteration: int
     lam: float
-    sample_size_used: int
     g_value: float
     correction: float
 
@@ -81,17 +69,17 @@ class EstimationTrace:
     """Iterate history, terminal status and criterion evaluation count.
 
     Statuses: ``converged_tol`` (a Newton step shorter than _TOL, taken from
-    an iterate with g'' < 0), ``converged_objective`` (g'' >= 0 at an
+    an iterate with g'' < 0), ``converged_objective`` (g'' > 0 at an
     iterate, so no Newton step points uphill), ``max_iter``, ``boundary``
-    (the stage-2 step, or a stage-3 step shorter than _TOL, left (0, pi/p)),
-    ``degenerate`` (curvature or normal equations broke down).
+    (a step shorter than _TOL left (0, pi/p)), ``degenerate`` (curvature or
+    normal equations broke down).
 
-    ``records`` holds the start, the stage-2 iterate and each stage-3 step
-    as finally taken; ``evaluations`` counts every criterion call, the
-    trial points of halved steps included.  The closing record of a
-    ``converged_tol`` run costs none: its g is the Newton model's value
-    g + s (g' + g'' s/2) at the landing point, from the (g, g', g'') of
-    the iterate the step s left.  The estimate is the last record on
+    ``records`` holds the start and each Newton step as finally taken;
+    ``evaluations`` counts every criterion call: one at the start and one
+    at each trial point of a step, those of halved steps included.  The
+    closing record of a ``converged_tol`` run costs none: its g is the
+    Newton model's value g + s (g' + g'' s/2) at the landing point, from
+    the (g, g', g'') of the iterate the step s left.  The estimate is the last record on
     ``converged_tol`` and :meth:`best` otherwise.
     """
 
@@ -120,18 +108,14 @@ def estimate_fundamental(signal: Signal, p: int) -> tuple[float, EstimationTrace
     float range.
     """
     unit = signal._unit
-    n = signal.n
     lam0 = fourier_grid_init(unit, p)
-    n1 = _subsample_size(n)
-    # Record 0's g over all n samples and the stage-2 derivatives over the
-    # first n1 come from one pass over the design: two evaluations.  A
-    # singular full sample raises here; a singular subsample gives no
-    # derivatives, and stage 2 ends the run degenerate.
-    g0, prefix = g_and_prefix_derivatives(unit, p, lam0, n1)
-    trace = EstimationTrace(evaluations=2)
-    trace.records.append(TraceRecord(0, lam0, n, g0, 0.0))
+    # Record 0's g and the first step's g', g'' come from one pass; a
+    # singular X'X at the start raises here.
+    g0, gp, gpp = g_with_derivatives(unit, p, lam0)
+    trace = EstimationTrace(evaluations=1)
+    trace.records.append(TraceRecord(0, lam0, g0, 0.0))
     try:
-        trace.status = _refine(unit, p, n1, prefix, trace)
+        trace.status = _refine(unit, p, gp, gpp, trace)
     except DegenerateFrequencyError:
         trace.status = "degenerate"
     if unit is not signal:
@@ -142,36 +126,21 @@ def estimate_fundamental(signal: Signal, p: int) -> tuple[float, EstimationTrace
     return trace.best().lam, trace
 
 
-def _refine(
-    signal: Signal, p: int, n1: int, prefix: tuple[float, float] | None,
-    trace: EstimationTrace,
-) -> str:
-    """Stages 2 and 3 from the start in ``trace``, given the subsample's
-    (g', g'') there, or None where its X'X is singular; appends their
-    iterates and returns the status."""
-    n = signal.n
-    # Stage 2: one reduced step on the first n1 samples.
-    correction = None if prefix is None else _newton(*prefix, _STEP_FACTOR)
-    if correction is None:
-        return "degenerate"
-    lam_k = trace.records[0].lam + correction
-    if not (0.0 < lam_k < math.pi / p):
-        return "boundary"
-    # Stage 3: full Newton steps on the full sample.  Each iterate needs the
-    # criterion value (backtracking) and both derivatives (next step), so
-    # they come from one pass over the moment blocks.
-    trace.evaluations += 1
-    g_k, gp, gpp = g_with_derivatives(signal, p, lam_k)
-    trace.records.append(TraceRecord(1, lam_k, n1, g_k, correction))
-    for k in range(2, _MAX_ITER + 2):
-        if gpp >= 0.0:
-            return "converged_objective"
-        correction = _newton(gp, gpp, 1.0)
+def _refine(signal: Signal, p: int, gp: float, gpp: float, trace: EstimationTrace) -> str:
+    """Full Newton steps from the start in ``trace``, given (g', g'')
+    there; appends their iterates and returns the status."""
+    lam_k, g_k = trace.records[0].lam, trace.records[0].g_value
+    for k in range(1, _MAX_ITER + 1):
+        correction = _newton(gp, gpp)
         if correction is None:
             return "degenerate"
+        if gpp > 0.0:
+            return "converged_objective"
         # Halve a step that leaves (0, pi/p) or lowers g.  A step shorter
         # than _TOL closes the run with no pass: the Newton model's g at
         # its landing point is within rounding of a measured one there.
+        # Each trial point needs the criterion value (backtracking) and
+        # both derivatives (next step), so they come from one pass.
         while True:
             lam_next = lam_k + correction
             inside = 0.0 < lam_next < math.pi / p
@@ -179,7 +148,7 @@ def _refine(
                 if not inside:
                     return "boundary"
                 g_next = g_k + correction * (gp + gpp * correction / 2.0)
-                trace.records.append(TraceRecord(k, lam_next, n, g_next, correction))
+                trace.records.append(TraceRecord(k, lam_next, g_next, correction))
                 return "converged_tol"
             if inside:
                 trace.evaluations += 1
@@ -187,28 +156,14 @@ def _refine(
                 if g_next >= g_k:
                     break
             correction *= 0.5
-        trace.records.append(TraceRecord(k, lam_next, n, g_next, correction))
+        trace.records.append(TraceRecord(k, lam_next, g_next, correction))
         lam_k, g_k, gp, gpp = lam_next, g_next, gp_next, gpp_next
     return "max_iter"
 
 
-def _subsample_size(n: int) -> int:
-    """n1 = floor(n^(6/7)), from the integer test n1^7 <= n^6 < (n1 + 1)^7.
-
-    The float power alone rounds down past exact roots: int(128 ** (6/7))
-    is 63, not 64.
-    """
-    n1 = int(n ** (6.0 / 7.0))
-    while n1**7 > n**6:
-        n1 -= 1
-    while (n1 + 1) ** 7 <= n**6:
-        n1 += 1
-    return n1
-
-
-def _newton(gp: float, gpp: float, factor: float) -> float | None:
-    """The correction -factor * g'/g'', or None when g'' is zero or g', g''
-    are not finite: no Newton step exists there."""
+def _newton(gp: float, gpp: float) -> float | None:
+    """The correction -g'/g'', or None when g'' is zero or g', g'' are not
+    finite: no Newton step exists there."""
     if gpp == 0.0 or not math.isfinite(gpp) or not math.isfinite(gp):
         return None
-    return -factor * gp / gpp
+    return -gp / gpp

@@ -2,16 +2,7 @@
 
 import pytest
 
-import fundfreq.criterion as criterion
 from fundfreq import MODEL1, MODEL2, synthesize
-
-
-@pytest.fixture(autouse=True)
-def cold_start_design():
-    """Every test starts with no start pass remembered and no rows or
-    factors kept, so a test that counts or patches the factorizations of
-    the start pass sees them whatever ran before it."""
-    criterion._last_start = (None, None)
 
 
 @pytest.fixture(scope="session")

@@ -182,7 +182,7 @@ def test_criterion_7_noiseless_exactness():
     Stated tolerances are asserted as written.  Both preset frequencies fall
     ~0.4 Fourier bins off the grid 2*pi*k/512; the padded-grid start, the
     exact least squares criterion (whose noiseless maximizer is the true
-    frequency), the full Newton steps of stage 3 (quadratic convergence)
+    frequency), the full Newton steps (quadratic convergence)
     and the joint amplitude solve together recover both to rounding
     accuracy.
     """

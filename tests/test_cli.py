@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import fundfreq
-import fundfreq.mnr as mnr
 from fundfreq import Signal, read_signal, residuals, write_signal
 from fundfreq.cli import main
 
@@ -144,9 +143,11 @@ class TestEstimate:
         assert len(report["amplitudes"]) == 4
         assert isinstance(report["trace"]["records"], list)
         assert report["trace"]["records"][0]["iteration"] == 0
-        # record 0's g, the stage-2 step and one call per stage-3 record
-        # but the closing one, when no step is halved
-        assert report["trace"]["evaluations"] == len(report["trace"]["records"])
+        # one call per record but the closing one, record 0's included,
+        # when no step is halved
+        assert report["trace"]["evaluations"] == len(report["trace"]["records"]) - 1
+        assert set(report["trace"]["records"][0]) == {
+            "iteration", "lambda", "g_value", "correction"}
         assert 0.0 < report["lambda_hat"] < math.pi / 4
 
     def test_missing_file(self, capsys):
@@ -155,24 +156,6 @@ class TestEstimate:
         )
         assert code == 2
         assert "not found" in err
-
-    def test_singular_subsample_reports_degenerate(self, tmp_path, capsys, monkeypatch):
-        # singular normal equations on the stage-2 subsample: the run ends
-        # with status degenerate and the report is still written
-        start = mnr.g_and_prefix_derivatives
-
-        def singular_prefix(signal, p, lam, n1):
-            return start(signal, p, lam, n1)[0], None
-
-        path = tmp_path / "noisy.txt"
-        run_cli(["synth", "--preset", "1", "--n", "100", "--noise", "ma:1,0.5",
-                 "--sigma2", "0.25", "--seed", "3", "--out", str(path)], capsys)
-        monkeypatch.setattr(mnr, "g_and_prefix_derivatives", singular_prefix)
-        code, out, _ = run_cli(
-            ["estimate", "--input", str(path), "--p", "4", "--json"], capsys
-        )
-        assert code == 0
-        assert json.loads(out)["trace"]["status"] == "degenerate"
 
     def test_all_zero_noise_coefficients_are_runtime_error(self, clean_file, capsys):
         code, out, err = run_cli(

@@ -7,12 +7,12 @@ independently of the moment-block assembly under test.
 
 import math
 import warnings
-import weakref
 
 import numpy as np
 import pytest
 
 import fundfreq.criterion as criterion
+import fundfreq.mnr as mnr
 import fundfreq.spectrum as spectrum
 from fundfreq import (
     DegenerateFrequencyError,
@@ -24,12 +24,7 @@ from fundfreq import (
     lse_linear,
     synthesize,
 )
-from fundfreq.criterion import (
-    compute_moments,
-    g_and_prefix_derivatives,
-    g_derivatives,
-    g_with_derivatives,
-)
+from fundfreq.criterion import compute_moments, g_derivatives, g_with_derivatives
 from fundfreq.signal import _phase_angles
 from conftest import fd_derivatives
 
@@ -204,126 +199,6 @@ class TestDenseOracle:
         assert np.abs(coef - coef_ref).max() < 1e-9 * np.abs(coef_ref).max()
 
 
-class TestPrefixPass:
-    """g over all n and (g', g'') over the first n1 samples from one pass."""
-
-    @pytest.mark.parametrize("n, n1", [(100, 51), (500, 205), (3251, 1024),
-                                       (3300, 1025), (4000, 1223), (9000, 2450)])
-    @pytest.mark.parametrize("p", [1, 4])
-    def test_matches_separate_passes(self, model1, n, n1, p):
-        sig = synthesize(model1, n, LinearProcessSpec((1.0, 0.5), 0.25), seed=n)
-        lam = 0.2503
-        g_full, derivatives = g_and_prefix_derivatives(sig, p, lam, n1)
-        assert derivatives == g_derivatives(Signal(sig.samples[:n1]), p, lam)
-        assert g_full == pytest.approx(g(sig, p, lam), rel=1e-13)
-
-    @pytest.mark.parametrize("n1", [0, 500, -1])
-    def test_split_must_leave_both_parts_nonempty(self, model1, n1):
-        with pytest.raises(DomainError):
-            g_and_prefix_derivatives(synthesize(model1, 500), 4, 0.25, n1)
-
-    def test_singular_prefix_gives_no_derivatives(self, model1):
-        # harmonic 4 near pi: 25 samples leave X'X below its pivot floor,
-        # 3000 samples do not
-        sig = synthesize(model1, 3000, LinearProcessSpec((1.0, 0.5), 0.25), seed=3)
-        lam = math.pi / 4 - 1e-7
-        with pytest.raises(DegenerateFrequencyError, match="pivot floor"):
-            g_derivatives(Signal(sig.samples[:25]), 4, lam)
-        g_full, derivatives = g_and_prefix_derivatives(sig, 4, lam, 25)
-        assert g_full == pytest.approx(g(sig, 4, lam), rel=1e-13)
-        assert derivatives is None
-
-    @pytest.mark.parametrize("p, n, n1", [(1, 100, 51), (4, 500, 205), (4, 4000, 1223)])
-    def test_repeated_start_gives_what_a_fresh_one_gives(self, model1, p, n, n1):
-        # replications of one cell share their start: the first takes a
-        # fresh pass, the second a fresh pass that keeps its rows and
-        # factors, the third reads them; each gives what a fresh pass
-        # gives, bit for bit
-        noise = LinearProcessSpec((1.0, 0.5), 0.25)
-        sigs = [synthesize(model1, n, noise, seed=seed) for seed in (1, 2, 3)]
-        fresh = []
-        for sig in sigs:
-            criterion._last_start = (None, None)
-            fresh.append(g_and_prefix_derivatives(sig, p, 0.2503, n1))
-            assert criterion._last_start[1] is None
-        criterion._last_start = (None, None)
-        kept = []
-        for sig, want in zip(sigs, fresh, strict=True):
-            assert g_and_prefix_derivatives(sig, p, 0.2503, n1) == want
-            kept.append(criterion._last_start[1])
-        assert kept[0] is None and kept[1] is not None and kept[2] is kept[1]
-
-    def test_repeated_start_builds_no_phases_and_factors_nothing(self, model1, monkeypatch):
-        # from the third replication of a cell on, the start pass reads the
-        # design rows and both factors of X'X that the second one kept
-        noise = LinearProcessSpec((1.0, 0.5), 0.25)
-        for seed in (1, 2):
-            g_and_prefix_derivatives(synthesize(model1, 500, noise, seed=seed), 4, 0.2503, 205)
-        kept = criterion._last_start[1]
-        calls = []
-        for name in ("_phases", "_whitened", "_moments"):
-            inner = getattr(criterion, name)
-            monkeypatch.setattr(criterion, name,
-                                lambda *args, inner=inner, name=name: calls.append(name) or inner(*args))
-        for seed in (3, 4):
-            g_and_prefix_derivatives(synthesize(model1, 500, noise, seed=seed), 4, 0.2503, 205)
-        assert calls == []
-        assert kept is not None and criterion._last_start[1] is kept
-
-    def test_singular_full_sample_raises_on_a_repeated_start(self, model1):
-        # a singular X'X is never kept: the fresh pass and every later
-        # call at that start raise
-        sig = synthesize(model1, 3000, LinearProcessSpec((1.0, 0.5), 0.25), seed=3)
-        g_and_prefix_derivatives(sig, 4, 0.2503, 955)
-        for _ in range(3):
-            with pytest.raises(DegenerateFrequencyError):
-                g_and_prefix_derivatives(sig, 4, math.pi / 4 - 1e-9, 955)
-            assert criterion._last_start[1] is None
-
-    def test_singular_prefix_gives_no_derivatives_on_a_repeated_start(self, model1):
-        # the fresh pass, the one that keeps its rows and factors and the
-        # ones that read them all give g and no derivatives
-        sig = synthesize(model1, 3000, LinearProcessSpec((1.0, 0.5), 0.25), seed=3)
-        lam = math.pi / 4 - 1e-7
-        kept = []
-        for _ in range(4):
-            g_full, derivatives = g_and_prefix_derivatives(sig, 4, lam, 25)
-            assert g_full == pytest.approx(g(sig, 4, lam), rel=1e-13)
-            assert derivatives is None
-            kept.append(criterion._last_start[1])
-        assert kept[0] is None and kept[1][2] is None
-        assert kept[2] is kept[1] and kept[3] is kept[1]
-
-    def test_interleaved_starts_keep_at_most_one_design(self, model1):
-        # starts A, A, A, B, A, A, A: the second A of each run keeps its
-        # rows and factors and the third reads them; the single B keeps
-        # nothing and lets the first run's arrays go
-        noise = LinearProcessSpec((1.0, 0.5), 0.25)
-        starts = [0.2503, 0.2503, 0.2503, 0.2611, 0.2503, 0.2503, 0.2503]
-        sigs = [synthesize(model1, 500, noise, seed=seed) for seed in range(len(starts))]
-        fresh = []
-        for sig, lam in zip(sigs, starts, strict=True):
-            criterion._last_start = (None, None)
-            fresh.append(g_and_prefix_derivatives(sig, 4, lam, 205))
-        criterion._last_start = (None, None)
-        held = []  # weak references to every kept row array
-        kept = []
-        for sig, lam, want in zip(sigs, starts, fresh, strict=True):
-            assert g_and_prefix_derivatives(sig, 4, lam, 205) == want
-            memo = criterion._last_start[1]
-            if memo is not None and not (held and held[-1]() is memo[0]):
-                held.append(weakref.ref(memo[0]))
-            kept.append(None if memo is None else len(held))
-            del memo
-            assert sum(ref() is not None for ref in held) <= 1
-        assert kept == [None, 1, 1, None, None, 2, 2]
-        assert held[0]() is None
-        # a single estimate on a new start keeps nothing either
-        estimate_fundamental(synthesize(model1, 300, noise, seed=9), 4)
-        assert criterion._last_start[1] is None
-        assert all(ref() is None for ref in held)
-
-
 class TestMomentOracle:
     """Per-harmonic moment blocks against direct O(n) cos/sin sums."""
 
@@ -340,8 +215,10 @@ class TestMomentOracle:
 
 
 def _start_pass(signal, p, lam):
-    """The shared start pass with its subsample split at n1 = 1000."""
-    return g_and_prefix_derivatives(signal, p, lam, 1000)
+    """The estimate's start pass, on a start of ``lam``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mnr, "fourier_grid_init", lambda *args: lam)
+        return estimate_fundamental(signal, p)
 
 
 def _amplitudes(signal, p, lam):
@@ -352,12 +229,12 @@ def _amplitudes(signal, p, lam):
 class TestDegeneracyGuard:
     def test_inverse_factor_matches_numpy_linalg(self, model1):
         # the gufuncs called directly give np.linalg's results bit for bit,
-        # from the tail product and from the X rows of the head product
+        # from the solve product and from the X rows of the derivative one
         sig = synthesize(model1, 700, LinearProcessSpec((1.0, 0.5), 0.25), seed=5)
         for p, lam in [(1, 0.4), (4, 0.2503)]:
             q = 2 * p
-            _, head, tail = criterion._moments(sig.samples, p, lam, 300)
-            for mom in (tail, head[q : 2 * q, q:]):
+            for mom in (criterion._moments(sig.samples, p, lam, False),
+                        criterion._moments(sig.samples, p, lam, True)[q : 2 * q, q:]):
                 want = np.linalg.inv(np.linalg.cholesky(mom[:, :q]))
                 linv, z = criterion._whitened(mom, sig.n, lam)
                 assert np.array_equal(linv, want)
@@ -389,11 +266,9 @@ class TestCaches:
     the criterion pass are bounded."""
 
     def test_cached_arrays_are_read_only(self, model1):
-        sig = synthesize(model1, 100)
-        for _ in range(2):
-            g_and_prefix_derivatives(sig, 4, 0.25, 51)
+        g_with_derivatives(synthesize(model1, 100), 4, 0.25)
         for cached in (criterion._ramp(100), _phase_angles(100),
-                       *criterion._harmonic_operators(3), *criterion._last_start[1]):
+                       *criterion._harmonic_operators(3)):
             assert not cached.flags.writeable
 
     @pytest.mark.parametrize("cached", [criterion._ramp, _phase_angles, spectrum._smooth_length])
@@ -406,42 +281,11 @@ class TestCaches:
         assert cached.cache_info().currsize <= maxsize
 
     def test_mutating_products_leaves_next_call_unchanged(self, model1):
-        # the rows' T-weighted part past n1 is left unset, so only the
-        # products are compared
         y = synthesize(model1, 300, LinearProcessSpec((1.0, 0.5), 0.25), seed=2).samples
-        want = [m.copy() for m in criterion._moments(y, 4, 0.2503, 100)[1:]]
-        for m in criterion._moments(y, 4, 0.2503, 100):
-            m[...] = np.nan
-        got = criterion._moments(y, 4, 0.2503, 100)[1:]
-        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
-
-    def test_start_design_is_bounded(self, model1):
-        # a long run over many starts, each met three times in a row, keeps
-        # the rows of the last start only
-        held = []
-        for n in range(100, 106):
-            sig = synthesize(model1, n)
-            for _ in range(3):
-                g_and_prefix_derivatives(sig, 4, 0.25, 51)
-            held.append(weakref.ref(criterion._last_start[1][0]))
-        assert [ref() is not None for ref in held] == [False] * 5 + [True]
-
-    def test_start_design_cannot_be_poisoned(self, model1):
-        # writing the kept rows or factors fails, also through a view's
-        # base, and a writable copy of them is the caller's own
-        sig = synthesize(model1, 300, LinearProcessSpec((1.0, 0.5), 0.25), seed=2)
-        want = g_and_prefix_derivatives(sig, 4, 0.2503, 100)
-        assert g_and_prefix_derivatives(sig, 4, 0.2503, 100) == want
-        kept = criterion._last_start[1]
-        for cached in kept:
-            for array in (cached, cached.base):
-                if array is not None:
-                    with pytest.raises(ValueError):
-                        array[...] = np.nan
-            mine = cached.copy()
-            mine[...] = np.nan
-        assert g_and_prefix_derivatives(sig, 4, 0.2503, 100) == want
-        assert criterion._last_start[1] is kept
+        for derivatives in (True, False):
+            want = criterion._moments(y, 4, 0.2503, derivatives).copy()
+            criterion._moments(y, 4, 0.2503, derivatives)[...] = np.nan
+            assert np.array_equal(criterion._moments(y, 4, 0.2503, derivatives), want)
 
 
 def _direct_moments(y, j, lam):

@@ -105,6 +105,8 @@ def test_removed_members_stay_removed():
     for params in (inspect.signature(fundfreq.read_signal).parameters,
                    inspect.signature(fundfreq.write_signal).parameters):
         assert "column" not in params
+    assert [f.name for f in dataclasses.fields(fundfreq.TraceRecord)] == [
+        "iteration", "lam", "g_value", "correction"]
     for owner, member in [(fundfreq.EstimationTrace, "iterations"),
                           (fundfreq.HarmonicModel, "a"),
                           (fundfreq.HarmonicModel, "b"),
