@@ -33,7 +33,7 @@ for j in range(1, 5):
 grid, _, q_vals = grid_spectrum(sig, 4)
 print(f"\nQ_N argmax over the Fourier grid: {grid[int(np.argmax(q_vals))]:.6f}")
 print("grid spacing 2*pi/n =", f"{2 * math.pi / sig.n:.6f}")
-print("padded grid start, FFT length >= 8n (used by estimate_fundamental):",
+print("start of estimate_fundamental, the Q_N vertex on the grid of FFT length >= 8n:",
       f"{fourier_grid_init(sig, 4):.6f}")
 
 # A dominant second harmonic fools the plain periodogram but not Q_N.
@@ -44,4 +44,4 @@ print(f"\ndominant-2nd-harmonic example (true lambda {lam:.4f}):")
 print(f"  Q_N argmax over the Fourier grid : {grid[int(np.argmax(q_vals))]:.4f}")
 print(f"  I argmax over the Fourier grid   : {grid[int(np.argmax(i_vals))]:.4f}"
       f"  <- locks onto 2*lambda = {2 * lam:.4f}")
-print(f"  padded grid start (length >= 8n) : {fourier_grid_init(tricky, 2):.4f}")
+print(f"  Q_N vertex start (length >= 8n)  : {fourier_grid_init(tricky, 2):.4f}")

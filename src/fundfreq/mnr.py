@@ -2,25 +2,27 @@
 
 The estimator runs in two stages:
 
-1. coarse start: argmax of the harmonic criterion Q_N on the grid 2*pi*k/L,
-   L the smallest 5-smooth length >= 8n (at most about 1/16 Fourier bin
-   from any frequency),
+1. coarse start: the argmax of the harmonic criterion Q_N on the grid
+   2*pi*k/L, L the smallest 5-smooth length >= 8n, moved to the vertex of
+   the parabola through Q_N there and at its two neighbours,
 2. full Newton steps -g'/g'' on the full sample.  A step that lowers the
-   criterion g or leaves (0, pi/p) is halved until it does neither or is
-   shorter than ``_TOL``.  The run ends ``converged_tol`` once a step
-   shorter than ``_TOL`` has been taken, ``boundary`` if even that step
-   leaves (0, pi/p), or ``max_iter`` after ``_MAX_ITER`` Newton steps.
+   criterion g, leaves (0, pi/p) or reaches a trial point where X'X is
+   singular (the criterion's :class:`DegenerateFrequencyError`) is halved
+   until it does none of these or is shorter than ``_TOL``.  The run ends
+   ``converged_tol`` once a step shorter than ``_TOL`` has been taken,
+   ``boundary`` if even that step leaves (0, pi/p) or lands where X'X is
+   singular, or ``max_iter`` after ``_MAX_ITER`` Newton steps.
 
 At every iterate, the start included, a zero or non-finite g'' (or a
 non-finite g') ends the run ``degenerate``: no Newton step exists there.
 Only then is the sign of g'' read: an iterate with g'' > 0 takes no step,
-and the run ends ``converged_objective``.  A singular X'X at a Newton
-iterate (the criterion's :class:`DegenerateFrequencyError`) also ends the
-run ``degenerate``; at the start it raises.
+and the run ends ``converged_objective``.  A singular X'X at the start
+raises.
 
 Run to convergence, the full steps return the least squares estimate, the
-maximizer of g near the start.  They converge to it quadratically, in
-about three criterion evaluations after the start, and the step shorter
+maximizer of g near the start.  They converge to it quadratically: from
+the vertex start most runs take two or three criterion evaluations, the
+start's included, and the step shorter
 than ``_TOL`` that ends a run lands on it to rounding accuracy, so no
 extra closing step follows and the landing point's g is the Newton
 model's (Nielsen et al., Signal Processing 135, 2017, on Newton refinement
@@ -71,16 +73,19 @@ class EstimationTrace:
     Statuses: ``converged_tol`` (a Newton step shorter than _TOL, taken from
     an iterate with g'' < 0), ``converged_objective`` (g'' > 0 at an
     iterate, so no Newton step points uphill), ``max_iter``, ``boundary``
-    (a step shorter than _TOL left (0, pi/p)), ``degenerate`` (curvature or
-    normal equations broke down).
+    (a step shorter than _TOL left (0, pi/p) or landed where X'X is
+    singular), ``degenerate`` (no Newton step: g'' zero or g', g'' not
+    finite).
 
     ``records`` holds the start and each Newton step as finally taken;
     ``evaluations`` counts every criterion call: one at the start and one
     at each trial point of a step, those of halved steps included.  The
-    closing record of a ``converged_tol`` run costs none: its g is the
-    Newton model's value g + s (g' + g'' s/2) at the landing point, from
-    the (g, g', g'') of the iterate the step s left.  The estimate is the last record on
-    ``converged_tol`` and :meth:`best` otherwise.
+    closing record of a ``converged_tol`` run costs none, unless a trial
+    point of the run was singular, when one pass checks its landing
+    point: its g is the Newton model's value g + s (g' + g'' s/2) at the
+    landing point, from the (g, g', g'') of the iterate the step s left.
+    The estimate is the last record on ``converged_tol`` and :meth:`best`
+    otherwise.
     """
 
     records: list[TraceRecord] = field(default_factory=list)
@@ -97,10 +102,10 @@ def estimate_fundamental(signal: Signal, p: int) -> tuple[float, EstimationTrace
     Returns (lambda_hat, trace).  On ``converged_tol`` lambda_hat is the
     landing point of the closing step shorter than ``_TOL``, the last trace
     record; on any other status it is the trace iterate with the largest
-    criterion value.  A boundary, curvature or normal-equation breakdown
-    after the start ends the run with the best iterate seen so far rather
-    than raising; the start search raises :class:`DomainError` when
-    n < 10*p.
+    criterion value.  A boundary or curvature breakdown after the start
+    ends the run with the best iterate seen so far rather than raising; the
+    start search raises :class:`DomainError` when n < 10*p, and a singular
+    X'X at the start :class:`DegenerateFrequencyError`.
 
     The estimate is scale-free: the run sees the signal's ``_unit`` view,
     so every iterate is the one at scale 1, and the records' g values
@@ -114,10 +119,7 @@ def estimate_fundamental(signal: Signal, p: int) -> tuple[float, EstimationTrace
     g0, gp, gpp = g_with_derivatives(unit, p, lam0)
     trace = EstimationTrace(evaluations=1)
     trace.records.append(TraceRecord(0, lam0, g0, 0.0))
-    try:
-        trace.status = _refine(unit, p, gp, gpp, trace)
-    except DegenerateFrequencyError:
-        trace.status = "degenerate"
+    trace.status = _refine(unit, p, gp, gpp, trace)
     if unit is not signal:
         trace.records = [replace(r, g_value=signal._scale_back(r.g_value, 2))
                          for r in trace.records]
@@ -130,35 +132,53 @@ def _refine(signal: Signal, p: int, gp: float, gpp: float, trace: EstimationTrac
     """Full Newton steps from the start in ``trace``, given (g', g'')
     there; appends their iterates and returns the status."""
     lam_k, g_k = trace.records[0].lam, trace.records[0].g_value
+    singular = False  # a trial point met a singular X'X
     for k in range(1, _MAX_ITER + 1):
         correction = _newton(gp, gpp)
         if correction is None:
             return "degenerate"
         if gpp > 0.0:
             return "converged_objective"
-        # Halve a step that leaves (0, pi/p) or lowers g.  A step shorter
-        # than _TOL closes the run with no pass: the Newton model's g at
-        # its landing point is within rounding of a measured one there.
-        # Each trial point needs the criterion value (backtracking) and
-        # both derivatives (next step), so they come from one pass.
+        # Halve a step that leaves (0, pi/p), meets a singular X'X or
+        # lowers g.  A step shorter than _TOL closes the run with no pass:
+        # the Newton model's g at its landing point is within rounding of a
+        # measured one there.  Once a trial point was singular, the landing
+        # point may be too, and one pass rules that out; a singular one
+        # ends the run like a landing point outside.  Each trial point
+        # needs the criterion value (backtracking) and both derivatives
+        # (next step), so they come from one pass.
         while True:
             lam_next = lam_k + correction
             inside = 0.0 < lam_next < math.pi / p
             if abs(correction) < _TOL:
+                if inside and singular:
+                    inside = _measure(signal, p, lam_next, trace) is not None
                 if not inside:
                     return "boundary"
                 g_next = g_k + correction * (gp + gpp * correction / 2.0)
                 trace.records.append(TraceRecord(k, lam_next, g_next, correction))
                 return "converged_tol"
             if inside:
-                trace.evaluations += 1
-                g_next, gp_next, gpp_next = g_with_derivatives(signal, p, lam_next)
-                if g_next >= g_k:
+                values = _measure(signal, p, lam_next, trace)
+                singular = singular or values is None
+                if values is not None and values[0] >= g_k:
                     break
             correction *= 0.5
-        trace.records.append(TraceRecord(k, lam_next, g_next, correction))
-        lam_k, g_k, gp, gpp = lam_next, g_next, gp_next, gpp_next
+        g_k, gp, gpp = values
+        trace.records.append(TraceRecord(k, lam_next, g_k, correction))
+        lam_k = lam_next
     return "max_iter"
+
+
+def _measure(signal: Signal, p: int, lam: float,
+             trace: EstimationTrace) -> tuple[float, float, float] | None:
+    """(g, g', g'') at a trial point, counted in ``trace``; None where X'X
+    is singular."""
+    trace.evaluations += 1
+    try:
+        return g_with_derivatives(signal, p, lam)
+    except DegenerateFrequencyError:
+        return None
 
 
 def _newton(gp: float, gpp: float) -> float | None:

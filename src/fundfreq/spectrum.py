@@ -10,7 +10,10 @@ from the same FFT code at L the smallest 5-smooth length >= 8n, where
 numpy's FFT stays fast whatever the factors of n.  There harmonic j lies
 at most j/16 Fourier bin from the nearest grid multiple, against j/2 bin
 at L = n, where an off-grid fundamental can lose the start to its octave
-2*lambda (Rife & Boorstyn, 1974, on padded-DFT starts).
+2*lambda.  The start is the vertex of the parabola through Q_N at the
+argmax and its two neighbours, which mostly sits nearer the least
+squares maximizer than the grid point does, at no extra transform (Rife & Boorstyn,
+1974, on padded-DFT starts; Quinn, 1994, on interpolating DFT peaks).
 """
 
 from __future__ import annotations
@@ -152,7 +155,8 @@ def grid_spectrum(
 
 
 def fourier_grid_init(signal: Signal, p: int) -> float:
-    """Coarse initializer: argmax of Q_N over the grid 2*pi*k/L in (0, pi/p).
+    """Coarse initializer: the argmax of Q_N over the grid 2*pi*k/L in
+    (0, pi/p), moved to the vertex of the parabola through its neighbours.
 
     L is the smallest 5-smooth length >= ``_START_PAD*n`` = 8n.  Q_N,
     unlike the plain periodogram, adds the power at all p harmonics of a
@@ -160,12 +164,23 @@ def fourier_grid_init(signal: Signal, p: int) -> float:
     when harmonic p dominates, the point near 2*lambda can still win (see
     README, "Known numerical limits").  Q_N is read from the FFT code of
     :func:`grid_spectrum` at length L, before the scaling by 1/n^2 that
-    could round two neighbours into a tie.  The result is exactly the
-    grid point of :func:`fourier_grid`, 2*pi*k/L rounded in the same two
-    operations; ties break toward the smaller frequency.
+    could round two neighbours into a tie; ties break toward the smaller
+    frequency.  With a, b, c the sums at k-1, k, k+1 the start is
+    2*pi*(k + delta)/L, delta = (a - c)/(2(a - 2b + c)) clamped to
+    [-1/2, 1/2], so k stays its nearest grid index.  At the first or last
+    grid point, or where a - 2b + c is not negative, delta is 0 and the
+    result is exactly the grid point of :func:`fourier_grid`, 2*pi*k/L
+    rounded in the same two operations.
     """
     if signal.n < 10 * p:
         raise DomainError(f"need n >= 10*p = {10 * p}, got n = {signal.n}")
     length = _smooth_length(_START_PAD * signal.n)
-    k = 1 + int(np.argmax(_grid_power(signal, p, length)[1]))  # the first of ties
-    return 2.0 * math.pi * k / length
+    harmonic = _grid_power(signal, p, length)[1]
+    i = int(np.argmax(harmonic))  # the first of ties
+    delta = 0.0
+    if 0 < i < harmonic.size - 1:
+        a, b, c = harmonic[i - 1 : i + 2].tolist()
+        curvature = a - 2.0 * b + c
+        if curvature < 0.0:
+            delta = min(max((a - c) / (2.0 * curvature), -0.5), 0.5)
+    return 2.0 * math.pi * (i + 1 + delta) / length

@@ -9,6 +9,7 @@ import pytest
 
 import fundfreq.criterion as criterion
 import fundfreq.mnr as mnr
+from fundfreq import spectrum
 from fundfreq import (
     DegenerateFrequencyError,
     DomainError,
@@ -26,6 +27,18 @@ from fundfreq.montecarlo import MODEL1, MODEL2
 # PYTHONPATH=src python tests/test_mnr.py only when a change to the
 # estimator is meant to move them.
 PRESET_TRACES = Path(__file__).parent / "data" / "preset_traces.json"
+
+
+def _start_on_the_grid(monkeypatch):
+    """Start estimates from the grid point nearest the vertex start: the
+    argmax of Q_N on the 8x grid, the start these inputs were chosen on."""
+    vertex_start = spectrum.fourier_grid_init
+
+    def grid_point(signal, p):
+        length = spectrum._smooth_length(spectrum._START_PAD * signal.n)
+        return 2.0 * math.pi * round(vertex_start(signal, p) * length / (2 * math.pi)) / length
+
+    monkeypatch.setattr(mnr, "fourier_grid_init", grid_point)
 
 
 class TestStartPass:
@@ -63,10 +76,13 @@ class TestEstimateFundamental:
     def test_noiseless_model1_512(self, m1_clean_512):
         # The true frequency sits 0.37 Fourier bins off the grid 2*pi*k/512.
         # The start searches the 8x padded grid, whose nearest point is
-        # 2*pi*163/4096; the refinement then reaches the least squares
-        # maximizer, which for noiseless data is the true frequency.
+        # 2*pi*163/4096, and moves to the vertex of Q_N there, nearer the
+        # truth; the refinement then reaches the least squares maximizer,
+        # which for noiseless data is the true frequency.
         lam_hat, trace = estimate_fundamental(m1_clean_512, 4)
-        assert trace.records[0].lam == pytest.approx(2 * math.pi * 163 / 4096, abs=1e-12)
+        lam0, grid_point = trace.records[0].lam, 2 * math.pi * 163 / 4096
+        assert round(lam0 * 4096 / (2 * math.pi)) == 163
+        assert abs(lam0 - 0.25) < abs(grid_point - 0.25)
         assert abs(lam_hat - 0.25) < 1e-8
         assert trace.status == "converged_tol"
 
@@ -250,15 +266,15 @@ class TestStage3:
         assert len(set(calls)) == len(calls)
 
     def test_pass_budget_at_the_table_sizes(self, model1):
-        # MODEL1, MA(1), sigma2 = 0.25, seeds 0-99 at each n: 298 of the
-        # 400 runs took 3 evaluations when measured and the rest 4 (the
-        # same split, 598 and 202, over seeds 0-199); a change that adds a
-        # pass back moves the median to 4
+        # MODEL1, MA(1), sigma2 = 0.25, seeds 0-99 at each n: from the
+        # vertex start 201 of the 400 runs took 2 evaluations when measured
+        # and the rest 3 (mean 2.50); from the grid point the mean was
+        # 3.26 and the max 4
         noise = LinearProcessSpec((1.0, 0.5), 0.25)
         counts = [estimate_fundamental(synthesize(model1, n, noise, seed=seed), 4)[1].evaluations
                   for n in (100, 200, 400, 500) for seed in range(100)]
-        assert np.median(counts) == 3
-        assert max(counts) <= 4
+        assert np.mean(counts) <= 2.6
+        assert max(counts) <= 3
 
     @pytest.mark.parametrize("noise", [None, LinearProcessSpec((1.0, 0.5), 0.25)],
                              ids=["noiseless", "ma1"])
@@ -299,11 +315,13 @@ class TestStage3:
             lam_hat, trace = estimate_fundamental(synthesize(model, n), 4)
             assert trace.status == "converged_tol", n
             assert lam_hat == trace.records[-1].lam
-            assert abs(lam_hat - model.lam) <= 1e-12, n
+            assert abs(lam_hat - model.lam) <= 2.2e-13, n
 
     def test_step_leaving_interval_is_halved(self, monkeypatch):
-        # pure noise, p = 1, n = 60, seed 141: the first full step, 1.28,
-        # overshoots pi; the halved steps reach a maximum of g inside (0, pi)
+        # pure noise, p = 1, n = 60, seed 141, from the grid start: the
+        # first full step, 1.28, overshoots pi; the halved steps reach a
+        # maximum of g inside (0, pi)
+        _start_on_the_grid(monkeypatch)
         calls = self._count_calls(monkeypatch)
         sig = Signal(np.random.default_rng(141).normal(0.0, 1.0, 60))
         lam_hat, trace = estimate_fundamental(sig, 1)
@@ -330,26 +348,95 @@ class TestStage3:
         return calls
 
     @pytest.mark.parametrize("call", [1, 2])
-    def test_singular_stage3_iterate_ends_degenerate(self, model1, monkeypatch, call):
+    def test_singular_trial_point_is_halved(self, model1, monkeypatch, call):
         # singular normal equations at the first trial point (call 1) or at
-        # the second (call 2): the run ends with the best iterate
+        # the second (call 2, from the grid start, which takes three
+        # passes): the step is halved, as for a point outside (0, pi/p), and
+        # the run goes on to converge; the closing landing point then takes
+        # one pass of its own
+        _start_on_the_grid(monkeypatch)
+        sig = synthesize(model1, 500, LinearProcessSpec((1.0, 0.5), 0.25), seed=30)
+        _, healthy = estimate_fundamental(sig, 4)
+        assert healthy.evaluations == 3
+
+        calls = []
+
+        def patched(signal, p, lam):
+            calls.append(lam)
+            if len(calls) == 1 + call:
+                raise DegenerateFrequencyError("singular normal equations")
+            return g_with_derivatives(signal, p, lam)
+
+        monkeypatch.setattr(mnr, "g_with_derivatives", patched)
+        lam_hat, trace = estimate_fundamental(sig, 4)
+        assert trace.status == "converged_tol"
+        assert abs(lam_hat - 0.25) < 1e-3
+        assert trace.evaluations == len(calls)
+        # the singular point is not recorded; the next trial is half its step
+        lam_k = calls[call - 1]
+        assert calls[call] - lam_k == pytest.approx(2.0 * (calls[call + 1] - lam_k), rel=1e-9)
+        assert all(r.lam != calls[call] for r in trace.records)
+        assert calls[-1] == lam_hat
+
+    def test_singular_at_every_trial_point_ends_boundary(self, model1, monkeypatch):
+        # every trial point after the start singular: the step is halved
+        # down to _TOL, and its landing point, singular too, ends the run
+        # like a closing step that leaves (0, pi/p)
         def singular(values):
             raise DegenerateFrequencyError("singular normal equations")
 
-        calls = self._failing_from(monkeypatch, call, singular)
+        calls = self._failing_from(monkeypatch, 1, singular)
         sig = synthesize(model1, 500, LinearProcessSpec((1.0, 0.5), 0.25), seed=30)
         lam_hat, trace = estimate_fundamental(sig, 4)
-        assert trace.status == "degenerate"
-        assert len(calls) == 1 + call
-        assert trace.evaluations == 1 + call
-        # a trial point is recorded only once its g is known
-        assert len(trace.records) == call
-        assert lam_hat == trace.best().lam
+        assert trace.status == "boundary"
+        assert trace.evaluations == len(calls) > 2
+        assert len(trace.records) == 1
+        assert lam_hat == trace.records[0].lam
+
+    def test_singular_trial_point_near_pi_is_halved(self, monkeypatch):
+        # pure noise, p = 1, n = 200, seed 100: g peaks within 3e-7 of pi,
+        # and the trial point 3.6e-8 below pi has a singular X'X.  That
+        # ended the run degenerate; halved, the step goes on to a maximum
+        # of g whose amplitudes solve
+        singular = []
+
+        def logged(signal, p, lam):
+            try:
+                return g_with_derivatives(signal, p, lam)
+            except DegenerateFrequencyError:
+                singular.append(lam)
+                raise
+
+        monkeypatch.setattr(mnr, "g_with_derivatives", logged)
+        sig = Signal(np.random.default_rng(100).normal(0.0, 1.0, 200))
+        lam_hat, trace = estimate_fundamental(sig, 1)
+        assert 0.0 < math.pi - singular[0] < 4e-8
+        assert trace.status == "converged_tol"
+        assert 0.0 < math.pi - lam_hat < 3e-7
+        assert g_with_derivatives(sig, 1, lam_hat)[2] < 0.0
+        assert np.isfinite(lse_linear(sig, lam_hat, 1)).all()
+
+    @pytest.mark.parametrize("p, seeds", [
+        (1, [10, 100, 116, 155, 191, 287]),
+        (2, [83, 146, 186, 268, 299]),
+        (4, [6, 78, 146, 161, 186, 191, 200, 214, 218, 231, 238, 262, 279, 299]),
+    ])
+    def test_pure_noise_near_a_singular_band_fits(self, p, seeds):
+        # the pure-noise inputs (n = 200, seeds 0-299) whose runs ended
+        # degenerate at a singular trial point: none does now, and the
+        # amplitudes solve at every estimate, a boundary one included
+        for seed in seeds:
+            sig = Signal(np.random.default_rng(seed).normal(0.0, 1.0, 200))
+            lam_hat, trace = estimate_fundamental(sig, p)
+            assert trace.status != "degenerate", seed
+            assert np.isfinite(lse_linear(sig, lam_hat, p)).all(), seed
 
     @pytest.mark.parametrize("call", [1, 2])
     def test_nan_curvature_ends_degenerate(self, model1, monkeypatch, call):
         # a NaN g'' gives no Newton step: at the first (call 1) or second
-        # (call 2) iterate after the start the run ends degenerate
+        # (call 2, from the grid start) iterate after the start the run ends
+        # degenerate
+        _start_on_the_grid(monkeypatch)
         self._failing_from(monkeypatch, call, lambda v: (v[0], v[1], math.nan))
         sig = synthesize(model1, 500, LinearProcessSpec((1.0, 0.5), 0.25), seed=30)
         lam_hat, trace = estimate_fundamental(sig, 4)
@@ -361,8 +448,10 @@ class TestStage3:
     @pytest.mark.parametrize("gpp", [0.0, math.inf])
     def test_zero_or_infinite_curvature_ends_degenerate(self, model1, monkeypatch, call, gpp):
         # g'' of exactly 0 or +inf gives no Newton step, at the start (call
-        # 0) as at a later iterate: the breakdown is read before the sign
-        # of g'', so neither ends converged_objective
+        # 0) as at a later iterate (call 2, from the grid start): the
+        # breakdown is read before the sign of g'', so neither ends
+        # converged_objective
+        _start_on_the_grid(monkeypatch)
         self._failing_from(monkeypatch, call, lambda v: (v[0], v[1], gpp))
         sig = synthesize(model1, 500, LinearProcessSpec((1.0, 0.5), 0.25), seed=30)
         lam_hat, trace = estimate_fundamental(sig, 4)
@@ -400,10 +489,12 @@ class TestStage3:
 class TestStartBasin:
     """A run that converges never ends below the start it came from."""
 
-    def test_pure_noise_ends_above_its_start(self):
-        # p = 1, n = 60: a quarter step on the first 33 samples once took
-        # this run from g = 7.158 to 4.151, and it ended converged_tol at
-        # g = 6.734, below its own start; full steps climb to 7.249
+    def test_pure_noise_ends_above_its_start(self, monkeypatch):
+        # p = 1, n = 60, from the grid start: a quarter step on the first
+        # 33 samples once took this run from g = 7.158 to 4.151, and it
+        # ended converged_tol at g = 6.734, below its own start; full steps
+        # climb to 7.249
+        _start_on_the_grid(monkeypatch)
         sig = Signal(np.random.default_rng(0).normal(0.0, 1.0, 60))
         _, trace = estimate_fundamental(sig, 1)
         assert trace.status == "converged_tol"

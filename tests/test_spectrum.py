@@ -126,13 +126,24 @@ def test_point_functions_keep_phase_accuracy(n):
     assert worst <= 2e-11
 
 
+def _start_offset(sig: Signal, p: int) -> tuple[int, float]:
+    """(k, delta): the start is 2*pi*(k + delta)/L on the start grid,
+    with k its nearest grid index."""
+    length = spectrum._smooth_length(spectrum._START_PAD * sig.n)
+    x = fourier_grid_init(sig, p) * length / (2 * math.pi)
+    return round(x), x - round(x)
+
+
 class TestFourierGridInit:
     def test_exact_grid_tone(self):
+        # the start's nearest grid index is the tone's; the vertex moves
+        # it by 0.015 Fourier bin, the bias of the parabola on a tone
         n, k0 = 512, 10
         lam0 = 2 * math.pi * k0 / n
         t = np.arange(1, n + 1)
         sig = Signal(np.cos(lam0 * t))
-        assert fourier_grid_init(sig, 1) == lam0
+        assert _start_offset(sig, 1)[0] == 8 * k0
+        assert abs(fourier_grid_init(sig, 1) - lam0) < 0.02 * 2 * math.pi / n
         lams, i_vals, q_vals = grid_spectrum(sig, 1)
         assert lams[int(np.argmax(i_vals))] == lam0
         assert lams[int(np.argmax(q_vals))] == lam0
@@ -149,19 +160,49 @@ class TestFourierGridInit:
         lam = 2 * math.pi * 12 / n
         model = HarmonicModel(2, lam, ((0.1, 0.0), (5.0, 0.0)))
         sig = synthesize(model, n)
-        assert fourier_grid_init(sig, 2) == pytest.approx(lam, abs=1e-12)
+        assert _start_offset(sig, 2)[0] == 8 * 12
+        assert abs(fourier_grid_init(sig, 2) - lam) < 0.01 * 2 * math.pi / n
         lams, i_vals, q_vals = grid_spectrum(sig, 2)
         assert lams[int(np.argmax(q_vals))] == pytest.approx(lam, abs=1e-12)
         assert lams[int(np.argmax(i_vals))] == pytest.approx(2 * lam, abs=1e-12)
 
-    def test_result_is_grid_point(self, model1):
+    def test_result_rounds_to_grid_point(self, model1):
+        # 8n = 2400 is 5-smooth: the start lies within half a step of the
+        # grid 2*pi*k/2400 of fourier_grid, at the Q_N argmax
         sig = synthesize(model1, 300, LinearProcessSpec((1.0,), 1.0), seed=9)
         lam0 = fourier_grid_init(sig, 4)
-        k = lam0 * 8 * 300 / (2 * math.pi)
-        assert k == pytest.approx(round(k), abs=1e-9)
-        assert lam0 < math.pi / 4
-        # bit for bit the point of fourier_grid, which the start no longer builds
-        assert lam0 in fourier_grid(spectrum._smooth_length(8 * 300), 4).tolist()
+        k, delta = _start_offset(sig, 4)
+        assert abs(delta) <= 0.5
+        assert 0.0 < lam0 < math.pi / 4
+        grid = fourier_grid(spectrum._smooth_length(8 * 300), 4)
+        vals = [harmonic_criterion_qn(sig, float(lam), 4) for lam in grid]
+        assert grid[k - 1] == grid[int(np.argmax(vals))]
+
+    @pytest.mark.parametrize("n, p, seed", [(300, 4, 9), (250, 1, 3), (1009, 4, 6)])
+    def test_start_is_the_vertex_of_the_direct_criterion(self, model1, n, p, seed):
+        # oracle: the vertex of the parabola through the direct-sum Q_N at
+        # the nearest grid point and its two neighbours
+        sig = synthesize(model1, n, LinearProcessSpec((1.0, 0.5), 0.25), seed=seed)
+        length = spectrum._smooth_length(8 * n)
+        k, delta = _start_offset(sig, p)
+        a, b, c = (harmonic_criterion_qn(sig, 2 * math.pi * j / length, p)
+                   for j in (k - 1, k, k + 1))
+        assert b > max(a, c)
+        assert delta == pytest.approx((a - c) / (2 * (a - 2 * b + c)), rel=0, abs=1e-9)
+        assert delta != 0.0
+
+    @pytest.mark.parametrize("sums, k", [
+        ([5.0, 4.0, 3.0, 2.0], 1),                        # argmax at the first point
+        ([1.0, 2.0, 3.0, 4.0], 4),                        # argmax at the last point
+        ([0.5, 1.0 - 2.0**-53, 1.0, 1.0, 0.5], 3),        # a - 2b + c rounds to 0
+    ])
+    def test_grid_point_kept_at_an_edge_or_a_flat_triple(self, monkeypatch, sums, k):
+        # there the start is the grid point of fourier_grid bit for bit
+        sig = Signal(np.ones(40))
+        length = spectrum._smooth_length(8 * 40)
+        monkeypatch.setattr(spectrum, "_grid_power",
+                            lambda *args: (None, np.array(sums)))
+        assert fourier_grid_init(sig, 1) == fourier_grid(length, 1)[k - 1]
 
     def test_scaling_leaves_argmax_unchanged(self, model1):
         sig = synthesize(model1, 200, LinearProcessSpec((1.0,), 0.5), seed=4)
@@ -203,7 +244,8 @@ class TestFourierGridInit:
                     else:
                         vals = [harmonic_criterion_qn(sig, float(lam), p) for lam in grid]
                     if length == start_length:
-                        got = fourier_grid_init(sig, p)
+                        # the vertex start's nearest grid point
+                        got = grid[_start_offset(sig, p)[0] - 1]
                     else:
                         lams, i_vals, q_vals = grid_spectrum(sig, p)
                         got = lams[int(np.argmax(i_vals if mode == "plain" else q_vals))]
@@ -215,11 +257,13 @@ class TestFourierGridInit:
         (99991, 800000), (100003, 810000),
     ])
     def test_start_length_is_smallest_5_smooth(self, n, length):
-        # where 8n is 5-smooth (250, 300, 512, 1000) the grid is 2*pi*k/(8n)
+        # where 8n is 5-smooth (250, 300, 512, 1000) the grid is 2*pi*k/(8n);
+        # the start's nearest index on it is the argmax of the sums there
         assert spectrum._smooth_length(spectrum._START_PAD * n) == length
         sig = Signal(np.cos(0.3 * np.arange(1, n + 1)))
-        k = fourier_grid_init(sig, 1) * length / (2 * math.pi)
-        assert k == pytest.approx(round(k), abs=1e-6)
+        k, delta = _start_offset(sig, 1)
+        assert abs(delta) <= 0.5
+        assert k == 1 + int(np.argmax(spectrum._grid_power(sig, 1, length)[1]))
 
     def test_smooth_length_against_a_scan(self):
         def smooth(m):
