@@ -5,16 +5,21 @@ The estimator runs in two stages:
 1. coarse start: the argmax of the harmonic criterion Q_N on the grid
    2*pi*k/L, L the smallest 5-smooth length >= 8n, moved to the vertex of
    the parabola through Q_N there and at its two neighbours,
-2. full Newton steps -g'/g'' on the full sample.  A step that lowers the
-   criterion g, leaves (0, pi/p) or reaches a trial point where X'X is
-   singular (the criterion's :class:`DegenerateFrequencyError`) is halved
-   until it does none of these or is shorter than ``_TOL``.  The run ends
-   ``converged_tol`` once a step shorter than ``_TOL`` has been taken,
-   ``boundary`` if even that step leaves (0, pi/p) or lands where X'X is
-   singular, or ``max_iter`` after ``_MAX_ITER`` Newton steps.
+2. full Newton steps -g'/g'' on the full sample, inside one open
+   admissible interval (lo, hi) that starts as (0, pi/p).  A trial point
+   outside it takes no pass; a trial point where X'X is singular (the
+   criterion's :class:`DegenerateFrequencyError`) becomes the edge of
+   (lo, hi) on its side of the iterate, so no point at or past it is
+   measured again.  A step whose trial point is outside, singular or
+   lowers the criterion g is halved until it is none of these or is
+   shorter than ``_TOL``.  The run ends ``converged_tol`` once a step
+   shorter than ``_TOL`` has been taken, ``boundary`` if even that step
+   leaves (lo, hi) or lands where X'X is singular, or ``max_iter`` after
+   ``_MAX_ITER`` Newton steps.
 
-At every iterate, the start included, a zero or non-finite g'' (or a
-non-finite g') ends the run ``degenerate``: no Newton step exists there.
+At every iterate, the start included, a zero or non-finite g'' or a
+non-finite step -g'/g'' (a non-finite g', or a quotient that overflows)
+ends the run ``degenerate``: no Newton step exists there.
 Only then is the sign of g'' read: an iterate with g'' > 0 takes no step,
 and the run ends ``converged_objective``.  A singular X'X at the start
 raises.
@@ -73,19 +78,20 @@ class EstimationTrace:
     Statuses: ``converged_tol`` (a Newton step shorter than _TOL, taken from
     an iterate with g'' < 0), ``converged_objective`` (g'' > 0 at an
     iterate, so no Newton step points uphill), ``max_iter``, ``boundary``
-    (a step shorter than _TOL left (0, pi/p) or landed where X'X is
-    singular), ``degenerate`` (no Newton step: g'' zero or g', g'' not
-    finite).
+    (a step shorter than _TOL left the admissible interval, (0, pi/p)
+    cut at each singular trial point of the run, or landed where X'X is
+    singular), ``degenerate`` (no Newton step: g'' zero or not finite, or
+    -g'/g'' not finite).
 
     ``records`` holds the start and each Newton step as finally taken;
     ``evaluations`` counts every criterion call: one at the start and one
     at each trial point of a step, those of halved steps included.  The
-    closing record of a ``converged_tol`` run costs none, unless a trial
-    point of the run was singular, when one pass checks its landing
-    point: its g is the Newton model's value g + s (g' + g'' s/2) at the
-    landing point, from the (g, g', g'') of the iterate the step s left.
-    The estimate is the last record on ``converged_tol`` and :meth:`best`
-    otherwise.
+    closing record of a ``converged_tol`` run costs none, unless a
+    singular trial point narrowed the admissible interval, when one pass
+    checks its landing point: its g is the Newton model's value
+    g + s (g' + g'' s/2) at the landing point, from the (g, g', g'') of
+    the iterate the step s left.  The estimate is the last record on
+    ``converged_tol`` and :meth:`best` otherwise.
     """
 
     records: list[TraceRecord] = field(default_factory=list)
@@ -132,40 +138,43 @@ def _refine(signal: Signal, p: int, gp: float, gpp: float, trace: EstimationTrac
     """Full Newton steps from the start in ``trace``, given (g', g'')
     there; appends their iterates and returns the status."""
     lam_k, g_k = trace.records[0].lam, trace.records[0].g_value
-    singular = False  # a trial point met a singular X'X
+    band = lo, hi = 0.0, math.pi / p  # the admissible interval
     for k in range(1, _MAX_ITER + 1):
-        correction = _newton(gp, gpp)
-        if correction is None:
+        # no Newton step exists where g'' is 0 or the step is not finite,
+        # whatever the sign of g''
+        if gpp == 0.0 or not math.isfinite(gpp) or not math.isfinite(step := -gp / gpp):
             return "degenerate"
         if gpp > 0.0:
             return "converged_objective"
-        # Halve a step that leaves (0, pi/p), meets a singular X'X or
-        # lowers g.  A step shorter than _TOL closes the run with no pass:
-        # the Newton model's g at its landing point is within rounding of a
-        # measured one there.  Once a trial point was singular, the landing
-        # point may be too, and one pass rules that out; a singular one
-        # ends the run like a landing point outside.  Each trial point
-        # needs the criterion value (backtracking) and both derivatives
-        # (next step), so they come from one pass.
-        while True:
-            lam_next = lam_k + correction
-            inside = 0.0 < lam_next < math.pi / p
-            if abs(correction) < _TOL:
-                if inside and singular:
-                    inside = _measure(signal, p, lam_next, trace) is not None
-                if not inside:
-                    return "boundary"
-                g_next = g_k + correction * (gp + gpp * correction / 2.0)
-                trace.records.append(TraceRecord(k, lam_next, g_next, correction))
-                return "converged_tol"
-            if inside:
+        # Halve a step that leaves (lo, hi), meets a singular X'X or lowers
+        # g.  A singular trial point becomes the edge of (lo, hi) on its
+        # side of the iterate, so no point at or past it is measured again.
+        # Each trial point needs the criterion value (backtracking) and
+        # both derivatives (next step), so they come from one pass.
+        while abs(step) >= _TOL:
+            lam_next = lam_k + step
+            if lo < lam_next < hi:
                 values = _measure(signal, p, lam_next, trace)
-                singular = singular or values is None
-                if values is not None and values[0] >= g_k:
+                if values is None:
+                    lo, hi = (lo, lam_next) if step > 0.0 else (lam_next, hi)
+                elif values[0] >= g_k:
                     break
-            correction *= 0.5
+            step *= 0.5
+        else:
+            # A step shorter than _TOL closes the run with no pass: the
+            # Newton model's g at its landing point is within rounding of a
+            # measured one there.  Once (lo, hi) was narrowed the landing
+            # point may be singular too, and one pass rules that out; a
+            # singular one ends the run like a landing point outside.
+            lam_next = lam_k + step
+            if not lo < lam_next < hi or (
+                    (lo, hi) != band and _measure(signal, p, lam_next, trace) is None):
+                return "boundary"
+            g_next = g_k + step * (gp + gpp * step / 2.0)
+            trace.records.append(TraceRecord(k, lam_next, g_next, step))
+            return "converged_tol"
         g_k, gp, gpp = values
-        trace.records.append(TraceRecord(k, lam_next, g_k, correction))
+        trace.records.append(TraceRecord(k, lam_next, g_k, step))
         lam_k = lam_next
     return "max_iter"
 
@@ -179,11 +188,3 @@ def _measure(signal: Signal, p: int, lam: float,
         return g_with_derivatives(signal, p, lam)
     except DegenerateFrequencyError:
         return None
-
-
-def _newton(gp: float, gpp: float) -> float | None:
-    """The correction -g'/g'', or None when g'' is zero or g', g'' are not
-    finite: no Newton step exists there."""
-    if gpp == 0.0 or not math.isfinite(gpp) or not math.isfinite(gp):
-        return None
-    return -gp / gpp

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import operator
 import struct
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ from .signal import (
     HarmonicModel,
     LinearProcessSpec,
     Signal,
+    _integer,
     generate_linear_process,
     synthesize,
 )
@@ -105,17 +105,6 @@ class ExperimentSpec:
             raise DomainError(f"need n >= 10*p = {10 * p} in every cell, got n = {n_min}")
         for sigma2 in self.sigma2_values:  # fail before any cell runs
             LinearProcessSpec(self.noise_coeffs, sigma2)
-
-
-def _integer(name: str, value) -> int:
-    """value as a Python int: Python and numpy integers pass, anything else
-    (a float such as 100.7 or 2.5, or a bool, included) raises DomainError."""
-    try:
-        if isinstance(value, bool):  # operator.index(True) is 1
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,13 +38,30 @@ __all__ = [
 ]
 
 
+def _integer(name: str, value) -> int:
+    """value as a Python int: Python and numpy integers pass, anything else
+    (a float such as 100.7 or 2.0, a string or a bool) raises DomainError."""
+    try:
+        if isinstance(value, bool):  # operator.index(True) is 1
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_order(p: int) -> None:
+    """Reject all but an integer harmonic order p >= 1 (see :func:`_integer`)."""
+    if _integer("harmonic order", p) < 1:
+        raise DomainError(f"harmonic order must be >= 1, got {p}")
+
+
 def _check_band(p: int, lam: float) -> None:
-    """Reject all but p >= 1 and 0 < lam < pi/p, where every j*lam, j <= p, is in (0, pi).
+    """Reject all but an integer p >= 1 and 0 < lam < pi/p, where every
+    j*lam, j <= p, is in (0, pi).
 
     A check of harmonic j alone passes p = j.
     """
-    if p < 1:
-        raise DomainError(f"harmonic order must be >= 1, got {p}")
+    _check_order(p)
     if not (0.0 < lam < math.pi / p):
         raise DomainError(f"lambda must lie in (0, pi/{p}) = (0, {math.pi / p:.6g}), got {lam}")
 

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .signal import Signal, _check_band
+from .signal import Signal, _check_band, _check_order
 
 __all__ = ["fourier_grid_init", "grid_spectrum"]
 
@@ -80,6 +80,7 @@ def fourier_grid(n: int, p: int) -> np.ndarray:
     2*pi*k/n would keep the inadmissible point pi/p whenever 2pk = n and
     the product rounds below it.
     """
+    _check_order(p)
     ks = np.arange(1, (n - 1) // (2 * p) + 1)
     return 2.0 * math.pi * ks / n
 
@@ -115,8 +116,7 @@ def _grid_power(signal: Signal, p: int, length: int) -> tuple[np.ndarray, np.nda
     ``harmonic[k-1]`` is sum_{j<=p} |X_{jk}|^2, where X is the real FFT of
     the ``_unit`` view (see :class:`Signal`) zero-padded to ``length`` >= n.
     """
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
+    _check_order(p)
     size = (length - 1) // (2 * p)
     if size == 0:
         raise DomainError(f"no Fourier frequency lies in (0, pi/{p}) for n = {signal.n}")
@@ -172,6 +172,7 @@ def fourier_grid_init(signal: Signal, p: int) -> float:
     result is exactly the grid point of :func:`fourier_grid`, 2*pi*k/L
     rounded in the same two operations.
     """
+    _check_order(p)
     if signal.n < 10 * p:
         raise DomainError(f"need n >= 10*p = {10 * p}, got n = {signal.n}")
     length = _smooth_length(_START_PAD * signal.n)

@@ -431,6 +431,66 @@ class TestStage3:
             assert trace.status != "degenerate", seed
             assert np.isfinite(lse_linear(sig, lam_hat, p)).all(), seed
 
+    # pure noise, n = 200, whose runs halve into the singular band near 0
+    # over and over: each singular trial point cost a pass at every Newton
+    # step, 41-66 evaluations in all
+    SINGULAR_BAND_RUNS = [
+        (2, 146, "converged_tol", 0.00040418608337544854),
+        (2, 186, "converged_tol", 0.0004040495633292648),
+        (2, 268, "boundary", 0.00040408116620143096),
+        (2, 299, "boundary", 0.00040409025703424276),
+        (4, 146, "converged_tol", 0.0031784617566483903),
+        (4, 200, "converged_tol", 0.0031769672025530257),
+        (4, 231, "converged_tol", 0.003176862692508148),
+    ]
+
+    @pytest.mark.parametrize("p, seed, status, lam_hat", SINGULAR_BAND_RUNS)
+    def test_singular_band_pass_budget(self, p, seed, status, lam_hat):
+        # as an edge of the admissible interval a singular point is measured
+        # once: the runs take 18-21 evaluations and end where they did
+        sig = Signal(np.random.default_rng(seed).normal(0.0, 1.0, 200))
+        est, trace = estimate_fundamental(sig, p)
+        assert trace.status == status
+        assert est == pytest.approx(lam_hat, rel=1e-9)
+        assert trace.evaluations <= 22
+
+    @pytest.mark.parametrize("p, seed", [run[:2] for run in SINGULAR_BAND_RUNS])
+    def test_no_pass_at_or_past_a_singular_point(self, monkeypatch, p, seed):
+        # each singular trial point becomes the edge of the admissible
+        # interval on its side of the iterate it was tried from: every later
+        # pass lies strictly on that side
+        calls = []  # (lam, singular) of every pass, in order
+
+        def logged(signal, p, lam):
+            calls.append((lam, True))
+            values = g_with_derivatives(signal, p, lam)
+            calls[-1] = (lam, False)
+            return values
+
+        monkeypatch.setattr(mnr, "g_with_derivatives", logged)
+        sig = Signal(np.random.default_rng(seed).normal(0.0, 1.0, 200))
+        _, trace = estimate_fundamental(sig, p)
+        iterates = {r.lam for r in trace.records}
+        edges = []  # (singular point, the side of it the iterate was on)
+        for lam, singular in calls:
+            assert all((lam - edge) * side > 0.0 for edge, side in edges), lam
+            if singular:
+                edges.append((lam, math.copysign(1.0, lam_k - lam)))
+            elif lam in iterates:
+                lam_k = lam
+        assert edges
+        assert trace.evaluations == len(calls)
+
+    def test_overflowing_step_ends_degenerate(self, model1, monkeypatch):
+        # g' = 1e300 and g'' = -1e-300 are finite but -g'/g'' is not; halved,
+        # an infinite step stays infinite, so the run never ended.  No
+        # Newton step exists there: the run ends degenerate at the start
+        calls = self._failing_from(monkeypatch, 0, lambda v: (v[0], 1e300, -1e-300))
+        lam_hat, trace = estimate_fundamental(synthesize(model1, 500), 4)
+        assert trace.status == "degenerate"
+        assert (len(trace.records), trace.evaluations, len(calls)) == (1, 1, 1)
+        assert lam_hat == trace.records[0].lam
+
     @pytest.mark.parametrize("call", [1, 2])
     def test_nan_curvature_ends_degenerate(self, model1, monkeypatch, call):
         # a NaN g'' gives no Newton step: at the first (call 1) or second

@@ -6,9 +6,11 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fundfreq
+from fundfreq import criterion, spectrum
 
 PUBLIC = [
     "AsymptoticReport",
@@ -208,3 +210,38 @@ def test_tracer_layer_functions_exist():
         module = importlib.import_module(f"fundfreq.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"fundfreq.{layer}.{name}"
+
+
+def _takes_p():
+    """Every public entry that takes a harmonic order, as a call on p."""
+    sig = fundfreq.synthesize(fundfreq.MODEL1, 200)
+    noise = fundfreq.LinearProcessSpec((1.0,), 1.0)
+    return {
+        "estimate_fundamental": lambda p: fundfreq.estimate_fundamental(sig, p),
+        "fourier_grid_init": lambda p: fundfreq.fourier_grid_init(sig, p),
+        "grid_spectrum": lambda p: fundfreq.grid_spectrum(sig, p),
+        "fourier_grid": lambda p: spectrum.fourier_grid(200, p),
+        "harmonic_criterion_qn": lambda p: spectrum.harmonic_criterion_qn(sig, 0.25, p),
+        "HarmonicModel": lambda p: fundfreq.HarmonicModel(p, 0.25, ((1.0, 0.0), (1.0, 0.0))),
+        "g": lambda p: fundfreq.g(sig, p, 0.25),
+        "g_with_derivatives": lambda p: criterion.g_with_derivatives(sig, p, 0.25),
+        "g_derivatives": lambda p: criterion.g_derivatives(sig, p, 0.25),
+        "compute_moments": lambda p: criterion.compute_moments(sig, p, 0.25),
+        "lse_linear": lambda p: fundfreq.lse_linear(sig, 0.25, p),
+        "spectral_weight_c": lambda p: fundfreq.spectral_weight_c(noise, p, 0.25),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_takes_p()))
+@pytest.mark.parametrize("p", [2.0, 2.5, True, "2"], ids=repr)
+def test_harmonic_order_must_be_an_integer(entry, p):
+    # p = 2.0 reached numpy as a slice bound or a shape (a bare TypeError),
+    # or was accepted by HarmonicModel and failed later; True ran as p = 1
+    call = _takes_p()[entry]
+    with pytest.raises(fundfreq.DomainError, match=f"harmonic order must be an integer, got {p!r}"):
+        call(p)
+
+
+@pytest.mark.parametrize("entry", sorted(_takes_p()))
+def test_numpy_integer_harmonic_order_accepted(entry):
+    _takes_p()[entry](np.int64(2))
