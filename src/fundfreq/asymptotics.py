@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .signal import HarmonicModel, LinearProcessSpec, _check_band
+from .signal import HarmonicModel, LinearProcessSpec, _check_band, _integer
 
 __all__ = ["AsymptoticReport", "spectral_weight_c", "asymptotic_variances"]
 
@@ -49,8 +49,7 @@ def asymptotic_variances(
     model: HarmonicModel, spec: LinearProcessSpec, n: int
 ) -> AsymptoticReport:
     """Populate an :class:`AsymptoticReport` by direct summation over j."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = _integer("n", n, 1)
     power = model.power_per_harmonic.tolist()
     beta_star = 0.0
     delta_g = 0.0

@@ -37,6 +37,7 @@ from .signal import (
     HarmonicModel,
     LinearProcessSpec,
     Signal,
+    _read_text,
     mean_correct,
     read_signal,
     synthesize,
@@ -91,11 +92,7 @@ def _model_from_args(args) -> HarmonicModel:
 
 
 def _load_model_file(path: str) -> HarmonicModel:
-    try:
-        with open(path, encoding="utf-8-sig") as fh:  # UTF-8, with or without a BOM
-            raw = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise DomainError(f"{path}: not a text file ({exc})") from None
+    raw = json.loads(_read_text(path))
     try:
         p, lam = raw["p"], _json_number(raw["lambda"], "lambda")
         if type(p) is not int:  # rejects 1.9 and "2", and true, a bool

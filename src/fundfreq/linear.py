@@ -12,7 +12,7 @@ import numpy as np
 
 from .criterion import _solve
 from .errors import DomainError
-from .signal import Signal, harmonic_sum
+from .signal import Signal, _integer, harmonic_sum
 
 __all__ = ["lse_linear", "residuals", "sample_acf"]
 
@@ -50,6 +50,7 @@ def sample_acf(series, max_lag: int) -> np.ndarray:
     scale-free: it is taken on the ``_unit`` view of ``Signal(series)``,
     so its sums of squares stay in the float range.
     """
+    max_lag = _integer("max_lag", max_lag)
     x = Signal(series)._unit.samples
     n = x.size
     if not (0 < max_lag < n):

@@ -89,11 +89,9 @@ class ExperimentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "master_seed", _integer("master_seed", self.master_seed))
-        object.__setattr__(self, "replications", _integer("replications", self.replications))
         if not -(2**63) <= self.master_seed < 2**63:  # packed as int64 per replication
             raise DomainError(f"master_seed must fit in int64, got {self.master_seed}")
-        if self.replications < 1:
-            raise DomainError(f"replications must be >= 1, got {self.replications}")
+        object.__setattr__(self, "replications", _integer("replications", self.replications, 1))
         if not self.sample_sizes or not self.sigma2_values:
             raise DomainError("sample_sizes and sigma2_values must be nonempty")
         object.__setattr__(self, "noise_coeffs", tuple(float(c) for c in self.noise_coeffs))

@@ -38,21 +38,24 @@ __all__ = [
 ]
 
 
-def _integer(name: str, value) -> int:
+def _integer(name: str, value, low: int | None = None) -> int:
     """value as a Python int: Python and numpy integers pass, anything else
-    (a float such as 100.7 or 2.0, a string or a bool) raises DomainError."""
+    (a float such as 100.7 or 2.0, a string or a bool) raises DomainError,
+    and so does an integer below ``low`` when ``low`` is given."""
     try:
         if isinstance(value, bool):  # operator.index(True) is 1
             raise TypeError
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def _check_order(p: int) -> None:
     """Reject all but an integer harmonic order p >= 1 (see :func:`_integer`)."""
-    if _integer("harmonic order", p) < 1:
-        raise DomainError(f"harmonic order must be >= 1, got {p}")
+    _integer("harmonic order", p, 1)
 
 
 def _check_band(p: int, lam: float) -> None:
@@ -258,10 +261,7 @@ def generate_linear_process(spec: LinearProcessSpec, n: int, seed: int) -> np.nd
     innovation history, so the output is stationary from the first sample.
     Deterministic in ``seed``, which must be >= 0.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    n, seed = _integer("n", n, 1), _integer("seed", seed, 0)
     q = len(spec.coeffs) - 1
     rng = np.random.default_rng(seed)
     eps = rng.normal(0.0, math.sqrt(spec.sigma2), size=n + q)
@@ -281,8 +281,7 @@ def synthesize(
 
     Identical (model, n, noise, seed) always yield bit-identical samples.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = _integer("n", n, 1)
     y = harmonic_sum(model.lam, model.amplitudes, n)
     if noise is not None:
         y = y + generate_linear_process(noise, n, seed)
@@ -315,25 +314,35 @@ def write_signal(signal: Signal, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_text(path: str) -> str:
+    """The whole of the file ``path`` as UTF-8 text, past a leading byte
+    order mark such as a spreadsheet's "CSV UTF-8" writes.  A file that is
+    not UTF-8 text raises :class:`DomainError` naming it."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not a text file ({exc})") from None
+
+
 def read_signal(path: str) -> Signal:
     """Read a signal written by :func:`write_signal` (text or CSV).
 
     The file is read in one piece as UTF-8, past a leading byte order mark
     such as a spreadsheet's "CSV UTF-8" writes.  Blank lines are skipped,
     and so is a line whose first non-blank character is ``#``, a comment.
-    Every other line of a text file is one sample, read by Python's
-    ``float`` rules in one numpy call; a ``.csv`` file is read from the
-    column its header names ``y``, or is one unnamed column of numbers,
-    and each of its rows has as many cells as the header.  A file that is
-    not UTF-8 text raises :class:`DomainError` naming the file, and a line
-    that cannot be read as a finite number, or a CSV row of another width,
-    one naming the file and the line.
+    Every other line of a text file is one sample; a ``.csv`` file is read
+    from the column its header names ``y``, or is one unnamed column of
+    numbers, and each of its rows has as many cells as the header.  One
+    rule reads every sample, text line and CSV cell alike: Python's
+    ``float``, in one numpy call.  A file that is not UTF-8 text raises
+    :class:`DomainError` naming the file.  A file that does not read
+    raises one naming the file and its first bad line: the first line that
+    is not a number, or in a CSV file not a row as wide as the header;
+    when every line is a number, the first that is not finite, such as
+    ``nan``, ``inf`` or ``1e999``.
     """
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise DomainError(f"{path}: not a text file ({exc})") from None
+    text = _read_text(path)
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()  # the newline that ends the last line
@@ -344,34 +353,30 @@ def read_signal(path: str) -> Signal:
         rows = [line for line in lines if (body := line.strip()) and not body.startswith("#")]
     if not rows:
         raise DomainError(f"{path}: no data rows")
-    data, start = rows, 0
+    data, cells, start, width = rows, rows, 0, 0
     if str(path).endswith(".csv"):
         header = [c.strip() for c in rows[0].split(",")]
+        width = len(header)
         if "y" in header:
             idx, data, start = header.index("y"), rows[1:], lines.index(rows[0]) + 1
-        elif len(header) == 1 and _is_number(header[0]):
+        elif width == 1 and _is_number(header[0]):
             idx = 0
         else:
             raise DomainError(f"{path}: column 'y' not found in header {header}")
         if not data:
             raise DomainError(f"{path}: no data rows")
-        values = []
-        for row in data:
-            cells = row.split(",")
-            if len(cells) != len(header):
-                raise _bad_line(path, lines, row, start, "a row as wide as the header")
-            try:
-                values.append(float(cells[idx]))
-            except ValueError:
-                raise _bad_line(path, lines, row, start) from None
-        samples = np.array(values)
-    else:
-        try:
-            # a list of str converts element by element through float(), so a
-            # row like "1.0 2.0" is rejected as float("1.0 2.0") is
-            samples = np.array(rows, dtype=float)
-        except ValueError:
-            raise _bad_line(path, lines, next(r for r in rows if not _is_number(r))) from None
+        # a row of another width gives the cell "", which float rejects
+        cells = [c[idx] if len(c := row.split(",")) == width else "" for row in data]
+    try:
+        # a list of str converts element by element through float(), so a
+        # row like "1.0 2.0" is rejected as float("1.0 2.0") is
+        samples = np.array(cells, dtype=float)
+    except ValueError:
+        row = next(row for row, cell in zip(data, cells) if not _is_number(cell))
+        what = "a number"
+        if width and row.count(",") + 1 != width:
+            what = "a row as wide as the header"
+        raise _bad_line(path, lines, row, start, what) from None
     try:
         return Signal(samples)
     except DomainError:  # a row such as nan, inf or 1e999
@@ -379,9 +384,7 @@ def read_signal(path: str) -> Signal:
         raise _bad_line(path, lines, data[first], start, "a finite number") from None
 
 
-def _bad_line(
-    path: str, lines: list[str], line: str, start: int = 0, what: str = "a number"
-) -> DomainError:
+def _bad_line(path: str, lines: list[str], line: str, start: int, what: str) -> DomainError:
     """A :class:`DomainError` naming the first line equal to ``line`` from ``start`` on.
 
     Lines with equal text are read alike, so that is the first bad line

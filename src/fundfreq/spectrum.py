@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .signal import Signal, _check_band, _check_order
+from .signal import Signal, _check_band, _check_order, _integer
 
 __all__ = ["fourier_grid_init", "grid_spectrum"]
 
@@ -80,6 +80,7 @@ def fourier_grid(n: int, p: int) -> np.ndarray:
     2*pi*k/n would keep the inadmissible point pi/p whenever 2pk = n and
     the product rounds below it.
     """
+    n = _integer("n", n, 1)
     _check_order(p)
     ks = np.arange(1, (n - 1) // (2 * p) + 1)
     return 2.0 * math.pi * ks / n

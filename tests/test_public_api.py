@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -245,3 +246,60 @@ def test_harmonic_order_must_be_an_integer(entry, p):
 @pytest.mark.parametrize("entry", sorted(_takes_p()))
 def test_numpy_integer_harmonic_order_accepted(entry):
     _takes_p()[entry](np.int64(2))
+
+
+def _takes_count():
+    """Every public entry that takes a count, as (the name its message gives,
+    a call on the count)."""
+    noise = fundfreq.LinearProcessSpec((1.0, 0.5), 1.0)
+    x = fundfreq.synthesize(fundfreq.MODEL1, 200, noise).samples
+
+    def spec(**count):
+        return fundfreq.ExperimentSpec(fundfreq.MODEL1, (1.0,), (100,), (1.0,), **count)
+
+    return {
+        "synthesize-n": ("n", lambda k: fundfreq.synthesize(fundfreq.MODEL1, k)),
+        "generate_linear_process-n": ("n", lambda k: fundfreq.generate_linear_process(noise, k, 0)),
+        "generate_linear_process-seed": (
+            "seed", lambda k: fundfreq.generate_linear_process(noise, 10, k)),
+        "asymptotic_variances-n": (
+            "n", lambda k: fundfreq.asymptotic_variances(fundfreq.MODEL1, noise, k)),
+        "fourier_grid-n": ("n", lambda k: spectrum.fourier_grid(k, 1)),
+        "sample_acf-max_lag": ("max_lag", lambda k: fundfreq.sample_acf(x, k)),
+        "ExperimentSpec-replications": ("replications", lambda k: spec(replications=k)),
+        "ExperimentSpec-master_seed": ("master_seed", lambda k: spec(master_seed=k)),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_takes_count()))
+@pytest.mark.parametrize("count", [100.0, 100.5, True, "3"], ids=repr)
+def test_count_must_be_an_integer(entry, count):
+    # synthesize sliced with 100.0 (a bare TypeError) and made 1 sample from
+    # True; asymptotic_variances reported at n = 100.5; the seed "3" met a
+    # bare TypeError from <; sample_acf ran True as max_lag 1; fourier_grid
+    # gave 49 points at n = 100.5
+    name, call = _takes_count()[entry]
+    with pytest.raises(fundfreq.DomainError, match=f"^{name} must be an integer, got {count!r}$"):
+        call(count)
+
+
+@pytest.mark.parametrize("entry", sorted(_takes_count()))
+@pytest.mark.parametrize("count", [np.int64(100), np.uint32(100)], ids=repr)
+def test_numpy_integer_count_accepted(entry, count):
+    _takes_count()[entry][1](count)
+
+
+@pytest.mark.parametrize("entry, count, message", [
+    ("synthesize-n", 0, "n must be >= 1, got 0"),
+    ("generate_linear_process-n", 0, "n must be >= 1, got 0"),
+    ("generate_linear_process-seed", -1, "seed must be >= 0, got -1"),
+    ("asymptotic_variances-n", 0, "n must be >= 1, got 0"),
+    ("fourier_grid-n", 0, "n must be >= 1, got 0"),
+    ("sample_acf-max_lag", 0, "need 0 < max_lag < n, got max_lag=0, n=200"),
+    ("sample_acf-max_lag", 200, "need 0 < max_lag < n, got max_lag=200, n=200"),
+    ("ExperimentSpec-replications", 0, "replications must be >= 1, got 0"),
+    ("ExperimentSpec-master_seed", 2**63, f"master_seed must fit in int64, got {2**63}"),
+])
+def test_count_out_of_range_message(entry, count, message):
+    with pytest.raises(fundfreq.DomainError, match=f"^{re.escape(message)}$"):
+        _takes_count()[entry][1](count)

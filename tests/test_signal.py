@@ -451,6 +451,63 @@ class TestSerialization:
         headed.write_text(f"{header}\n{plain.read_text()}")
         assert read_signal(str(headed)).samples.tobytes() == sig.samples.tobytes()
 
+    # One signal in each file form read_signal takes.  Each form lays out
+    # the samples as rows after an optional header.
+    _FORMS = {
+        "text": (".txt", None, lambda i, v: v),
+        "csv-y": (".csv", "y", lambda i, v: v),
+        "csv-y-second": (".csv", "t, y ,note", lambda i, v: f"{i}, {v} ,s{i}"),
+        "csv-unnamed": (".csv", None, lambda i, v: v),
+    }
+
+    @pytest.mark.parametrize("comments", [False, True], ids=["plain", "comments"])
+    @pytest.mark.parametrize("bom", [False, True], ids=["no-bom", "bom"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("form", sorted(_FORMS))
+    def test_every_form_reads_the_same_samples(self, tmp_path, form, newline, bom, comments):
+        samples = np.concatenate([[-0.0, 5e-324, 1.7976931348623157e308, 1e16],
+                                  synthesize(MODEL2, 40, LinearProcessSpec((1.0, 0.5), 0.25),
+                                             seed=3).samples])
+        suffix, header, row = self._FORMS[form]
+        lines = [row(i, repr(v)) for i, v in enumerate(samples.tolist())]
+        if comments:
+            lines[20:20] = ["", "# a note", "   ", "  # an indented note"]
+            lines[:0] = ["# made by hand", ""]
+        if header is not None:
+            lines.insert(2 if comments else 0, header)
+        path = tmp_path / f"sig{suffix}"
+        path.write_bytes(b"\xef\xbb\xbf" * bom + (newline.join(lines) + newline).encode())
+        assert read_signal(str(path)).samples.tobytes() == samples.tobytes()
+
+    @pytest.mark.parametrize("suffix, text, message", [
+        (".txt", "0.5\nabc\n-1.0\n", "line 2: cannot read a number from 'abc'"),
+        (".txt", "# c\r\n0.5\r\n\r\n1.0 2.0\r\n", "line 4: cannot read a number from '1.0 2.0'"),
+        (".csv", "x,y\n1,0.5\n2,abc\n", "line 3: cannot read a number from '2,abc'"),
+        (".csv", "0.5\n1,\n", "line 2: cannot read a row as wide as the header from '1,'"),
+        (".csv", "x,y\n1,0.5\n2,\n", "line 3: cannot read a number from '2,'"),
+        (".txt", "0.5\nnan\n", "line 2: cannot read a finite number from 'nan'"),
+        (".txt", "0.5\n-inf\n", "line 2: cannot read a finite number from '-inf'"),
+        (".csv", "y\n0.5\n1e999\n", "line 3: cannot read a finite number from '1e999'"),
+        (".csv", "x,y\n1,2\n3\n", "line 3: cannot read a row as wide as the header from '3'"),
+        (".csv", "t,y\n1,0.5,9\n", "line 2: cannot read a row as wide as the header from '1,0.5,9'"),
+        # the first bad line, whatever its defect
+        (".csv", "x,y\n1,2.0\n1,abc\n1,3.0\n1\n", "line 3: cannot read a number from '1,abc'"),
+        (".csv", "x,y\n1\n1,abc\n", "line 2: cannot read a row as wide as the header from '1'"),
+        # a line that is no number is named before one that is not finite
+        (".txt", "0.5\nnan\nabc\n", "line 3: cannot read a number from 'abc'"),
+        (".csv", "a,b\n1,2\n", "column 'y' not found in header ['a', 'b']"),
+        (".csv", "y\n", "no data rows"),
+        (".csv", "# c\ny\n\n", "no data rows"),
+        (".csv", "", "no data rows"),
+        (".txt", "", "no data rows"),
+        (".txt", "\n# c\n", "no data rows"),
+    ])
+    def test_malformed_file_message(self, tmp_path, suffix, text, message):
+        path = tmp_path / f"bad{suffix}"
+        path.write_bytes(text.encode())
+        with pytest.raises(DomainError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_signal(str(path))
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
         for text in ("", "\n\n", "# sample_rate=10.0\n"):
