@@ -6,6 +6,10 @@ over the Fourier grid, read from one FFT by the same routine as the
 estimator's start), ``simulate`` (Monte Carlo summary CSV), ``asymvar``
 (closed-form variance report).
 
+Each command but ``synth``, which writes its signal file, returns its
+report as text, and :func:`main` alone writes it, to stdout or to
+``--out``.
+
 Exit codes: 0 success, 1 runtime or numerical failure (including a malformed
 signal file), 2 usage error.
 
@@ -38,6 +42,7 @@ from .signal import (
     LinearProcessSpec,
     Signal,
     _read_text,
+    _write_text,
     mean_correct,
     read_signal,
     synthesize,
@@ -116,17 +121,16 @@ def _json_number(value, what: str) -> float:
     return float(value)
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     model = _model_from_args(args)
     noise = None
     if args.noise is not None:
         noise = LinearProcessSpec(args.noise, args.sigma2)
     sig = synthesize(model, args.n, noise, args.seed)
     write_signal(sig, args.out)
-    return 0
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args) -> str:
     noise = LinearProcessSpec(args.noise)  # sigma2 = 1: the noise shape alone
     sig = read_signal(args.input)
     if args.mean_correct:
@@ -181,22 +185,19 @@ def cmd_estimate(args) -> int:
     }
     if args.residuals_out:
         write_signal(Signal(sig._scale_back(resid)), args.residuals_out)
-    text = json.dumps(report, indent=2 if args.json else None)
-    _write_text(args.out, text)
-    return 0
+    return json.dumps(report, indent=2 if args.json else None)
 
 
-def cmd_periodogram(args) -> int:
+def cmd_periodogram(args) -> str:
     sig = read_signal(args.input)
     lams, i_vals, q_vals = grid_spectrum(sig, args.p)
     lines = ["lambda,I,Q_N"]
     lines.extend(f"{lam:.5e},{i_val:.5e},{q_val:.5e}"
                  for lam, i_val, q_val in zip(lams.tolist(), i_vals.tolist(), q_vals.tolist()))
-    _write_text(args.out, "\n".join(lines))
-    return 0
+    return "\n".join(lines)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> str:
     model = _model_from_args(args)
     spec = ExperimentSpec(
         model=model,
@@ -206,32 +207,19 @@ def cmd_simulate(args) -> int:
         replications=args.reps,
         master_seed=args.seed,
     )
-    rows = run_experiment(spec)
-    _write_text(args.out, "\n".join(summary_csv_lines(rows)))
-    return 0
+    return "\n".join(summary_csv_lines(run_experiment(spec)))
 
 
-def cmd_asymvar(args) -> int:
+def cmd_asymvar(args) -> str:
     model = _model_from_args(args)
     report = asymptotic_variances(model, LinearProcessSpec(args.noise, args.sigma2), args.n)
     if args.csv:
-        text = (
+        return (
             "n,sigma2,beta_star,delta_g,var_lse,var_mnr\n"
             f"{report.n},{report.sigma2:.5e},{report.beta_star:.5e},"
             f"{report.delta_g:.5e},{report.var_lse:.5e},{report.var_mnr:.5e}"
         )
-    else:
-        text = json.dumps(dataclasses.asdict(report), indent=2)
-    _write_text(args.out, text)
-    return 0
-
-
-def _write_text(path: str | None, text: str) -> None:
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    return json.dumps(dataclasses.asdict(report), indent=2)
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -316,7 +304,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        report = args.func(args)  # None from synth, which writes its own file
+        if report is not None:
+            _write_text(args.out or None, report)  # an empty --out prints too
+        return 0
     except FileNotFoundError as exc:
         print(f"fundfreq: file not found: {exc.filename}", file=sys.stderr)
         return 2

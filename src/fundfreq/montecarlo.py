@@ -29,6 +29,7 @@ from .signal import (
     generate_linear_process,
     synthesize,
 )
+from .spectrum import _check_sample_size
 
 __all__ = [
     "MODEL1",
@@ -98,9 +99,7 @@ class ExperimentSpec:
         object.__setattr__(self, "sample_sizes",
                            tuple(_integer("sample size", n) for n in self.sample_sizes))
         object.__setattr__(self, "sigma2_values", tuple(float(s) for s in self.sigma2_values))
-        n_min, p = min(self.sample_sizes), self.model.p
-        if n_min < 10 * p:
-            raise DomainError(f"need n >= 10*p = {10 * p} in every cell, got n = {n_min}")
+        _check_sample_size(min(self.sample_sizes), self.model.p, " in every cell")
         for sigma2 in self.sigma2_values:  # fail before any cell runs
             LinearProcessSpec(self.noise_coeffs, sigma2)
 

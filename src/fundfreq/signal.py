@@ -304,14 +304,24 @@ def write_signal(signal: Signal, path: str) -> None:
     Each sample is written as ``repr`` of its Python float, the shortest
     text that reads back to the same double, so :func:`read_signal`
     returns the samples bit for bit.  ``.csv`` paths get a one-column
-    header ``y``.
+    header ``y``.  Like every file the package writes, the file is UTF-8
+    with ``"\\n"`` line ends on every platform.
     """
     lines = []
     if str(path).endswith(".csv"):
         lines.append("y")
     lines.extend(map(repr, signal.samples.tolist()))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines))
+
+
+def _write_text(path: str | None, text: str) -> None:
+    """Write ``text`` and a final newline to the file ``path`` as UTF-8
+    with ``"\\n"`` line ends, or print them when ``path`` is None."""
+    if path is None:
+        print(text)
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text + "\n")
 
 
 def _read_text(path: str) -> str:

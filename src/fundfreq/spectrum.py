@@ -155,6 +155,13 @@ def grid_spectrum(
             signal._scale_back(harmonic / n**2, 2))
 
 
+def _check_sample_size(n: int, p: int, where: str = "") -> None:
+    """Raise :class:`DomainError` unless n >= 10*p, the least sample size
+    the start search takes; ``where`` extends the message."""
+    if n < 10 * p:
+        raise DomainError(f"need n >= 10*p = {10 * p}{where}, got n = {n}")
+
+
 def fourier_grid_init(signal: Signal, p: int) -> float:
     """Coarse initializer: the argmax of Q_N over the grid 2*pi*k/L in
     (0, pi/p), moved to the vertex of the parabola through its neighbours.
@@ -174,8 +181,7 @@ def fourier_grid_init(signal: Signal, p: int) -> float:
     rounded in the same two operations.
     """
     _check_order(p)
-    if signal.n < 10 * p:
-        raise DomainError(f"need n >= 10*p = {10 * p}, got n = {signal.n}")
+    _check_sample_size(signal.n, p)
     length = _smooth_length(_START_PAD * signal.n)
     harmonic = _grid_power(signal, p, length)[1]
     i = int(np.argmax(harmonic))  # the first of ties

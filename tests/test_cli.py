@@ -552,6 +552,24 @@ class TestSimulate:
         assert "need n >= 10*p = 40 in every cell, got n = 20" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--input", "sig.txt", "--p", "4", "--json"],
+    ["periodogram", "--input", "sig.txt", "--p", "4"],
+    ["simulate", "--n", "40,60", "--sigma2", "0.5", "--reps", "3"],
+    ["asymvar", "--sigma2", "0.5", "--n", "100", "--csv"],
+], ids=lambda argv: argv[0])
+def test_report_goes_to_stdout_or_out(tmp_path, capsys, monkeypatch, argv):
+    # main alone writes a report: --out gets the bytes stdout gets, and an
+    # empty --out prints
+    monkeypatch.chdir(tmp_path)
+    write_signal(fundfreq.synthesize(fundfreq.MODEL1, 100), "sig.txt")
+    code, printed, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "") and printed.endswith("\n")
+    assert run_cli(argv + ["--out", ""], capsys) == (0, printed, "")
+    assert run_cli(argv + ["--out", "report"], capsys) == (0, "", "")
+    assert (tmp_path / "report").read_bytes() == printed.encode()
+
+
 class TestAsymvar:
     def test_benchmark_values(self, capsys):
         code, out, _ = run_cli(

@@ -13,6 +13,7 @@ from fundfreq import spectrum
 from fundfreq import (
     DegenerateFrequencyError,
     DomainError,
+    HarmonicModel,
     LinearProcessSpec,
     Signal,
     estimate_fundamental,
@@ -582,21 +583,47 @@ class TestMetamorphic:
     @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "ma1"])
     @pytest.mark.parametrize("preset", [1, 2])
     def test_time_reversal_and_sign_flip(self, model1, model2, preset, noisy):
-        # y(n + 1 - t) spans the same column space as y(t), so the LSE is
-        # the same, to rounding; -y gives the same run bit for bit
         model = model1 if preset == 1 else model2
-        worst = 0.0
-        for n in range(100, 2051, 50):
-            noise = LinearProcessSpec((1.0, 0.5), 0.25) if noisy else None
-            y = synthesize(model, n, noise, seed=n).samples
-            lam, trace = estimate_fundamental(Signal(y), 4)
-            lam_r, trace_r = estimate_fundamental(Signal(y[::-1].copy()), 4)
-            assert trace_r.status == trace.status, n
-            worst = max(worst, abs(lam_r - lam) / lam)
-            lam_f, trace_f = estimate_fundamental(Signal(-y), 4)
-            assert (lam_f, trace_f.status, trace_f.evaluations) == (
-                lam, trace.status, trace.evaluations), n
-        assert worst <= 1e-12
+        noise = LinearProcessSpec((1.0, 0.5), 0.25) if noisy else None
+        _check_time_reversal_and_sign_flip(
+            (n, synthesize(model, n, noise, seed=n).samples, 4) for n in range(100, 2051, 50))
+
+    def test_time_reversal_and_sign_flip_on_random_inputs(self):
+        _check_time_reversal_and_sign_flip(_random_inputs(300, 12345))
+
+
+def _check_time_reversal_and_sign_flip(inputs):
+    """Estimate each (key, samples, p) of ``inputs`` as given, reversed in
+    time and negated.  y(n + 1 - t) spans the same column space as y(t), so
+    the LSE is the same, to rounding; -y gives the same run bit for bit."""
+    worst = 0.0
+    for key, y, p in inputs:
+        lam, trace = estimate_fundamental(Signal(y), p)
+        lam_r, trace_r = estimate_fundamental(Signal(y[::-1].copy()), p)
+        assert trace_r.status == trace.status, key
+        worst = max(worst, abs(lam_r - lam) / lam)
+        lam_f, trace_f = estimate_fundamental(Signal(-y), p)
+        assert (lam_f, trace_f.status, trace_f.evaluations) == (
+            lam, trace.status, trace.evaluations), key
+    assert worst <= 1e-12
+
+
+def _random_inputs(count, seed):
+    """(key, samples, p) for ``count`` random harmonic signals: p 1..5,
+    log-normal amplitudes with random signs, n uniform on 10p+20..1200,
+    lambda uniform on (6 pi/n, 0.9 pi/p); every second input adds i.i.d.
+    noise of sd 0.3, 1 or 3."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        p = int(rng.integers(1, 6))
+        n = int(rng.integers(10 * p + 20, 1201))
+        lam = float(rng.uniform(6 * math.pi / n, 0.9 * math.pi / p))
+        amps = rng.choice([-1.0, 1.0], (p, 2)) * rng.lognormal(0.0, 1.0, (p, 2))
+        model = HarmonicModel(p, lam, tuple(map(tuple, amps.tolist())))
+        sd = float(rng.choice([0.3, 1.0, 3.0])) if i % 2 else 0.0
+        noise = LinearProcessSpec((1.0,), sd**2) if sd else None
+        y = synthesize(model, n, noise, seed=i).samples
+        yield f"#{i} p={p} n={n} lambda={lam!r} sd={sd}", y, p
 
 
 class TestStatisticalGuards:

@@ -193,6 +193,34 @@ def test_scale_rule_stays_in_signal():
     assert outside == []
 
 
+def _open_calls():
+    """(path, call) for every call of the builtin ``open`` in the package."""
+    return [(path, node) for path, tree in SOURCES.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "open"]
+
+
+def test_every_open_names_its_encoding():
+    # without encoding= a file is read and written in the platform's default
+    # encoding, which is not UTF-8 on every host
+    calls = _open_calls()
+    assert calls
+    unnamed = [f"{path.name}:{call.lineno}" for path, call in calls
+               if "encoding" not in {k.arg for k in call.keywords}]
+    assert unnamed == []
+
+
+def test_one_open_writes():
+    # every file the package writes leaves through signal._write_text
+    def mode(call):
+        given = call.args[1:2] or [k.value for k in call.keywords if k.arg == "mode"]
+        return ast.literal_eval(given[0]) if given else "r"
+
+    writers = [(path.name, call.lineno) for path, call in _open_calls()
+               if set(mode(call)) & set("wax+")]
+    assert len(writers) == 1 and writers[0][0] == "signal.py", writers
+
+
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
 def test_demos_import_only_public_names(demo):
     # read the way _layer_functions reads the tracer: from the source, by ast
