@@ -5,24 +5,25 @@ The estimator runs in two stages:
 1. coarse start: the argmax of the harmonic criterion Q_N on the grid
    2*pi*k/L, L the smallest 5-smooth length >= 8n, moved to the vertex of
    the parabola through Q_N there and at its two neighbours,
-2. full Newton steps -g'/g'' on the full sample, inside one open
-   admissible interval (lo, hi) that starts as (0, pi/p).  A trial point
-   outside it takes no pass; a trial point where X'X is singular (the
-   criterion's :class:`DegenerateFrequencyError`) becomes the edge of
-   (lo, hi) on its side of the iterate, so no point at or past it is
-   measured again.  A step whose trial point is outside, singular or
-   lowers the criterion g is halved until it is none of these or is
-   shorter than ``_TOL``.  The run ends ``converged_tol`` once a step
-   shorter than ``_TOL`` has been taken, ``boundary`` if even that step
-   leaves (lo, hi) or lands where X'X is singular, or ``max_iter`` after
-   ``_MAX_ITER`` Newton steps.
+2. steps on the full sample, inside one open admissible interval
+   (lo, hi) that starts as (0, pi/p): the Newton step -g'/g'' from an
+   iterate with g'' < 0, and from one with g'' > 0, where the Newton step
+   points downhill, a step of a quarter Fourier bin 2*pi/n in the
+   direction of g'.  A trial point outside (lo, hi) takes no pass; a
+   trial point where X'X is singular (the criterion's
+   :class:`DegenerateFrequencyError`) becomes the edge of (lo, hi) on its
+   side of the iterate, so no point at or past it is measured again.  A
+   step whose trial point is outside, singular or lowers the criterion g
+   is halved until it is none of these or is shorter than ``_TOL``.  The
+   run ends ``converged_tol`` once a Newton step shorter than ``_TOL``
+   has been taken, ``boundary`` if even that step leaves (lo, hi) or
+   lands where X'X is singular, or if an uphill step is halved below
+   ``_TOL``, and ``max_iter`` after ``_MAX_ITER`` steps.
 
-At every iterate, the start included, a zero or non-finite g'' or a
-non-finite step -g'/g'' (a non-finite g', or a quotient that overflows)
-ends the run ``degenerate``: no Newton step exists there.
-Only then is the sign of g'' read: an iterate with g'' > 0 takes no step,
-and the run ends ``converged_objective``.  A singular X'X at the start
-raises.
+At every iterate, the start included, a zero or non-finite g'', a
+non-finite g' or a non-finite step (a Newton quotient that overflows)
+ends the run ``degenerate``: no step exists there.  A singular X'X at the
+start raises.
 
 Run to convergence, the full steps return the least squares estimate, the
 maximizer of g near the start.  They converge to it quadratically: from
@@ -56,9 +57,11 @@ from .spectrum import fourier_grid_init
 __all__ = ["TraceRecord", "EstimationTrace", "estimate_fundamental"]
 
 # Constants, not options: the run goes to the least squares maximizer, so
-# these set how it gets there, not where it lands.
+# these set how it gets there, not where it lands; the uphill step can set
+# only which maximum a run that meets g'' > 0 climbs to.
 _TOL = 1e-7
-_MAX_ITER = 50  # Newton steps, halvings excluded
+_MAX_ITER = 50  # steps, halvings excluded
+_UPHILL = 0.25 * 2.0 * math.pi  # n times the step where g'' > 0: 1/4 Fourier bin
 
 
 @dataclass(frozen=True)
@@ -76,14 +79,14 @@ class EstimationTrace:
     """Iterate history, terminal status and criterion evaluation count.
 
     Statuses: ``converged_tol`` (a Newton step shorter than _TOL, taken from
-    an iterate with g'' < 0), ``converged_objective`` (g'' > 0 at an
-    iterate, so no Newton step points uphill), ``max_iter``, ``boundary``
-    (a step shorter than _TOL left the admissible interval, (0, pi/p)
-    cut at each singular trial point of the run, or landed where X'X is
-    singular), ``degenerate`` (no Newton step: g'' zero or not finite, or
+    an iterate with g'' < 0), ``max_iter``, ``boundary`` (a Newton step
+    shorter than _TOL left the admissible interval, (0, pi/p) cut at each
+    singular trial point of the run, or landed where X'X is singular; or
+    an uphill step from an iterate with g'' > 0 was halved below _TOL),
+    ``degenerate`` (no step: g'' zero or not finite, g' not finite, or
     -g'/g'' not finite).
 
-    ``records`` holds the start and each Newton step as finally taken;
+    ``records`` holds the start and each step as finally taken;
     ``evaluations`` counts every criterion call: one at the start and one
     at each trial point of a step, those of halved steps included.  The
     closing record of a ``converged_tol`` run costs none, unless a
@@ -135,17 +138,17 @@ def estimate_fundamental(signal: Signal, p: int) -> tuple[float, EstimationTrace
 
 
 def _refine(signal: Signal, p: int, gp: float, gpp: float, trace: EstimationTrace) -> str:
-    """Full Newton steps from the start in ``trace``, given (g', g'')
-    there; appends their iterates and returns the status."""
+    """Steps from the start in ``trace``, given (g', g'') there; appends
+    their iterates and returns the status."""
     lam_k, g_k = trace.records[0].lam, trace.records[0].g_value
     band = lo, hi = 0.0, math.pi / p  # the admissible interval
     for k in range(1, _MAX_ITER + 1):
-        # no Newton step exists where g'' is 0 or the step is not finite,
-        # whatever the sign of g''
-        if gpp == 0.0 or not math.isfinite(gpp) or not math.isfinite(step := -gp / gpp):
+        # a Newton step where g'' < 0, a fixed step in the direction of g'
+        # where g'' > 0; none where g'' is 0 or g', g'' or the step is not
+        # finite
+        step = -gp / gpp if gpp < 0.0 else math.copysign(_UPHILL / signal.n, gp)
+        if gpp == 0.0 or not all(map(math.isfinite, (gp, gpp, step))):
             return "degenerate"
-        if gpp > 0.0:
-            return "converged_objective"
         # Halve a step that leaves (lo, hi), meets a singular X'X or lowers
         # g.  A singular trial point becomes the edge of (lo, hi) on its
         # side of the iterate, so no point at or past it is measured again.
@@ -161,13 +164,14 @@ def _refine(signal: Signal, p: int, gp: float, gpp: float, trace: EstimationTrac
                     break
             step *= 0.5
         else:
-            # A step shorter than _TOL closes the run with no pass: the
-            # Newton model's g at its landing point is within rounding of a
-            # measured one there.  Once (lo, hi) was narrowed the landing
-            # point may be singular too, and one pass rules that out; a
-            # singular one ends the run like a landing point outside.
+            # A Newton step shorter than _TOL closes the run with no pass:
+            # the Newton model's g at its landing point is within rounding
+            # of a measured one there.  Once (lo, hi) was narrowed the
+            # landing point may be singular too, and one pass rules that
+            # out; a singular one ends the run like a landing point
+            # outside.  An uphill step that short lands at no maximum.
             lam_next = lam_k + step
-            if not lo < lam_next < hi or (
+            if gpp > 0.0 or not lo < lam_next < hi or (
                     (lo, hi) != band and _measure(signal, p, lam_next, trace) is None):
                 return "boundary"
             g_next = g_k + step * (gp + gpp * step / 2.0)

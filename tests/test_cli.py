@@ -34,7 +34,7 @@ class TestSynth:
         code, _, _ = run_cli(["synth", "--preset", "1", "--n", "100",
                               "--out", str(out)], capsys)
         assert code == 0
-        lines = out.read_text().strip().splitlines()
+        lines = out.read_text(encoding="utf-8").strip().splitlines()
         assert len(lines) == 100
 
     def test_same_seed_identical_files(self, tmp_path, capsys):
@@ -64,7 +64,7 @@ class TestSynth:
     def test_bad_model_file_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "model.json"
         bad.write_text(json.dumps({"p": 4, "lambda": 2.0,
-                                   "amplitudes": [[1, 0]] * 4}))
+                                   "amplitudes": [[1, 0]] * 4}), encoding="utf-8")
         code, _, err = run_cli(
             ["synth", "--model-file", str(bad), "--n", "50",
              "--out", str(tmp_path / "y")],
@@ -77,7 +77,8 @@ class TestSynth:
     def test_model_file_p_must_be_a_json_integer(self, tmp_path, capsys, p):
         # int() read 1.9 and true as p = 1 and "2" as 2, each with exit 0
         bad = tmp_path / "model.json"
-        bad.write_text(json.dumps({"p": p, "lambda": 0.25, "amplitudes": [[1, 0]] * 2}))
+        bad.write_text(json.dumps({"p": p, "lambda": 0.25, "amplitudes": [[1, 0]] * 2}),
+                       encoding="utf-8")
         for argv in (["synth", "--model-file", str(bad), "--n", "50",
                       "--out", str(tmp_path / "y")],
                      ["asymvar", "--model-file", str(bad), "--sigma2", "1",
@@ -114,7 +115,7 @@ class TestSynth:
             "lambda-int-past-float-range"])
     def test_malformed_model_file_is_runtime_error(self, tmp_path, capsys, model):
         bad = tmp_path / "model.json"
-        bad.write_text(json.dumps(model))
+        bad.write_text(json.dumps(model), encoding="utf-8")
         code, _, err = run_cli(
             ["synth", "--model-file", str(bad), "--n", "50",
              "--out", str(tmp_path / "y")],
@@ -181,7 +182,7 @@ class TestEstimate:
             capsys,
         )
         assert code == 0
-        values = [float(x) for x in res_path.read_text().split()]
+        values = [float(x) for x in res_path.read_text(encoding="utf-8").split()]
         assert len(values) == 256
         # the file is the signal file write_signal makes of the residuals
         report = json.loads(out)
@@ -248,7 +249,8 @@ class TestEstimate:
     def test_mean_correct_flag(self, tmp_path, capsys):
         # a large DC offset: removable preprocessing, the tone still found
         path = tmp_path / "shifted.txt"
-        path.write_text("\n".join(str(5.0 + math.cos(0.3 * t)) for t in range(1, 151)))
+        path.write_text("\n".join(str(5.0 + math.cos(0.3 * t)) for t in range(1, 151)),
+                        encoding="utf-8")
         code, out, _ = run_cli(
             ["estimate", "--input", str(path), "--p", "1", "--mean-correct"], capsys
         )
@@ -307,7 +309,7 @@ class TestPeriodogram:
             ["periodogram", "--input", str(path), "--p", str(p)], capsys
         )
         assert code == 0
-        return np.loadtxt(path), out.strip().splitlines()[1:]
+        return np.loadtxt(path, encoding="utf-8"), out.strip().splitlines()[1:]
 
     def test_values_match_exact_phase_reference(self, tmp_path, capsys):
         p = 4
@@ -342,16 +344,17 @@ class TestPeriodogram:
         done = subprocess.run(
             [sys.executable, "-W", "error", "-m", "fundfreq.cli", "periodogram",
              "--input", str(path), "--p", "4", "--out", str(per)],
-            env=_fresh_interpreter_env(), capture_output=True, text=True, timeout=60)
+            env=_fresh_interpreter_env(), capture_output=True, text=True, encoding="utf-8",
+            timeout=60)
         assert (done.returncode, done.stderr) == (0, "")
-        rows = [line.split(",") for line in per.read_text().splitlines()[1:]]
+        rows = [line.split(",") for line in per.read_text(encoding="utf-8").splitlines()[1:]]
         assert len(rows) == 24
         assert all(math.isfinite(float(v)) for row in rows for v in row)
 
     def test_empty_grid_is_runtime_error(self, tmp_path, capsys):
         # n = 5: the first Fourier frequency 2*pi/5 already exceeds pi/4
         path = tmp_path / "short.txt"
-        path.write_text("\n".join(["0.5", "-1.0", "2.0", "0.25", "1.5"]) + "\n")
+        path.write_text("\n".join(["0.5", "-1.0", "2.0", "0.25", "1.5"]) + "\n", encoding="utf-8")
         code, out, err = run_cli(
             ["periodogram", "--input", str(path), "--p", "4"], capsys
         )
@@ -366,7 +369,7 @@ class TestPeriodogram:
 @pytest.mark.parametrize("row", ["abc", "1.0 2.0"])
 def test_malformed_signal_file_is_runtime_error(tmp_path, capsys, command, row):
     path = tmp_path / "bad.txt"
-    path.write_text("\n".join(["0.5", "-1.0", row, "2.0"]) + "\n")
+    path.write_text("\n".join(["0.5", "-1.0", row, "2.0"]) + "\n", encoding="utf-8")
     code, out, err = run_cli([command, "--input", str(path), "--p", "1"], capsys)
     assert code == 1
     assert out == ""
@@ -378,7 +381,7 @@ def test_malformed_signal_file_is_runtime_error(tmp_path, capsys, command, row):
 @pytest.mark.parametrize("row", ["nan", "-inf", "1e999"])
 def test_non_finite_sample_is_runtime_error(tmp_path, capsys, command, row):
     path = tmp_path / "bad.txt"
-    path.write_text("\n".join(["0.5", "-1.0", row, "2.0"]) + "\n")
+    path.write_text("\n".join(["0.5", "-1.0", row, "2.0"]) + "\n", encoding="utf-8")
     code, out, err = run_cli([command, "--input", str(path), "--p", "1"], capsys)
     assert code == 1
     assert out == ""
@@ -399,7 +402,7 @@ def test_non_text_signal_file_is_runtime_error(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["estimate", "periodogram"])
 def test_header_only_csv_is_runtime_error(tmp_path, capsys, command):
     path = tmp_path / "header.csv"
-    path.write_text("y\n")
+    path.write_text("y\n", encoding="utf-8")
     code, out, err = run_cli([command, "--input", str(path), "--p", "1"], capsys)
     assert code == 1
     assert out == ""
@@ -426,7 +429,8 @@ class TestParserReuse:
 
     def test_store_true_flag_does_not_carry_over(self, tmp_path, capsys):
         path = tmp_path / "shifted.txt"
-        path.write_text("\n".join(str(5.0 + math.cos(0.3 * t)) for t in range(1, 151)))
+        path.write_text("\n".join(str(5.0 + math.cos(0.3 * t)) for t in range(1, 151)),
+                        encoding="utf-8")
         args = ["estimate", "--input", str(path), "--p", "1"]
         _, first, _ = run_cli(args + ["--mean-correct"], capsys)
         _, second, _ = run_cli(args, capsys)
@@ -460,11 +464,12 @@ def test_module_entry_point_in_a_fresh_interpreter(tmp_path):
                   "--out", str(est)],
                  ["periodogram", "--input", str(sig), "--p", "4", "--out", str(per)]):
         done = subprocess.run([sys.executable, "-m", "fundfreq.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=60)
+                              capture_output=True, text=True, encoding="utf-8", timeout=60)
         assert done.returncode == 0, done.stderr
     assert read_signal(str(sig)).n == read_signal(str(resid)).n == 200
-    assert abs(json.loads(est.read_text())["lambda_hat"] - fundfreq.MODEL2.lam) < 1e-3
-    lines = per.read_text().splitlines()
+    lam_hat = json.loads(est.read_text(encoding="utf-8"))["lambda_hat"]
+    assert abs(lam_hat - fundfreq.MODEL2.lam) < 1e-3
+    lines = per.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "lambda,I,Q_N" and len(lines) - 1 == 24
 
 
@@ -499,7 +504,7 @@ class TestSimulate:
         model_file.write_text(json.dumps({
             "p": 4, "lambda": 0.3141,
             "amplitudes": [[4, 2], [3, 1.5], [2, 1.25], [1, 1]],
-        }))
+        }), encoding="utf-8")
         _, via_file, _ = run_cli(
             ["simulate", "--model-file", str(model_file)] + args, capsys
         )
@@ -623,7 +628,8 @@ class TestAsymvar:
         model = ["--preset", "1"]
         if amplitude is not None:
             path = tmp_path / "model.json"
-            path.write_text(json.dumps({"p": 1, "lambda": 0.25, "amplitudes": [[amplitude, 0]]}))
+            path.write_text(json.dumps({"p": 1, "lambda": 0.25, "amplitudes": [[amplitude, 0]]}),
+                            encoding="utf-8")
             model = ["--model-file", str(path)]
         code, out, err = run_cli(["asymvar", *model, "--sigma2", "1", "--n", n], capsys)
         assert code == 1

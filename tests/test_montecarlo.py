@@ -9,6 +9,7 @@ import fundfreq.montecarlo as mc
 from fundfreq import (
     DegenerateFrequencyError,
     DomainError,
+    EstimationTrace,
     ExperimentSpec,
     LinearProcessSpec,
     SummaryRow,
@@ -157,6 +158,21 @@ class TestAggregation:
         row = run_experiment(small_spec(replications=12))[0]
         assert row.failure_count == 4
         assert row.high_failure_rate
+
+    def test_failure_count_is_boundary_and_degenerate(self, monkeypatch):
+        # 1, 2, 4 and 8 replications end converged_tol, max_iter, boundary
+        # and degenerate: of the sums of these counts only 4 + 8 is 12, so
+        # the failures are exactly the last two statuses
+        statuses = ["converged_tol"] + ["max_iter"] * 2 + ["boundary"] * 4 + ["degenerate"] * 8
+        ended = iter(statuses)
+
+        def fake(sig, p):
+            return 0.25, EstimationTrace(status=next(ended))
+
+        monkeypatch.setattr(mc, "estimate_fundamental", fake)
+        row = run_experiment(small_spec(replications=len(statuses)))[0]
+        assert row.failure_count == 12
+        assert (row.mean_estimate, row.empirical_variance) == (0.25, 0.0)
 
     def test_flag_threshold(self):
         row = SummaryRow(100, 0.25, 0.25, 1e-10, 1e-10, 2.5e-11, 10, 100)

@@ -60,13 +60,13 @@ REMOVED = ["BoundaryError", "CurvatureError", "mnr_step", "polar_to_cartesian",
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
-SOURCES = {path: ast.parse(path.read_text())
+SOURCES = {path: ast.parse(path.read_text(encoding="utf-8"))
            for path in sorted((ROOT / "src" / "fundfreq").glob("*.py"))}
 
 
 def _layer_functions() -> dict:
     """LAYER_FUNCTIONS read from the tracer's source, without importing it."""
-    tree = ast.parse(TRACING.read_text())
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "LAYER_FUNCTIONS" for t in node.targets
@@ -224,7 +224,7 @@ def test_one_open_writes():
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
 def test_demos_import_only_public_names(demo):
     # read the way _layer_functions reads the tracer: from the source, by ast
-    for node in ast.walk(ast.parse(demo.read_text())):
+    for node in ast.walk(ast.parse(demo.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fundfreq"):
             public = importlib.import_module(node.module).__all__
             for alias in node.names:

@@ -354,7 +354,7 @@ class TestSerialization:
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
+        path.write_text("a,b\n1,2\n", encoding="utf-8")
         with pytest.raises(DomainError):
             read_signal(str(path))
 
@@ -364,7 +364,7 @@ class TestSerialization:
         for text, line, row in [("x,y\n1,2\n3\n", 3, "3"),
                                 ("t,y\n1,0.5,9\n", 2, "1,0.5,9"),
                                 ("1.0\n2.0,3.0\n", 2, "2.0,3.0")]:
-            path.write_text(text)
+            path.write_text(text, encoding="utf-8")
             with pytest.raises(DomainError, match=rf"short\.csv: line {line}: .*'{row}'"):
                 read_signal(str(path))
 
@@ -383,7 +383,7 @@ class TestSerialization:
         samples = synthesize(MODEL2, 40, LinearProcessSpec((1.0, 0.5), 0.25), seed=3).samples
         path = tmp_path / "sig.txt"
         write_signal(Signal(samples), str(path))
-        assert path.read_text() == "\n".join(map(repr, samples.tolist())) + "\n"
+        assert path.read_text(encoding="utf-8") == "\n".join(map(repr, samples.tolist())) + "\n"
 
     @staticmethod
     def _line_by_line(text):
@@ -413,10 +413,10 @@ class TestSerialization:
     @pytest.mark.parametrize("row", ["abc", "1.0 2.0", "1.0\t2.0", "1.0\x0c2.0", "1.0 # note"])
     def test_malformed_row_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "bad.txt"
-        path.write_text(f"# sample_rate=10.0\n0.5\n\n{row}\n-1.0\n{row}\n")
+        path.write_text(f"# sample_rate=10.0\n0.5\n\n{row}\n-1.0\n{row}\n", encoding="utf-8")
         with pytest.raises(DomainError, match=r"bad\.txt: line 4: "):
             read_signal(str(path))
-        path.write_text(f"0.5\n{row}\n")
+        path.write_text(f"0.5\n{row}\n", encoding="utf-8")
         with pytest.raises(DomainError, match=r"bad\.txt: line 2: "):
             read_signal(str(path))
 
@@ -427,7 +427,7 @@ class TestSerialization:
         head = "x,y\n" if suffix == ".csv" else ""
         cell = f"1,{row}" if suffix == ".csv" else row
         ok = "2,0.5" if suffix == ".csv" else "0.5"
-        path.write_text(f"# made by hand\n{head}{ok}\n\n{cell}\n{ok}\n{cell}\n")
+        path.write_text(f"# made by hand\n{head}{ok}\n\n{cell}\n{ok}\n{cell}\n", encoding="utf-8")
         line = 4 + bool(head)
         with pytest.raises(DomainError, match=(
                 rf"^{re.escape(str(path))}: line {line}: cannot read a finite number "
@@ -448,7 +448,8 @@ class TestSerialization:
         sig = synthesize(MODEL2, 40, LinearProcessSpec((1.0, 0.5), 0.25), seed=3)
         plain, headed = tmp_path / f"plain{suffix}", tmp_path / f"headed{suffix}"
         write_signal(sig, str(plain))
-        headed.write_text(f"{header}\n{plain.read_text()}")
+        text = plain.read_text(encoding="utf-8")
+        headed.write_text(f"{header}\n{text}", encoding="utf-8")
         assert read_signal(str(headed)).samples.tobytes() == sig.samples.tobytes()
 
     # One signal in each file form read_signal takes.  Each form lays out
@@ -511,13 +512,13 @@ class TestSerialization:
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
         for text in ("", "\n\n", "# sample_rate=10.0\n"):
-            path.write_text(text)
+            path.write_text(text, encoding="utf-8")
             with pytest.raises(DomainError, match="no data rows"):
                 read_signal(str(path))
         # a CSV file holding only its header has no data rows either
         path = tmp_path / "empty.csv"
         for text in ("y\n", "y\n\n", "# c\ny\n"):
-            path.write_text(text)
+            path.write_text(text, encoding="utf-8")
             with pytest.raises(DomainError, match=f"^{re.escape(str(path))}: no data rows$"):
                 read_signal(str(path))
 
