@@ -3,27 +3,28 @@
 The estimator runs in two stages:
 
 1. coarse start: the argmax of the harmonic criterion Q_N on the grid
-   2*pi*k/L, L the smallest 5-smooth length >= 8n, moved to the vertex of
-   the parabola through Q_N there and at its two neighbours,
-2. steps on the full sample, inside one open admissible interval
-   (lo, hi) that starts as (0, pi/p): the Newton step -g'/g'' from an
-   iterate with g'' < 0, and from one with g'' > 0, where the Newton step
-   points downhill, a step of a quarter Fourier bin 2*pi/n in the
-   direction of g'.  A trial point outside (lo, hi) takes no pass; a
-   trial point where X'X is singular (the criterion's
-   :class:`DegenerateFrequencyError`) becomes the edge of (lo, hi) on its
-   side of the iterate, so no point at or past it is measured again.  A
-   step whose trial point is outside, singular or lowers the criterion g
-   is halved until it is none of these or is shorter than ``_TOL``.  The
-   run ends ``converged_tol`` once a Newton step shorter than ``_TOL``
-   has been taken, ``boundary`` if even that step leaves (lo, hi) or
-   lands where X'X is singular, or if an uphill step is halved below
-   ``_TOL``, and ``max_iter`` after ``_MAX_ITER`` steps.
+   2*pi*k/L inside the admissible interval (lo, hi), L the smallest
+   5-smooth length >= 8n, moved to the vertex of the parabola through Q_N
+   there and at its two neighbours, which stays inside (lo, hi),
+2. steps on the full sample, inside (lo, hi).  From an
+   iterate with g'' < 0 the step is the Newton step -g'/g'', and from one
+   with g'' > 0, where the Newton step points downhill, a step of a
+   quarter Fourier bin 2*pi/n in the direction of g'.  A trial point
+   outside (lo, hi) takes no pass.  A step whose trial point is outside
+   or lowers the criterion g is halved until it is neither or is shorter
+   than ``_TOL``.  The run ends ``converged_tol`` once a Newton step
+   shorter than ``_TOL`` has been taken, ``boundary`` if the unhalved
+   target of that step lies outside (lo, hi), or if an uphill step is
+   halved below ``_TOL``, and ``max_iter`` after ``_MAX_ITER`` steps.
 
 At every iterate, the start included, a zero or non-finite g'', a
 non-finite g' or a non-finite step (a Newton quotient that overflows)
-ends the run ``degenerate``: no step exists there.  A singular X'X at the
-start raises.
+ends the run ``degenerate``: no step exists there.
+
+(lo, hi) is ``signal._admissible(n, p)``, decided once from (n, p) before
+any pass: the part of (0, pi/p) where X'X is well conditioned and g keeps
+about 10 digits.  The criterion's pivot floor never fires inside it, so
+no pass of a run raises.
 
 Run to convergence, the full steps return the least squares estimate, the
 maximizer of g near the start.  They converge to it quadratically: from
@@ -50,8 +51,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .criterion import g_with_derivatives
-from .errors import DegenerateFrequencyError
-from .signal import Signal
+from .signal import Signal, _admissible
 from .spectrum import fourier_grid_init
 
 __all__ = ["TraceRecord", "EstimationTrace", "estimate_fundamental"]
@@ -79,22 +79,20 @@ class EstimationTrace:
     """Iterate history, terminal status and criterion evaluation count.
 
     Statuses: ``converged_tol`` (a Newton step shorter than _TOL, taken from
-    an iterate with g'' < 0), ``max_iter``, ``boundary`` (a Newton step
-    shorter than _TOL left the admissible interval, (0, pi/p) cut at each
-    singular trial point of the run, or landed where X'X is singular; or
-    an uphill step from an iterate with g'' > 0 was halved below _TOL),
-    ``degenerate`` (no step: g'' zero or not finite, g' not finite, or
-    -g'/g'' not finite).
+    an iterate with g'' < 0), ``max_iter``, ``boundary`` (the unhalved
+    target of a Newton step shorter than _TOL lies outside the admissible
+    interval (lo, hi), or an uphill step from an iterate with g'' > 0 was
+    halved below _TOL), ``degenerate`` (no step: g'' zero or not finite,
+    g' not finite, or -g'/g'' not finite).
 
     ``records`` holds the start and each step as finally taken;
     ``evaluations`` counts every criterion call: one at the start and one
-    at each trial point of a step, those of halved steps included.  The
-    closing record of a ``converged_tol`` run costs none, unless a
-    singular trial point narrowed the admissible interval, when one pass
-    checks its landing point: its g is the Newton model's value
-    g + s (g' + g'' s/2) at the landing point, from the (g, g', g'') of
-    the iterate the step s left.  The estimate is the last record on
-    ``converged_tol`` and :meth:`best` otherwise.
+    at each trial point of a step inside (lo, hi), those of halved steps
+    included.  The closing record of a ``converged_tol`` run costs none:
+    its g is the Newton model's value g + s (g' + g'' s/2) at the landing
+    point, from the (g, g', g'') of the iterate the step s left.  The
+    estimate is the last record on ``converged_tol`` and :meth:`best`
+    otherwise.
     """
 
     records: list[TraceRecord] = field(default_factory=list)
@@ -113,8 +111,8 @@ def estimate_fundamental(signal: Signal, p: int) -> tuple[float, EstimationTrace
     record; on any other status it is the trace iterate with the largest
     criterion value.  A boundary or curvature breakdown after the start
     ends the run with the best iterate seen so far rather than raising; the
-    start search raises :class:`DomainError` when n < 10*p, and a singular
-    X'X at the start :class:`DegenerateFrequencyError`.
+    start search raises :class:`DomainError` when n < 10*p.  Every iterate
+    lies inside the admissible interval of ``signal._admissible``.
 
     The estimate is scale-free: the run sees the signal's ``_unit`` view,
     so every iterate is the one at scale 1, and the records' g values
@@ -123,8 +121,7 @@ def estimate_fundamental(signal: Signal, p: int) -> tuple[float, EstimationTrace
     """
     unit = signal._unit
     lam0 = fourier_grid_init(unit, p)
-    # Record 0's g and the first step's g', g'' come from one pass; a
-    # singular X'X at the start raises here.
+    # Record 0's g and the first step's g', g'' come from one pass
     g0, gp, gpp = g_with_derivatives(unit, p, lam0)
     trace = EstimationTrace(evaluations=1)
     trace.records.append(TraceRecord(0, lam0, g0, 0.0))
@@ -141,7 +138,7 @@ def _refine(signal: Signal, p: int, gp: float, gpp: float, trace: EstimationTrac
     """Steps from the start in ``trace``, given (g', g'') there; appends
     their iterates and returns the status."""
     lam_k, g_k = trace.records[0].lam, trace.records[0].g_value
-    band = lo, hi = 0.0, math.pi / p  # the admissible interval
+    lo, hi = _admissible(signal.n, p)
     for k in range(1, _MAX_ITER + 1):
         # a Newton step where g'' < 0, a fixed step in the direction of g'
         # where g'' > 0; none where g'' is 0 or g', g'' or the step is not
@@ -149,31 +146,27 @@ def _refine(signal: Signal, p: int, gp: float, gpp: float, trace: EstimationTrac
         step = -gp / gpp if gpp < 0.0 else math.copysign(_UPHILL / signal.n, gp)
         if gpp == 0.0 or not all(map(math.isfinite, (gp, gpp, step))):
             return "degenerate"
-        # Halve a step that leaves (lo, hi), meets a singular X'X or lowers
-        # g.  A singular trial point becomes the edge of (lo, hi) on its
-        # side of the iterate, so no point at or past it is measured again.
-        # Each trial point needs the criterion value (backtracking) and
-        # both derivatives (next step), so they come from one pass.
+        # Halve a step that leaves (lo, hi) or lowers g.  Each trial point
+        # needs the criterion value (backtracking) and both derivatives
+        # (next step), so they come from one pass.
+        target = lam_k + step
         while abs(step) >= _TOL:
             lam_next = lam_k + step
             if lo < lam_next < hi:
-                values = _measure(signal, p, lam_next, trace)
-                if values is None:
-                    lo, hi = (lo, lam_next) if step > 0.0 else (lam_next, hi)
-                elif values[0] >= g_k:
+                trace.evaluations += 1
+                values = g_with_derivatives(signal, p, lam_next)
+                if values[0] >= g_k:
                     break
             step *= 0.5
         else:
             # A Newton step shorter than _TOL closes the run with no pass:
             # the Newton model's g at its landing point is within rounding
-            # of a measured one there.  Once (lo, hi) was narrowed the
-            # landing point may be singular too, and one pass rules that
-            # out; a singular one ends the run like a landing point
-            # outside.  An uphill step that short lands at no maximum.
-            lam_next = lam_k + step
-            if gpp > 0.0 or not lo < lam_next < hi or (
-                    (lo, hi) != band and _measure(signal, p, lam_next, trace) is None):
+            # of a measured one there.  The step is judged by its unhalved
+            # target: one outside (lo, hi) ends the run at the edge, not
+            # at a maximum.  An uphill step that short lands at no maximum.
+            if gpp > 0.0 or not lo < target < hi:
                 return "boundary"
+            lam_next = lam_k + step
             g_next = g_k + step * (gp + gpp * step / 2.0)
             trace.records.append(TraceRecord(k, lam_next, g_next, step))
             return "converged_tol"
@@ -181,14 +174,3 @@ def _refine(signal: Signal, p: int, gp: float, gpp: float, trace: EstimationTrac
         trace.records.append(TraceRecord(k, lam_next, g_k, step))
         lam_k = lam_next
     return "max_iter"
-
-
-def _measure(signal: Signal, p: int, lam: float,
-             trace: EstimationTrace) -> tuple[float, float, float] | None:
-    """(g, g', g'') at a trial point, counted in ``trace``; None where X'X
-    is singular."""
-    trace.evaluations += 1
-    try:
-        return g_with_derivatives(signal, p, lam)
-    except DegenerateFrequencyError:
-        return None

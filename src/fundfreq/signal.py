@@ -69,6 +69,37 @@ def _check_band(p: int, lam: float) -> None:
         raise DomainError(f"lambda must lie in (0, pi/{p}) = (0, {math.pi / p:.6g}), got {lam}")
 
 
+# n times the least distance of an admissible lambda from 0 (p = 1) and of
+# an admissible p*lambda from pi: there one harmonic's cos and sin columns
+# are 0.004 rad from collapsing onto each other over the record
+_EDGE = 0.004
+
+
+def _admissible(n: int, p: int) -> tuple[float, float]:
+    """The admissible interval (lo, hi) of the estimator: where in (0, pi/p)
+    X'X of the 2p design columns (see :mod:`fundfreq.criterion`) has a
+    condition number of at most 1e6, so g keeps about 10 digits.
+
+    One closed form, decided from (n, p) alone:
+
+        lo n = max(2 pi (1 - 1/p)^3, 0.004),   (pi - p hi) n = 0.004.
+
+    Near 0 the 2p columns close in on polynomials in t, more of them the
+    larger p: measured by SVD, the condition number reaches 1e6 at lo n =
+    0.0035, 0.548, 1.46, 2.24, 2.82, 3.27, 3.91, 4.63, 5.02 and 5.64 for
+    p = 1-6, 8, 12, 16 and 32, at n = 10p, where these edges are widest.
+    The form lies above them by 43 % at p = 2, 28 % at 3, 19 % at 4, under
+    8 % from p = 8 on and 13 % at p = 1, and below twice them, so X'X is
+    still ill-conditioned at lo/2.  lo n stays below 2 pi: at lambda =
+    2 pi/n, X'X is n/2 times the identity.  Near pi/p the top harmonic
+    nears pi, and there the edge is (pi - p hi) n = 0.0035 for every p,
+    13 % inside 0.004.  Between the edges no two columns meet, and the
+    condition number is largest at the edges.
+    """
+    lo = max(2.0 * math.pi * (1.0 - 1.0 / p) ** 3, _EDGE) / n
+    return lo, (math.pi - _EDGE / n) / p
+
+
 @dataclass(frozen=True)
 class HarmonicModel:
     """True or estimated parameters of a p-harmonic signal.

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .signal import Signal, _check_band, _check_order, _integer
+from .signal import Signal, _admissible, _check_band, _check_order, _integer
 
 __all__ = ["fourier_grid_init", "grid_spectrum"]
 
@@ -163,8 +163,10 @@ def _check_sample_size(n: int, p: int, where: str = "") -> None:
 
 
 def fourier_grid_init(signal: Signal, p: int) -> float:
-    """Coarse initializer: the argmax of Q_N over the grid 2*pi*k/L in
-    (0, pi/p), moved to the vertex of the parabola through its neighbours.
+    """Coarse initializer: the argmax of Q_N over the grid points 2*pi*k/L
+    inside the admissible interval (lo, hi) of the estimator (see
+    ``signal._admissible``), moved to the vertex of the parabola through
+    its neighbours, so every start lies inside (lo, hi).
 
     L is the smallest 5-smooth length >= ``_START_PAD*n`` = 8n.  Q_N,
     unlike the plain periodogram, adds the power at all p harmonics of a
@@ -176,14 +178,20 @@ def fourier_grid_init(signal: Signal, p: int) -> float:
     frequency.  With a, b, c the sums at k-1, k, k+1 the start is
     2*pi*(k + delta)/L, delta = (a - c)/(2(a - 2b + c)) clamped to
     [-1/2, 1/2], so k stays its nearest grid index.  At the first or last
-    grid point, or where a - 2b + c is not negative, delta is 0 and the
-    result is exactly the grid point of :func:`fourier_grid`, 2*pi*k/L
-    rounded in the same two operations.
+    grid point inside (lo, hi), or where a - 2b + c is not negative, delta
+    is 0 and the result is exactly the grid point of :func:`fourier_grid`,
+    2*pi*k/L rounded in the same two operations.
     """
     _check_order(p)
     _check_sample_size(signal.n, p)
     length = _smooth_length(_START_PAD * signal.n)
-    harmonic = _grid_power(signal, p, length)[1]
+    # skip the grid points at or below lo, each rounded as fourier_grid
+    # rounds it: fewer than 9, as lo n < 2 pi and L < 9n.  The last grid
+    # point lies at least pi/(p L) below pi/p, so below hi as well
+    lo, first = _admissible(signal.n, p)[0], 0
+    while 2.0 * math.pi * (first + 1) / length <= lo:
+        first += 1
+    harmonic = _grid_power(signal, p, length)[1][first:]
     i = int(np.argmax(harmonic))  # the first of ties
     delta = 0.0
     if 0 < i < harmonic.size - 1:
@@ -191,4 +199,4 @@ def fourier_grid_init(signal: Signal, p: int) -> float:
         curvature = a - 2.0 * b + c
         if curvature < 0.0:
             delta = min(max((a - c) / (2.0 * curvature), -0.5), 0.5)
-    return 2.0 * math.pi * (i + 1 + delta) / length
+    return 2.0 * math.pi * (first + i + 1 + delta) / length

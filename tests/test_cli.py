@@ -246,6 +246,19 @@ class TestEstimate:
         assert abs(report["lambda_hat"] - fundfreq.MODEL1.lam) < 1e-10
         assert math.isfinite(report["asym"]["var_lse"]) and report["asym"]["var_lse"] > 0.0
 
+    def test_estimate_stopped_at_the_upper_edge_fits(self, tmp_path, capsys):
+        # pure noise, p = 3, n = 200, seed 202: the run presses on pi/3 and
+        # ends boundary at the edge of the admissible interval, where the
+        # amplitudes solve.  It once ended 9.3e-9 below pi/3, where X'X is
+        # singular, and the command exited 1
+        path = tmp_path / "noise.txt"
+        write_signal(Signal(np.random.default_rng(202).standard_normal(200)), str(path))
+        code, out, err = run_cli(["estimate", "--input", str(path), "--p", "3"], capsys)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["trace"]["status"] == "boundary"
+        assert 0.0 < math.pi / 3 - report["lambda_hat"] < 1e-4
+
     def test_mean_correct_flag(self, tmp_path, capsys):
         # a large DC offset: removable preprocessing, the tone still found
         path = tmp_path / "shifted.txt"

@@ -23,6 +23,7 @@ from fundfreq import (
 )
 from fundfreq.criterion import g_with_derivatives
 from fundfreq.montecarlo import MODEL1, MODEL2
+from fundfreq.signal import _admissible
 
 # Recorded traces of estimate_fundamental on both presets; regenerate with
 # PYTHONPATH=src python tests/test_mnr.py only when a change to the
@@ -165,8 +166,8 @@ class TestEstimateFundamental:
     @pytest.mark.parametrize("n", [100, 51])
     def test_factors_of_the_start_pass(self, model1, monkeypatch, n):
         # the start pass factors X'X once, over all n samples, and each
-        # later pass once more; a singular X'X at the start raises out of
-        # the estimate
+        # later pass once more; a patched singular X'X at the start raises
+        # out of the estimate
         whitened = criterion._whitened
         sizes = []
 
@@ -377,71 +378,79 @@ class TestStage3:
 
     @pytest.mark.parametrize("call", [1, 2])
     def test_singular_trial_point_is_halved(self, model1, monkeypatch, call):
-        # singular normal equations at the first trial point (call 1) or at
-        # the second (call 2, from the grid start, which takes three
-        # passes): the step is halved, as for a point outside (0, pi/p), and
-        # the run goes on to converge; the closing landing point then takes
-        # one pass of its own
+        # the step from the call-th pass (call 2 from the grid start, which
+        # takes three passes) aims past the edge of (lo, hi) on its side, at
+        # pi/p - 1e-9 or lo/64, where X'X is singular: it is halved with no
+        # pass at or past the edge, as for a point outside (0, pi/p), and
+        # the run goes on to converge
         _start_on_the_grid(monkeypatch)
         sig = synthesize(model1, 500, LinearProcessSpec((1.0, 0.5), 0.25), seed=30)
-        _, healthy = estimate_fundamental(sig, 4)
-        assert healthy.evaluations == 3
-
-        calls = []
+        lo, hi = _admissible(500, 4)
+        calls, aimed = [], []
 
         def patched(signal, p, lam):
             calls.append(lam)
-            if len(calls) == 1 + call:
-                raise DegenerateFrequencyError("singular normal equations")
-            return g_with_derivatives(signal, p, lam)
+            g_val, gp, gpp = g_with_derivatives(signal, p, lam)
+            if len(calls) == call:
+                target = math.pi / p - 1e-9 if gp > 0.0 else lo / 64
+                gpp = -gp / (target - lam)
+                aimed.extend([target, -gp / gpp])
+            return g_val, gp, gpp
 
         monkeypatch.setattr(mnr, "g_with_derivatives", patched)
         lam_hat, trace = estimate_fundamental(sig, 4)
+        target, full_step = aimed
+        with pytest.raises(DegenerateFrequencyError):
+            g(sig, 4, target)
         assert trace.status == "converged_tol"
         assert abs(lam_hat - 0.25) < 1e-3
         assert trace.evaluations == len(calls)
-        # the singular point is not recorded; the next trial is half its step
-        lam_k = calls[call - 1]
-        assert calls[call] - lam_k == pytest.approx(2.0 * (calls[call + 1] - lam_k), rel=1e-9)
-        assert all(r.lam != calls[call] for r in trace.records)
-        assert calls[-1] == lam_hat
+        assert all(lo < lam < hi for lam in calls)
+        halvings = math.log2(full_step / trace.records[call].correction)
+        assert halvings == int(halvings) >= 1
 
     def test_singular_at_every_trial_point_ends_boundary(self, model1, monkeypatch):
-        # every trial point after the start singular: the step is halved
-        # down to _TOL, and its landing point, singular too, ends the run
-        # like a closing step that leaves (0, pi/p)
+        # a start 8e-8 above lo whose step points down, past 0: every trial
+        # point of length _TOL or more lies at or below lo, in the band
+        # where X'X degrades, and takes no pass.  The step is judged by its
+        # unhalved target, outside (lo, hi): the run ends boundary, though
+        # the last halved step, 2^-24, would land 2e-8 inside the edge
+        lo = _admissible(500, 4)[0]
+        monkeypatch.setattr(mnr, "fourier_grid_init", lambda *args: lo + 8e-8)
+        calls = self._failing_from(monkeypatch, 0, lambda v: (v[0], -1.0, -1.0))
+        lam_hat, trace = estimate_fundamental(synthesize(model1, 500), 4)
+        assert lo < lo + 8e-8 - 2.0**-24
+        assert trace.status == "boundary"
+        assert (trace.evaluations, len(calls), len(trace.records)) == (1, 1, 1)
+        assert lam_hat == trace.records[0].lam == lo + 8e-8
+
+    def test_patched_singular_trial_pass_raises(self, model1, monkeypatch):
+        # inside (lo, hi) X'X is well conditioned, so the loop has no branch
+        # for a singular pass: a patched one propagates the guard's error
         def singular(values):
             raise DegenerateFrequencyError("singular normal equations")
 
         calls = self._failing_from(monkeypatch, 1, singular)
         sig = synthesize(model1, 500, LinearProcessSpec((1.0, 0.5), 0.25), seed=30)
-        lam_hat, trace = estimate_fundamental(sig, 4)
-        assert trace.status == "boundary"
-        assert trace.evaluations == len(calls) > 2
-        assert len(trace.records) == 1
-        assert lam_hat == trace.records[0].lam
+        with pytest.raises(DegenerateFrequencyError):
+            estimate_fundamental(sig, 4)
+        assert len(calls) == 2
 
     def test_singular_trial_point_near_pi_is_halved(self, monkeypatch):
         # pure noise, p = 1, n = 200, seed 100: g peaks within 3e-7 of pi,
-        # and the trial point 3.6e-8 below pi has a singular X'X.  That
-        # ended the run degenerate; halved, the step goes on to a maximum
-        # of g whose amplitudes solve
-        singular = []
-
-        def logged(signal, p, lam):
-            try:
-                return g_with_derivatives(signal, p, lam)
-            except DegenerateFrequencyError:
-                singular.append(lam)
-                raise
-
-        monkeypatch.setattr(mnr, "g_with_derivatives", logged)
+        # past hi = pi - 2e-5, and a trial point 3.6e-8 below pi once met a
+        # singular X'X.  Every step toward the peak is halved with no pass
+        # at or past hi, and the run ends boundary inside (lo, hi), where
+        # the amplitudes solve
+        calls = self._count_calls(monkeypatch)
         sig = Signal(np.random.default_rng(100).normal(0.0, 1.0, 200))
+        lo, hi = _admissible(200, 1)
+        with pytest.raises(DegenerateFrequencyError):
+            g(sig, 1, math.pi - 3.6e-8)
         lam_hat, trace = estimate_fundamental(sig, 1)
-        assert 0.0 < math.pi - singular[0] < 4e-8
-        assert trace.status == "converged_tol"
-        assert 0.0 < math.pi - lam_hat < 3e-7
-        assert g_with_derivatives(sig, 1, lam_hat)[2] < 0.0
+        assert all(lo < lam < hi for lam in calls)
+        assert trace.status == "boundary"
+        assert 0.0 < hi - lam_hat < 1e-7
         assert np.isfinite(lse_linear(sig, lam_hat, 1)).all()
 
     @pytest.mark.parametrize("p, seeds", [
@@ -459,70 +468,68 @@ class TestStage3:
             assert trace.status != "degenerate", seed
             assert np.isfinite(lse_linear(sig, lam_hat, p)).all(), seed
 
-    @pytest.mark.xfail(strict=True, raises=DegenerateFrequencyError,
-                       reason="the closing landing point is checked for a singular X'X "
-                              "only once a singular trial point has narrowed (lo, hi)")
     def test_pure_noise_landing_point_below_pi_over_3_fits(self):
         # pure noise, p = 3, n = 200, seed 202: Newton steps shrinking about
-        # 4x each creep up on pi/3 with no singular trial point, so (lo, hi)
-        # is never narrowed and the closing landing point, 9.3e-9 below
-        # pi/3, takes no pass.  X'X is singular there: the amplitudes do
-        # not solve, and `fundfreq estimate --p 3` exits 1
+        # 4x each creep up on pi/3.  With (0, pi/3) as the interval the run
+        # ended converged_tol 9.3e-9 below pi/3, where X'X is singular, and
+        # `fundfreq estimate --p 3` exited 1.  Now it stops at hi
         sig = Signal(np.random.default_rng(202).standard_normal(200))
+        lo, hi = _admissible(200, 3)
         lam_hat, trace = estimate_fundamental(sig, 3)
-        assert (trace.status, trace.evaluations) == ("converged_tol", 7)
-        assert 0.0 < math.pi / 3 - lam_hat < 1e-8
+        assert trace.status == "boundary"
+        assert lo < lam_hat < hi and hi - lam_hat < 1e-6
         assert np.isfinite(lse_linear(sig, lam_hat, 3)).all()
 
-    # pure noise, n = 200, whose runs halve into the singular band near 0
-    # over and over: each singular trial point cost a pass at every Newton
-    # step, 41-66 evaluations in all
-    SINGULAR_BAND_RUNS = [
-        (2, 146, "converged_tol", 0.00040418608337544854),
-        (2, 186, "converged_tol", 0.0004040495633292648),
-        (2, 268, "boundary", 0.00040408116620143096),
-        (2, 299, "boundary", 0.00040409025703424276),
-        (4, 146, "converged_tol", 0.0031784617566483903),
-        (4, 200, "converged_tol", 0.0031769672025530257),
-        (4, 231, "converged_tol", 0.003176862692508148),
-    ]
+    def test_pure_noise_pass_budget(self):
+        # pure noise, p = 1-4, n = 200, seeds 0-299: no run raises, every
+        # start and estimate lies inside (lo, hi), and no run takes more
+        # than 11 evaluations (measured: at most 11, mean 2.89).  With the
+        # interval narrowed at each singular trial point instead, runs
+        # halved into the band near 0 and took up to 28
+        counts = []
+        for p in (1, 2, 3, 4):
+            lo, hi = _admissible(200, p)
+            for seed in range(300):
+                sig = Signal(np.random.default_rng(seed).normal(0.0, 1.0, 200))
+                lam_hat, trace = estimate_fundamental(sig, p)
+                assert lo < trace.records[0].lam < hi and lo < lam_hat < hi, (p, seed)
+                assert trace.status in ("converged_tol", "boundary"), (p, seed)
+                counts.append(trace.evaluations)
+        assert max(counts) <= 11
 
-    @pytest.mark.parametrize("p, seed, status, lam_hat", SINGULAR_BAND_RUNS)
-    def test_singular_band_pass_budget(self, p, seed, status, lam_hat):
-        # as an edge of the admissible interval a singular point is measured
-        # once: the runs take 18-21 evaluations and end where they did
-        sig = Signal(np.random.default_rng(seed).normal(0.0, 1.0, 200))
-        est, trace = estimate_fundamental(sig, p)
-        assert trace.status == status
-        assert est == pytest.approx(lam_hat, rel=1e-9)
-        assert trace.evaluations <= 22
-
-    @pytest.mark.parametrize("p, seed", [run[:2] for run in SINGULAR_BAND_RUNS])
+    @pytest.mark.parametrize("p, seed", [(2, 146), (2, 186), (2, 268), (2, 299),
+                                         (4, 146), (4, 200), (4, 231)])
     def test_no_pass_at_or_past_a_singular_point(self, monkeypatch, p, seed):
-        # each singular trial point becomes the edge of the admissible
-        # interval on its side of the iterate it was tried from: every later
-        # pass lies strictly on that side
-        calls = []  # (lam, singular) of every pass, in order
+        # pure noise, n = 200, whose runs once halved into the singular band
+        # near 0 and met a singular X'X there (18-21 evaluations with the
+        # interval narrowed at each such point): every pass now lies inside
+        # (lo, hi), and the criterion's pivot floor never fires
+        calls = []
 
         def logged(signal, p, lam):
-            calls.append((lam, True))
             values = g_with_derivatives(signal, p, lam)
-            calls[-1] = (lam, False)
+            calls.append(lam)
             return values
 
         monkeypatch.setattr(mnr, "g_with_derivatives", logged)
         sig = Signal(np.random.default_rng(seed).normal(0.0, 1.0, 200))
+        lo, hi = _admissible(200, p)
         _, trace = estimate_fundamental(sig, p)
-        iterates = {r.lam for r in trace.records}
-        edges = []  # (singular point, the side of it the iterate was on)
-        for lam, singular in calls:
-            assert all((lam - edge) * side > 0.0 for edge, side in edges), lam
-            if singular:
-                edges.append((lam, math.copysign(1.0, lam_k - lam)))
-            elif lam in iterates:
-                lam_k = lam
-        assert edges
-        assert trace.evaluations == len(calls)
+        assert all(lo < lam < hi for lam in calls)
+        assert trace.evaluations == len(calls) <= 11
+
+    def test_tone_far_below_lo_ends_boundary(self):
+        # a tone of p = 4 at lambda = 0.00179, n = 46 (lambda n = 0.08, an
+        # eightieth of a cycle) in noise: lambda is not identifiable, and
+        # with (0, pi/4) as the interval the run ended converged_tol at
+        # 0.0164, 9x lambda, where the pivot test and g had lost their
+        # digits.  Now it ends boundary at lo
+        model = HarmonicModel(4, 0.00179, ((1.0, 0.5), (-0.8, 0.6), (0.7, -0.4), (0.5, 0.3)))
+        sig = synthesize(model, 46, LinearProcessSpec((1.0,), 0.01), seed=3)
+        lo, hi = _admissible(46, 4)
+        lam_hat, trace = estimate_fundamental(sig, 4)
+        assert trace.status == "boundary"
+        assert lo < lam_hat < lo + 1e-6
 
     def test_overflowing_step_ends_degenerate(self, model1, monkeypatch):
         # g' = 1e300 and g'' = -1e-300 are finite but -g'/g'' is not; halved,

@@ -53,6 +53,43 @@ class TestHarmonicModel:
             HarmonicModel(3, 0.3, ((1.0, 0.0),))
 
 
+def _gram_condition(n, p, lam):
+    """cond(X'X) of the 2p columns cos(j lam t), sin(j lam t), t = 1..n,
+    as the squared condition number of X from its singular values."""
+    t = np.arange(1, n + 1)
+    x = np.column_stack([f(j * lam * t) for j in range(1, p + 1) for f in (np.cos, np.sin)])
+    return np.linalg.cond(x) ** 2
+
+
+class TestAdmissibleInterval:
+    """The estimator's admissible interval (lo, hi): one closed form in (n, p)."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 32])
+    def test_well_conditioned_between_the_edges_and_not_far_past_them(self, p):
+        # cond(X'X) <= 1e6 at both edges and at points between them, and
+        # above 1e6 at lo/2 and halfway from hi to pi/p: the edges lie less
+        # than a factor 2 inside where X'X degrades
+        for n in sorted({10 * p, 47, 200, 1009}):
+            if n < 10 * p:
+                continue
+            lo, hi = signal._admissible(n, p)
+            assert 0.0 < lo * n < 2.0 * math.pi and (math.pi - p * hi) * n == pytest.approx(0.004)
+            near_lo = lo * np.geomspace(1.0, 4.0 * math.pi / (lo * n), 12)
+            near_hi = (math.pi - (math.pi - p * hi) * np.geomspace(1.0, 1e3, 12)) / p
+            for lam in [*near_lo, *np.linspace(lo, hi, 12), *near_hi]:
+                assert _gram_condition(n, p, lam) <= 1e6, (n, lam)
+            assert _gram_condition(n, p, lo / 2) > 1e6, n
+            assert _gram_condition(n, p, (math.pi / p + hi) / 2) > 1e6, n
+
+    def test_edges_in_units_of_n(self):
+        # lo n grows with p toward, and never past, 2 pi: at lambda = 2 pi/n
+        # X'X is n/2 times the identity
+        lo_n = [signal._admissible(200, p)[0] * 200 for p in (1, 2, 3, 4, 8, 32, 1000)]
+        assert lo_n[0] == pytest.approx(0.004)
+        assert lo_n == sorted(lo_n) and lo_n[-1] < 2.0 * math.pi
+        assert _gram_condition(320, 32, 2.0 * math.pi / 320) == pytest.approx(1.0)
+
+
 class TestSynthesize:
     def test_pure_cosine_quarter_pi(self):
         # y(t) = cos(pi/4 * t), t = 1..4

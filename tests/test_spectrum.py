@@ -18,6 +18,7 @@ from fundfreq import (
 from fundfreq import spectrum
 from fundfreq.spectrum import fourier_grid, harmonic_criterion_qn, periodogram
 from fundfreq.montecarlo import MODEL1, MODEL2
+from fundfreq.signal import _admissible
 
 
 class TestPeriodogram:
@@ -203,6 +204,22 @@ class TestFourierGridInit:
         monkeypatch.setattr(spectrum, "_grid_power",
                             lambda *args: (None, np.array(sums)))
         assert fourier_grid_init(sig, 1) == fourier_grid(length, 1)[k - 1]
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 8])
+    def test_start_lies_inside_the_admissible_interval(self, p):
+        # the start is taken over the grid points above lo.  The last grid
+        # point lies at least pi/(p L) below pi/p, so below hi too
+        for n in range(10 * p, 10 * p + 40):
+            assert fourier_grid(spectrum._smooth_length(8 * n), p)[-1] < _admissible(n, p)[1]
+        # a ramp holds its power near 0: Q_N peaks at the first grid
+        # point, not above lo from p = 2 on (at p = 2, L = 8n puts it on lo)
+        n = 200
+        sig = Signal(np.arange(1.0, n + 1))
+        length = spectrum._smooth_length(8 * n)
+        lo, hi = _admissible(n, p)
+        assert np.argmax(spectrum._grid_power(sig, p, length)[1]) == 0
+        assert (fourier_grid(length, p)[0] <= lo) == (p > 1)
+        assert lo < fourier_grid_init(sig, p) < hi
 
     def test_scaling_leaves_argmax_unchanged(self, model1):
         sig = synthesize(model1, 200, LinearProcessSpec((1.0,), 0.5), seed=4)
