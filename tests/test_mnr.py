@@ -497,8 +497,33 @@ class TestStage3:
                 counts.append(trace.evaluations)
         assert max(counts) <= 11
 
-    @pytest.mark.parametrize("p, seed", [(2, 146), (2, 186), (2, 268), (2, 299),
-                                         (4, 146), (4, 200), (4, 231)])
+    # pure noise, n = 200, whose runs, with the interval narrowed at each
+    # singular trial point, halved into the singular band near 0 and ended
+    # there, at or below lo, in 18-21 evaluations: (p, seed, status, lambda_hat)
+    # of those runs
+    SINGULAR_BAND_RUNS = [
+        (2, 146, "converged_tol", 0.00040418608337544854),
+        (2, 186, "converged_tol", 0.0004040495633292648),
+        (2, 268, "boundary", 0.00040408116620143096),
+        (2, 299, "boundary", 0.00040409025703424276),
+        (4, 146, "converged_tol", 0.0031784617566483903),
+        (4, 200, "converged_tol", 0.0031769672025530257),
+        (4, 231, "converged_tol", 0.003176862692508148),
+    ]
+
+    @pytest.mark.parametrize("p, seed, old_status, old_lam_hat", SINGULAR_BAND_RUNS)
+    def test_singular_band_pass_budget(self, p, seed, old_status, old_lam_hat):
+        # the old estimate lay at or below lo; now the run ends inside
+        # (lo, hi), converged or stopped at an edge, in at most 11
+        # evaluations (3-11 measured)
+        sig = Signal(np.random.default_rng(seed).normal(0.0, 1.0, 200))
+        lo, hi = _admissible(200, p)
+        lam_hat, trace = estimate_fundamental(sig, p)
+        assert old_lam_hat <= lo < lam_hat < hi
+        assert trace.status in ("converged_tol", "boundary")
+        assert trace.evaluations <= 11
+
+    @pytest.mark.parametrize("p, seed", [run[:2] for run in SINGULAR_BAND_RUNS])
     def test_no_pass_at_or_past_a_singular_point(self, monkeypatch, p, seed):
         # pure noise, n = 200, whose runs once halved into the singular band
         # near 0 and met a singular X'X there (18-21 evaluations with the
