@@ -4,8 +4,10 @@ The package synthesizes p-harmonic signals with stationary moving-average
 noise, estimates the fundamental frequency with a Newton-Raphson refinement
 (a Fourier-grid start, then full Newton steps) of the least squares
 projection criterion, recovers amplitudes, evaluates closed-form asymptotic
-variances for both the least squares and the reduced-step estimators, and
-reproduces simulation tables with a deterministic Monte Carlo harness.
+variances, and reproduces simulation tables with a deterministic Monte Carlo
+harness.  Of the two variance laws, ``var_lse`` is the least squares one,
+which this estimator reaches; ``var_mnr`` is the one the paper claims for
+its reduced step, which no step schedule here has been shown to reach.
 """
 
 from .asymptotics import AsymptoticReport, asymptotic_variances, spectral_weight_c

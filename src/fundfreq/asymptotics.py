@@ -11,6 +11,12 @@ variances at sample size n:
 These divide the limiting variances of n^{3/2}(lambda_hat - lambda) by
 n^3, so they compare directly against Monte Carlo variances of lambda_hat.
 The mnr/lse ratio is exactly 1/4 for every model and noise spectrum.
+
+var_lse is the law of the least squares estimate, the one
+:func:`~fundfreq.mnr.estimate_fundamental` returns.  var_mnr is the law
+the paper claims for its reduced-step estimator, not one this package's
+estimator reaches: run to convergence, the estimate's variance sits on
+var_lse (README, "Known numerical limits").
 """
 
 from __future__ import annotations
@@ -27,7 +33,12 @@ __all__ = ["AsymptoticReport", "spectral_weight_c", "asymptotic_variances"]
 
 @dataclass(frozen=True)
 class AsymptoticReport:
-    """Variance report for one (model, noise, n) configuration."""
+    """Variance report for one (model, noise, n) configuration.
+
+    ``var_lse`` is the least squares law, the one the estimator reaches;
+    ``var_mnr`` = var_lse/4 is the paper's claimed law for its reduced
+    step, which no step schedule here has been shown to reach.
+    """
 
     n: int
     sigma2: float

@@ -33,11 +33,15 @@ start's included, and the step shorter
 than ``_TOL`` that ends a run lands on it to rounding accuracy, so no
 extra closing step follows and the landing point's g is the Newton
 model's (Nielsen et al., Signal Processing 135, 2017, on Newton refinement
-of the exact least squares pitch criterion).  A ``converged_tol`` run
-returns that landing point: within about 1e-10 of the maximizer g differs
-from its peak by less than its own rounding, so comparing g values there
-could keep the iterate before the last step.  Every other status returns
-the iterate with the largest g seen.
+of the exact least squares pitch criterion).
+
+Every run returns its last record, whatever its status.  A step is kept
+only when its g is not below the iterate it left, and the closing record's
+Newton-model g is never below it either, so the last record holds the
+largest g with no comparison.  A comparison could not pick it: within
+about 1e-10 of the maximizer a measured g differs from its peak by less
+than its own rounding, and past the float range the records' g values
+read inf or 0.
 
 Every pass is one :func:`~fundfreq.criterion.g_with_derivatives` call:
 the one at the start gives record 0's g and the first step's g' and g''.
@@ -90,34 +94,31 @@ class EstimationTrace:
     at each trial point of a step inside (lo, hi), those of halved steps
     included.  The closing record of a ``converged_tol`` run costs none:
     its g is the Newton model's value g + s (g' + g'' s/2) at the landing
-    point, from the (g, g', g'') of the iterate the step s left.  The
-    estimate is the last record on ``converged_tol`` and :meth:`best`
-    otherwise.
+    point, from the (g, g', g'') of the iterate the step s left.  No
+    record's g is below the one before it, and the estimate is the last
+    record, whatever the status.
     """
 
     records: list[TraceRecord] = field(default_factory=list)
     status: str = "max_iter"
     evaluations: int = 0
 
-    def best(self) -> TraceRecord:
-        return max(self.records, key=lambda r: r.g_value)
-
 
 def estimate_fundamental(signal: Signal, p: int) -> tuple[float, EstimationTrace]:
     """Estimate the fundamental frequency of a p-harmonic signal.
 
-    Returns (lambda_hat, trace).  On ``converged_tol`` lambda_hat is the
-    landing point of the closing step shorter than ``_TOL``, the last trace
-    record; on any other status it is the trace iterate with the largest
-    criterion value.  A boundary or curvature breakdown after the start
-    ends the run with the best iterate seen so far rather than raising; the
-    start search raises :class:`DomainError` when n < 10*p.  Every iterate
-    lies inside the admissible interval of ``signal._admissible``.
+    Returns (lambda_hat, trace), lambda_hat being the last trace record:
+    on ``converged_tol`` the landing point of the closing step shorter than
+    ``_TOL``, on any other status the last iterate kept, which has the
+    largest criterion value seen.  A boundary or curvature breakdown after
+    the start ends the run there rather than raising; the start search
+    raises :class:`DomainError` when n < 10*p.  Every iterate lies inside
+    the admissible interval of ``signal._admissible``.
 
     The estimate is scale-free: the run sees the signal's ``_unit`` view,
-    so every iterate is the one at scale 1, and the records' g values
-    return through ``_scale_back`` (see :class:`Signal`), inf past the
-    float range.
+    so every iterate, the status and the returned record are the ones at
+    scale 1, and the records' g values return through ``_scale_back`` (see
+    :class:`Signal`), inf past the float range.
     """
     unit = signal._unit
     lam0 = fourier_grid_init(unit, p)
@@ -129,9 +130,7 @@ def estimate_fundamental(signal: Signal, p: int) -> tuple[float, EstimationTrace
     if unit is not signal:
         trace.records = [replace(r, g_value=signal._scale_back(r.g_value, 2))
                          for r in trace.records]
-    if trace.status == "converged_tol":
-        return trace.records[-1].lam, trace
-    return trace.best().lam, trace
+    return trace.records[-1].lam, trace
 
 
 def _refine(signal: Signal, p: int, gp: float, gpp: float, trace: EstimationTrace) -> str:

@@ -259,6 +259,27 @@ class TestEstimate:
         assert report["trace"]["status"] == "boundary"
         assert 0.0 < math.pi / 3 - report["lambda_hat"] < 1e-4
 
+    def test_estimate_stopped_at_the_upper_edge_is_scale_free(self, tmp_path, capsys):
+        # the same noise times 2^600: the same run, so the same lambda_hat
+        # and variances as at scale 1.  When a boundary run returned the
+        # record with the largest g, the records' g values, scaled back,
+        # all read inf and the run returned its start: lambda_hat 1.044580
+        # against 1.047191, and var_lse 5.2e-6 against 1.4e-10
+        y = np.random.default_rng(202).standard_normal(200)
+        reports = []
+        for k in (0, 600):
+            path = tmp_path / f"noise{k}.txt"
+            write_signal(Signal(np.ldexp(y, k)), str(path))
+            code, out, err = run_cli(["estimate", "--input", str(path), "--p", "3"], capsys)
+            assert (code, err) == (0, "")
+            reports.append(json.loads(out))
+        unit, scaled = reports
+        assert scaled["lambda_hat"] == unit["lambda_hat"]
+        assert scaled["trace"]["status"] == unit["trace"]["status"] == "boundary"
+        assert scaled["trace"]["evaluations"] == unit["trace"]["evaluations"]
+        assert scaled["asym"]["var_lse"] == unit["asym"]["var_lse"]
+        assert scaled["asym"]["var_mnr"] == unit["asym"]["var_mnr"]
+
     def test_mean_correct_flag(self, tmp_path, capsys):
         # a large DC offset: removable preprocessing, the tone still found
         path = tmp_path / "shifted.txt"

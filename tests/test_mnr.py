@@ -108,11 +108,9 @@ class TestEstimateFundamental:
             assert after.lam == before.lam + after.correction
         assert trace.records[0].correction == 0.0
         # a converged_tol run returns the landing point of its closing step,
-        # whose g ties the largest g seen to rounding
+        # the last record, which carries the largest g of the trace
         assert trace.status == "converged_tol"
-        assert lam_hat == trace.records[-1].lam
-        best = max(r.g_value for r in trace.records)
-        assert trace.records[-1].g_value >= best * (1 - 1e-12)
+        assert _returns_the_last_record(lam_hat, trace)
 
     def test_full_trace_scale_invariance(self, model1):
         # acceptance: y -> 1000 y must reproduce the iterate sequence
@@ -218,7 +216,7 @@ class TestStage3:
         monkeypatch.setattr(mnr, "g_with_derivatives", convex)
         lam_hat, trace = estimate_fundamental(sig, 4)
         assert trace.status == "boundary"
-        assert lam_hat == trace.best().lam == trace.records[-1].lam
+        assert _returns_the_last_record(lam_hat, trace)
         assert abs(lam_hat - lse) < 1e-6
         uphill = 0.25 * 2.0 * math.pi / 500
         for before, after in zip(trace.records, trace.records[1:]):
@@ -323,7 +321,7 @@ class TestStage3:
 
     def test_step_cap_ends_max_iter(self, model1, monkeypatch):
         # one Newton step allowed, and it is longer than _TOL: the run stops
-        # there and returns the best iterate
+        # there and returns that step's iterate, the last record
         monkeypatch.setattr(mnr, "_MAX_ITER", 1)
         calls = self._count_calls(monkeypatch)
         sig = synthesize(model1, 500, LinearProcessSpec((1.0, 0.5), 0.25), seed=30)
@@ -331,14 +329,15 @@ class TestStage3:
         assert abs(trace.records[1].correction) >= mnr._TOL
         assert trace.status == "max_iter"
         assert len(trace.records) == 2
-        assert lam_hat == trace.best().lam
+        assert _returns_the_last_record(lam_hat, trace)
         assert trace.evaluations == len(calls)
 
     @pytest.mark.parametrize("preset", [1, 2])
     def test_noiseless_sweep_returns_landing_point(self, model1, model2, preset):
-        # at preset 1, n = 500 the closing step lands on lambda exactly but a
-        # measured g there rounds below the previous iterate's; a best-g rule
-        # returned that earlier iterate, 5.1e-11 off
+        # every run returns its last record, here the landing point of the
+        # closing step.  At preset 1, n = 500 that point is lambda exactly,
+        # but a measured g there rounds below the previous iterate's: picking
+        # the record by measured g would return that iterate, 5.1e-11 off
         model = model1 if preset == 1 else model2
         for n in [*range(100, 2051, 50), 4000, 8000]:
             lam_hat, trace = estimate_fundamental(synthesize(model, n), 4)
@@ -482,10 +481,11 @@ class TestStage3:
 
     def test_pure_noise_pass_budget(self):
         # pure noise, p = 1-4, n = 200, seeds 0-299: no run raises, every
-        # start and estimate lies inside (lo, hi), and no run takes more
-        # than 11 evaluations (measured: at most 11, mean 2.89).  With the
-        # interval narrowed at each singular trial point instead, runs
-        # halved into the band near 0 and took up to 28
+        # start and estimate lies inside (lo, hi), no record's g is below
+        # the one before it, and no run takes more than 11 evaluations
+        # (measured: at most 11, mean 2.89).  With the interval narrowed at
+        # each singular trial point instead, runs halved into the band near
+        # 0 and took up to 28
         counts = []
         for p in (1, 2, 3, 4):
             lo, hi = _admissible(200, p)
@@ -494,8 +494,29 @@ class TestStage3:
                 lam_hat, trace = estimate_fundamental(sig, p)
                 assert lo < trace.records[0].lam < hi and lo < lam_hat < hi, (p, seed)
                 assert trace.status in ("converged_tol", "boundary"), (p, seed)
+                assert _g_never_falls(trace), (p, seed)
                 counts.append(trace.evaluations)
         assert max(counts) <= 11
+
+    def test_stopped_pure_noise_runs_are_scale_free(self):
+        # the 16 pure-noise runs above (p = 1-4, n = 200, seeds 0-299) that
+        # end other than converged_tol, all boundary: y -> 2^+-600 y gives
+        # the same estimate, status and evaluation count bit for bit.  When
+        # such a run returned the record with the largest g, the records'
+        # g values, scaled back, all read inf (or 0) and tied, and every
+        # one of these runs returned its start
+        stopped = []
+        for p in (1, 2, 3, 4):
+            for seed in range(300):
+                y = np.random.default_rng(seed).normal(0.0, 1.0, 200)
+                lam_hat, trace = estimate_fundamental(Signal(y), p)
+                if trace.status != "converged_tol":
+                    stopped.append((p, seed))
+                    for k in (-600, 600):
+                        lam_k, trace_k = estimate_fundamental(Signal(np.ldexp(y, k)), p)
+                        assert (lam_k, trace_k.status, trace_k.evaluations) == (
+                            lam_hat, trace.status, trace.evaluations), (p, seed, k)
+        assert len(stopped) == 16
 
     # pure noise, n = 200, whose runs, with the interval narrowed at each
     # singular trial point, halved into the singular band near 0 and ended
@@ -556,6 +577,19 @@ class TestStage3:
         assert trace.status == "boundary"
         assert lo < lam_hat < lo + 1e-6
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 8: the start skips the grid "
+                       "points at or below lo, and this tone's Q_N peak lies on one")
+    def test_low_tone_whose_peak_lies_below_lo_is_found(self):
+        # a noiseless tone, p = 2, n = 186, lambda = 0.014562 (lambda n =
+        # 2.71, inside (lo, hi)): the argmax of the 8x Q_N is the first grid
+        # point, 2 pi/1500 = 0.0041888, at or below lo = 0.0042226, so the
+        # start skips it.  The run starts at another peak and ends
+        # converged_tol at 0.0426472, 2.93x lambda, after 3 evaluations, with
+        # g = 597.47 against g(lambda) = ||y||^2 = 847.50
+        model = HarmonicModel(2, 0.014562, ((-0.67, -2.78), (-3.09, 1.37)))
+        lam_hat, _ = estimate_fundamental(synthesize(model, 186), 2)
+        assert abs(lam_hat - model.lam) < math.pi / 186
+
     def test_overflowing_step_ends_degenerate(self, model1, monkeypatch):
         # g' = 1e300 and g'' = -1e-300 are finite but -g'/g'' is not; halved,
         # an infinite step stays infinite, so the run never ended.  No
@@ -577,7 +611,7 @@ class TestStage3:
         lam_hat, trace = estimate_fundamental(sig, 4)
         assert trace.status == "degenerate"
         assert len(trace.records) == call + 1
-        assert lam_hat == trace.best().lam
+        assert _returns_the_last_record(lam_hat, trace)
 
     @pytest.mark.parametrize("call", [0, 2])
     @pytest.mark.parametrize("gpp", [0.0, math.inf])
@@ -591,7 +625,7 @@ class TestStage3:
         lam_hat, trace = estimate_fundamental(sig, 4)
         assert trace.status == "degenerate"
         assert (len(trace.records), trace.evaluations) == (call + 1, call + 1)
-        assert lam_hat == trace.best().lam
+        assert _returns_the_last_record(lam_hat, trace)
 
     @pytest.mark.parametrize("gp", [math.nan, math.inf])
     @pytest.mark.parametrize("gpp", [-1.0, 1.0])
@@ -615,7 +649,7 @@ class TestStage3:
         assert len(calls) == 1
         assert trace.evaluations == 1
         assert len(trace.records) == 1
-        assert lam_hat == trace.best().lam
+        assert _returns_the_last_record(lam_hat, trace)
 
     @pytest.mark.parametrize("preset", [1, 2])
     @pytest.mark.parametrize("n", [100, 512, 2000, 8000])
@@ -683,6 +717,7 @@ def _check_time_reversal_and_sign_flip(inputs):
     worst = 0.0
     for key, y, p in inputs:
         lam, trace = estimate_fundamental(Signal(y), p)
+        assert _g_never_falls(trace), key
         lam_r, trace_r = estimate_fundamental(Signal(y[::-1].copy()), p)
         assert trace_r.status == trace.status, key
         worst = max(worst, abs(lam_r - lam) / lam)
@@ -690,6 +725,19 @@ def _check_time_reversal_and_sign_flip(inputs):
         assert (lam_f, trace_f.status, trace_f.evaluations) == (
             lam, trace.status, trace.evaluations), key
     assert worst <= 1e-12
+
+
+def _g_never_falls(trace):
+    """Whether no record of ``trace`` has a g below the one before it."""
+    gs = [r.g_value for r in trace.records]
+    return all(before <= after for before, after in zip(gs, gs[1:]))
+
+
+def _returns_the_last_record(lam_hat, trace):
+    """Whether ``lam_hat`` is the last record of ``trace`` and that record
+    carries the trace's largest g."""
+    last = trace.records[-1]
+    return lam_hat == last.lam and last.g_value == max(r.g_value for r in trace.records)
 
 
 def _is_local_maximum(signal, p, lam):

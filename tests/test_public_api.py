@@ -111,6 +111,7 @@ def test_removed_members_stay_removed():
     assert [f.name for f in dataclasses.fields(fundfreq.TraceRecord)] == [
         "iteration", "lam", "g_value", "correction"]
     for owner, member in [(fundfreq.EstimationTrace, "iterations"),
+                          (fundfreq.EstimationTrace, "best"),
                           (fundfreq.HarmonicModel, "a"),
                           (fundfreq.HarmonicModel, "b"),
                           (fundfreq.LinearProcessSpec, "order"),
