@@ -1,8 +1,8 @@
 """Full estimation walkthrough: frequency, amplitudes, residuals.
 
 Runs the two-stage refinement (padded-grid start, then full Newton steps
-until a step is shorter than 1e-7) and prints the iterate trace and its count of
-criterion evaluations, then recovers amplitudes at the estimated frequency
+until a step is shorter than 1e-7, the tolerance up to n = 2154) and prints
+the iterate trace and its count of criterion evaluations, then recovers amplitudes at the estimated frequency
 and checks the residual spectrum.
 """
 

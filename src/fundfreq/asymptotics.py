@@ -51,7 +51,7 @@ class AsymptoticReport:
 
 def spectral_weight_c(spec: LinearProcessSpec, j: int, lam: float) -> float:
     """c(j) = |sum_k a(k) exp(-i j k lambda)|^2 (i.i.d. noise gives 1)."""
-    _check_band(j, lam)
+    j = _check_band(j, lam)
     z = sum(a * cmath.exp(-1j * j * k * lam) for k, a in enumerate(spec.coeffs))
     return abs(z) * abs(z)  # ** raises OverflowError where * gives inf
 
@@ -61,15 +61,12 @@ def asymptotic_variances(
 ) -> AsymptoticReport:
     """Populate an :class:`AsymptoticReport` by direct summation over j."""
     n = _integer("n", n, 1)
-    power = model.power_per_harmonic.tolist()
-    beta_star = 0.0
-    delta_g = 0.0
+    beta_star = delta_g = 0.0
     weights = []
-    for j in range(1, model.p + 1):
-        cj = spectral_weight_c(spec, j, model.lam)
-        weights.append(cj)
-        beta_star += j * j * power[j - 1]
-        delta_g += j * j * power[j - 1] * cj
+    for j, power in enumerate(model.power_per_harmonic.tolist(), start=1):
+        weights.append(spectral_weight_c(spec, j, model.lam))
+        beta_star += j * j * power
+        delta_g += j * j * power * weights[-1]
     try:  # Python floats and *, not **: out of range gives inf or 0, no warning
         denom = beta_star * beta_star * (float(n) * float(n) * float(n))
     except OverflowError:  # float(n) past the float range

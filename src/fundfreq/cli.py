@@ -97,8 +97,9 @@ def _model_from_args(args) -> HarmonicModel:
 
 
 def _load_model_file(path: str) -> HarmonicModel:
-    raw = json.loads(_read_text(path))
+    text = _read_text(path)
     try:
+        raw = json.loads(text)  # a JSONDecodeError is a ValueError
         p, lam = raw["p"], _json_number(raw["lambda"], "lambda")
         if type(p) is not int:  # rejects 1.9 and "2", and true, a bool
             raise TypeError(f"p must be a JSON integer, got {json.dumps(p)}")
@@ -123,9 +124,7 @@ def _json_number(value, what: str) -> float:
 
 def cmd_synth(args) -> None:
     model = _model_from_args(args)
-    noise = None
-    if args.noise is not None:
-        noise = LinearProcessSpec(args.noise, args.sigma2)
+    noise = None if args.noise is None else LinearProcessSpec(args.noise, args.sigma2)
     sig = synthesize(model, args.n, noise, args.seed)
     write_signal(sig, args.out)
 
@@ -311,10 +310,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"fundfreq: file not found: {exc.filename}", file=sys.stderr)
         return 2
-    except FundfreqError as exc:
-        print(f"fundfreq: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (FundfreqError, OSError) as exc:
         print(f"fundfreq: {exc}", file=sys.stderr)
         return 1
 

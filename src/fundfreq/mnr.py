@@ -12,10 +12,16 @@ The estimator runs in two stages:
    quarter Fourier bin 2*pi/n in the direction of g'.  A trial point
    outside (lo, hi) takes no pass.  A step whose trial point is outside
    or lowers the criterion g is halved until it is neither or is shorter
-   than ``_TOL``.  The run ends ``converged_tol`` once a Newton step
-   shorter than ``_TOL`` has been taken, ``boundary`` if the unhalved
-   target of that step lies outside (lo, hi), or if an uphill step is
-   halved below ``_TOL``, and ``max_iter`` after ``_MAX_ITER`` steps.
+   than the tolerance.  The run ends ``converged_tol`` once a Newton step
+   shorter than the tolerance has been taken, ``boundary`` if the
+   unhalved target of that step lies outside (lo, hi), or if an uphill
+   step is halved below the tolerance, and ``max_iter`` after
+   ``_MAX_ITER`` steps.
+
+The tolerance is ``_TOL * min(1, 1e5 n^(-3/2))``: 1e-7 up to n = 2154,
+then 1e-2 n^(-3/2).  The closing step takes no pass, and the error of its
+landing point grows like its square times n, so past n = 2154 the
+tolerance falls as the estimate's standard deviation does, like n^(-3/2).
 
 At every iterate, the start included, a zero or non-finite g'', a
 non-finite g' or a non-finite step (a Newton quotient that overflows)
@@ -30,7 +36,7 @@ Run to convergence, the full steps return the least squares estimate, the
 maximizer of g near the start.  They converge to it quadratically: from
 the vertex start most runs take two or three criterion evaluations, the
 start's included, and the step shorter
-than ``_TOL`` that ends a run lands on it to rounding accuracy, so no
+than the tolerance that ends a run lands on it to rounding accuracy, so no
 extra closing step follows and the landing point's g is the Newton
 model's (Nielsen et al., Signal Processing 135, 2017, on Newton refinement
 of the exact least squares pitch criterion).
@@ -82,12 +88,13 @@ class TraceRecord:
 class EstimationTrace:
     """Iterate history, terminal status and criterion evaluation count.
 
-    Statuses: ``converged_tol`` (a Newton step shorter than _TOL, taken from
-    an iterate with g'' < 0), ``max_iter``, ``boundary`` (the unhalved
-    target of a Newton step shorter than _TOL lies outside the admissible
-    interval (lo, hi), or an uphill step from an iterate with g'' > 0 was
-    halved below _TOL), ``degenerate`` (no step: g'' zero or not finite,
-    g' not finite, or -g'/g'' not finite).
+    Statuses: ``converged_tol`` (a Newton step shorter than the
+    tolerance, taken from an iterate with g'' < 0), ``max_iter``,
+    ``boundary`` (the unhalved target of a Newton step shorter than the
+    tolerance lies outside the admissible interval (lo, hi), or an uphill
+    step from an iterate with g'' > 0 was halved below the tolerance),
+    ``degenerate`` (no step: g'' zero or not finite, g' not finite, or
+    -g'/g'' not finite).
 
     ``records`` holds the start and each step as finally taken;
     ``evaluations`` counts every criterion call: one at the start and one
@@ -109,8 +116,8 @@ def estimate_fundamental(signal: Signal, p: int) -> tuple[float, EstimationTrace
 
     Returns (lambda_hat, trace), lambda_hat being the last trace record:
     on ``converged_tol`` the landing point of the closing step shorter than
-    ``_TOL``, on any other status the last iterate kept, which has the
-    largest criterion value seen.  A boundary or curvature breakdown after
+    the tolerance (see :mod:`fundfreq.mnr`), on any other status the last
+    iterate kept, which has the largest criterion value seen.  A boundary or curvature breakdown after
     the start ends the run there rather than raising; the start search
     raises :class:`DomainError` when n < 10*p.  Every iterate lies inside
     the admissible interval of ``signal._admissible``.
@@ -138,6 +145,7 @@ def _refine(signal: Signal, p: int, gp: float, gpp: float, trace: EstimationTrac
     their iterates and returns the status."""
     lam_k, g_k = trace.records[0].lam, trace.records[0].g_value
     lo, hi = _admissible(signal.n, p)
+    tol = _TOL * min(1.0, 1e5 * signal.n**-1.5)
     for k in range(1, _MAX_ITER + 1):
         # a Newton step where g'' < 0, a fixed step in the direction of g'
         # where g'' > 0; none where g'' is 0 or g', g'' or the step is not
@@ -149,7 +157,7 @@ def _refine(signal: Signal, p: int, gp: float, gpp: float, trace: EstimationTrac
         # needs the criterion value (backtracking) and both derivatives
         # (next step), so they come from one pass.
         target = lam_k + step
-        while abs(step) >= _TOL:
+        while abs(step) >= tol:
             lam_next = lam_k + step
             if lo < lam_next < hi:
                 trace.evaluations += 1
@@ -158,7 +166,7 @@ def _refine(signal: Signal, p: int, gp: float, gpp: float, trace: EstimationTrac
                     break
             step *= 0.5
         else:
-            # A Newton step shorter than _TOL closes the run with no pass:
+            # A Newton step shorter than tol closes the run with no pass:
             # the Newton model's g at its landing point is within rounding
             # of a measured one there.  The step is judged by its unhalved
             # target: one outside (lo, hi) ends the run at the edge, not

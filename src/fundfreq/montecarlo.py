@@ -60,15 +60,26 @@ MODEL2 = HarmonicModel(
 MA1_NOISE_COEFFS = (1.0, 0.5)
 
 
+def _int64(name: str, value) -> int:
+    """value as a Python int (see ``signal._integer``) that fits in int64,
+    the width at which :func:`replication_seed` packs it."""
+    value = _integer(name, value)
+    if not -(2**63) <= value < 2**63:
+        raise DomainError(f"{name} must fit in int64, got {value}")
+    return value
+
+
 def replication_seed(master_seed: int, n: int, sigma2: float, rep: int) -> int:
     """64-bit stream seed for one replication.
 
     BLAKE2b digest of the little-endian packing (int64 master_seed,
     int64 n, float64 sigma2, int64 rep), truncated to 8 bytes.  Stable
     across platforms and releases; documented so results can be
-    regenerated independently.
+    regenerated independently.  The three counts must be integers that
+    fit in int64: anything else raises :class:`DomainError` naming it.
     """
-    payload = struct.pack("<qqdq", master_seed, n, float(sigma2), rep)
+    payload = struct.pack("<qqdq", _int64("master_seed", master_seed), _int64("n", n),
+                          float(sigma2), _int64("rep", rep))
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
@@ -89,9 +100,7 @@ class ExperimentSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "master_seed", _integer("master_seed", self.master_seed))
-        if not -(2**63) <= self.master_seed < 2**63:  # packed as int64 per replication
-            raise DomainError(f"master_seed must fit in int64, got {self.master_seed}")
+        object.__setattr__(self, "master_seed", _int64("master_seed", self.master_seed))
         object.__setattr__(self, "replications", _integer("replications", self.replications, 1))
         if not self.sample_sizes or not self.sigma2_values:
             raise DomainError("sample_sizes and sigma2_values must be nonempty")

@@ -53,20 +53,16 @@ def _integer(name: str, value, low: int | None = None) -> int:
     return value
 
 
-def _check_order(p: int) -> None:
-    """Reject all but an integer harmonic order p >= 1 (see :func:`_integer`)."""
-    _integer("harmonic order", p, 1)
-
-
-def _check_band(p: int, lam: float) -> None:
-    """Reject all but an integer p >= 1 and 0 < lam < pi/p, where every
-    j*lam, j <= p, is in (0, pi).
+def _check_band(p: int, lam: float) -> int:
+    """p as a Python int (see :func:`_integer`); raises unless p >= 1 and
+    0 < lam < pi/p, where every j*lam, j <= p, is in (0, pi).
 
     A check of harmonic j alone passes p = j.
     """
-    _check_order(p)
+    p = _integer("harmonic order", p, 1)
     if not (0.0 < lam < math.pi / p):
         raise DomainError(f"lambda must lie in (0, pi/{p}) = (0, {math.pi / p:.6g}), got {lam}")
+    return p
 
 
 # n times the least distance of an admissible lambda from 0 (p = 1) and of
@@ -107,7 +103,7 @@ class HarmonicModel:
     Parameters
     ----------
     p : int
-        Number of harmonics, >= 1.
+        Number of harmonics, >= 1, stored as a Python int.
     lam : float
         Fundamental frequency in radians per sample, 0 < lam < pi/p.
     amplitudes : tuple of (A_j, B_j) pairs
@@ -120,7 +116,7 @@ class HarmonicModel:
     amplitudes: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        _check_band(self.p, self.lam)
+        object.__setattr__(self, "p", _check_band(self.p, self.lam))
         if len(self.amplitudes) != self.p:
             raise DomainError(
                 f"expected {self.p} amplitude pairs, got {len(self.amplitudes)}"
@@ -141,7 +137,8 @@ class HarmonicModel:
 
 @dataclass(frozen=True, eq=False)
 class Signal:
-    """A finite sample y(1..n).
+    """A finite sample y(1..n) of real numbers.  Complex samples raise
+    :class:`DomainError`: a cast to float would drop their imaginary part.
 
     The samples are a copy of the input over an immutable buffer: writing
     the input, or any alias of it, leaves the signal unchanged, the input
@@ -164,6 +161,8 @@ class Signal:
     samples: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.samples):
+            raise DomainError("samples must be real, got complex values")
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size < 1:
             raise DomainError("samples must be a nonempty 1-d sequence")

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .signal import Signal, _admissible, _check_band, _check_order, _integer
+from .signal import Signal, _admissible, _check_band, _integer
 
 __all__ = ["fourier_grid_init", "grid_spectrum"]
 
@@ -58,7 +58,7 @@ def _direct_power(signal: Signal, lam: float, p: int) -> float:
     The off-grid counterpart of the sums of :func:`_grid_power` on a
     signal that is its own ``_unit`` view.
     """
-    _check_band(p, lam)
+    p = _check_band(p, lam)
     y = signal.samples
     t = np.arange(1.0, y.size + 1)
     return float(sum(abs(y @ _exp_i(lam, j * t)) ** 2 for j in range(1, p + 1)))
@@ -81,7 +81,7 @@ def fourier_grid(n: int, p: int) -> np.ndarray:
     the product rounds below it.
     """
     n = _integer("n", n, 1)
-    _check_order(p)
+    p = _integer("harmonic order", p, 1)
     ks = np.arange(1, (n - 1) // (2 * p) + 1)
     return 2.0 * math.pi * ks / n
 
@@ -117,7 +117,7 @@ def _grid_power(signal: Signal, p: int, length: int) -> tuple[np.ndarray, np.nda
     ``harmonic[k-1]`` is sum_{j<=p} |X_{jk}|^2, where X is the real FFT of
     the ``_unit`` view (see :class:`Signal`) zero-padded to ``length`` >= n.
     """
-    _check_order(p)
+    p = _integer("harmonic order", p, 1)
     size = (length - 1) // (2 * p)
     if size == 0:
         raise DomainError(f"no Fourier frequency lies in (0, pi/{p}) for n = {signal.n}")
@@ -182,7 +182,7 @@ def fourier_grid_init(signal: Signal, p: int) -> float:
     is 0 and the result is exactly the grid point of :func:`fourier_grid`,
     2*pi*k/L rounded in the same two operations.
     """
-    _check_order(p)
+    p = _integer("harmonic order", p, 1)
     _check_sample_size(signal.n, p)
     length = _smooth_length(_START_PAD * signal.n)
     # skip the grid points at or below lo, each rounded as fourier_grid

@@ -100,6 +100,19 @@ class TestSynth:
         assert err.startswith(f"fundfreq: {bad}: not a text file")
         assert err.count("\n") == 1
 
+    def test_non_json_model_file_names_the_file(self, tmp_path, capsys):
+        # the decoder's message reached stderr alone: "fundfreq: Expecting
+        # value: line 1 column 1 (char 0)"
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json", encoding="utf-8")
+        code, out, err = run_cli(
+            ["asymvar", "--model-file", str(bad), "--sigma2", "1", "--n", "100"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == (f"fundfreq: {bad}: expected a JSON object with p, lambda and amplitudes "
+                       "[[A_1, B_1], ...] (JSONDecodeError: Expecting value: line 1 column 1 "
+                       "(char 0))\n")
+
     @pytest.mark.parametrize("model", [
         {"p": 2, "lambda": 0.25, "amplitudes": [1, 2]},
         {"p": "two", "lambda": 0.25, "amplitudes": [[1, 0], [1, 0]]},
@@ -441,6 +454,36 @@ def test_header_only_csv_is_runtime_error(tmp_path, capsys, command):
     assert code == 1
     assert out == ""
     assert err == f"fundfreq: {path}: no data rows\n"
+
+
+@pytest.mark.parametrize("command", ["estimate", "periodogram"])
+def test_input_that_is_a_directory_is_runtime_error(tmp_path, capsys, command):
+    code, out, err = run_cli([command, "--input", str(tmp_path), "--p", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("fundfreq: ") and str(tmp_path) in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["asymvar", "--sigma2", "0", "--n", "100"], "argument --sigma2: must be positive, got 0"),
+    (["synth", "--n", "10", "--noise", "iid", "--sigma2", "nan", "--out", "x.txt"],
+     "argument --sigma2: must be positive, got nan"),
+    (["simulate", "--n", "100,abc", "--sigma2", "1"],
+     "argument --n: bad integer list '100,abc'"),
+    (["simulate", "--n", "100", "--sigma2", "1,,2"],
+     "argument --sigma2: bad number list '1,,2'"),
+    (["asymvar", "--noise", "white", "--sigma2", "1", "--n", "100"],
+     "argument --noise: expected 'iid' or 'ma:<coeffs>', got 'white'"),
+    (["simulate", "--noise", "ma:1,x", "--n", "100", "--sigma2", "1"],
+     "argument --noise: bad number list '1,x'"),
+], ids=["positive-float", "positive-float-nan", "int-list", "float-list", "noise-spec",
+        "noise-coeffs"])
+def test_malformed_values_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

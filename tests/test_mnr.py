@@ -16,6 +16,7 @@ from fundfreq import (
     HarmonicModel,
     LinearProcessSpec,
     Signal,
+    asymptotic_variances,
     estimate_fundamental,
     g,
     lse_linear,
@@ -663,6 +664,41 @@ class TestStage3:
         assert trace.status == "converged_tol"
         assert len(trace.records) <= 8
         assert trace.evaluations <= 8
+
+
+class TestLargeSampleStop:
+    """At n = 1e5 the run closes on a step shorter than 1e-2 n^(-3/2) =
+    3.2e-10, not 1e-7."""
+
+    N = 100_000
+
+    @pytest.mark.parametrize("preset", [1, 2])
+    def test_landing_point_is_the_polished_estimate(self, model1, model2, preset):
+        # 4 more Newton steps polish the estimate.  With a fixed 1e-7 the
+        # runs of preset 1 closed on the start's pass alone, 3.0e-6 to
+        # 2.0e-5 sd from it, and preset 2's seed 4 1.1e-3 sd; on this rule
+        # every gap is 0, at 2 evaluations
+        model = model1 if preset == 1 else model2
+        noise = LinearProcessSpec((1.0, 0.5), 0.25)
+        sd = math.sqrt(asymptotic_variances(model, noise, self.N).var_lse)
+        for seed in range(5):
+            sig = synthesize(model, self.N, noise, seed)
+            lam_hat, trace = estimate_fundamental(sig, 4)
+            polished = lam_hat
+            for _ in range(4):
+                _, gp, gpp = g_with_derivatives(sig, 4, polished)
+                polished -= gp / gpp
+            assert trace.status == "converged_tol", seed
+            assert abs(lam_hat - polished) <= 1e-6 * sd, seed
+
+    @pytest.mark.parametrize("preset", [1, 2])
+    def test_noiseless_estimate_within_the_bound(self, model1, model2, preset):
+        # README's bound on noiseless data; measured 0 for both presets
+        # (5.9e-14 for preset 1 with a fixed 1e-7)
+        model = model1 if preset == 1 else model2
+        lam_hat, trace = estimate_fundamental(synthesize(model, self.N), 4)
+        assert trace.status == "converged_tol"
+        assert abs(lam_hat - model.lam) <= 2.2e-13
 
 
 class TestStartBasin:

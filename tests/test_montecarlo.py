@@ -62,6 +62,12 @@ class TestSeeding:
     def test_int64_master_seeds_accepted(self, seed):
         assert small_spec(master_seed=seed).master_seed == seed
 
+    def test_numpy_integer_counts_give_the_python_int_seed(self):
+        want = replication_seed(-3, 500, 0.25, 7)
+        assert replication_seed(np.int8(-3), np.uint16(500), 0.25, np.int64(7)) == want
+        # the int64 edges pass
+        assert replication_seed(-(2**63), 2**63 - 1, 0.25, 2**63 - 1) != want
+
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
@@ -173,6 +179,19 @@ class TestAggregation:
         row = run_experiment(small_spec(replications=len(statuses)))[0]
         assert row.failure_count == 12
         assert (row.mean_estimate, row.empirical_variance) == (0.25, 0.0)
+
+    def test_cell_where_every_replication_fails(self, monkeypatch, caplog):
+        monkeypatch.setattr(mc, "estimate_fundamental",
+                            lambda sig, p: (0.25, EstimationTrace(status="boundary")))
+        with caplog.at_level("WARNING", logger="fundfreq.montecarlo"):
+            rows = run_experiment(small_spec(replications=3))
+        (row,) = rows
+        assert math.isnan(row.mean_estimate) and math.isnan(row.empirical_variance)
+        assert (row.failure_count, row.replications) == (3, 3)
+        assert row.high_failure_rate
+        assert caplog.messages == ["cell n=100 sigma2=0.25: 3/3 replications failed"]
+        assert summary_csv_lines(rows)[1] == (
+            f"100,2.50000e-01,nan,nan,{row.asym_var_lse:.5e},{row.asym_var_mnr:.5e},3")
 
     def test_flag_threshold(self):
         row = SummaryRow(100, 0.25, 0.25, 1e-10, 1e-10, 2.5e-11, 10, 100)

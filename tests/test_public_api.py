@@ -116,7 +116,8 @@ def test_removed_members_stay_removed():
                           (fundfreq.HarmonicModel, "b"),
                           (fundfreq.LinearProcessSpec, "order"),
                           (fundfreq.AsymptoticReport, "as_dict"),
-                          (fundfreq.signal, "IID")]:
+                          (fundfreq.signal, "IID"),
+                          (fundfreq.signal, "_check_order")]:
         assert not hasattr(owner, member), f"{owner.__name__}.{member}"
 
 
@@ -242,23 +243,26 @@ def test_tracer_layer_functions_exist():
             assert callable(getattr(module, name, None)), f"fundfreq.{layer}.{name}"
 
 
-def _takes_p():
-    """Every public entry that takes a harmonic order, as a call on p."""
-    sig = fundfreq.synthesize(fundfreq.MODEL1, 200)
+def _takes_p(sig=None, lam=0.25):
+    """Every public entry that takes a harmonic order, as a call on p, on
+    the signal ``sig`` (MODEL1 noiseless at n = 200 when None) and at the
+    frequency ``lam``."""
+    if sig is None:
+        sig = fundfreq.synthesize(fundfreq.MODEL1, 200)
     noise = fundfreq.LinearProcessSpec((1.0,), 1.0)
     return {
         "estimate_fundamental": lambda p: fundfreq.estimate_fundamental(sig, p),
         "fourier_grid_init": lambda p: fundfreq.fourier_grid_init(sig, p),
         "grid_spectrum": lambda p: fundfreq.grid_spectrum(sig, p),
-        "fourier_grid": lambda p: spectrum.fourier_grid(200, p),
-        "harmonic_criterion_qn": lambda p: spectrum.harmonic_criterion_qn(sig, 0.25, p),
-        "HarmonicModel": lambda p: fundfreq.HarmonicModel(p, 0.25, ((1.0, 0.0), (1.0, 0.0))),
-        "g": lambda p: fundfreq.g(sig, p, 0.25),
-        "g_with_derivatives": lambda p: criterion.g_with_derivatives(sig, p, 0.25),
-        "g_derivatives": lambda p: criterion.g_derivatives(sig, p, 0.25),
-        "compute_moments": lambda p: criterion.compute_moments(sig, p, 0.25),
-        "lse_linear": lambda p: fundfreq.lse_linear(sig, 0.25, p),
-        "spectral_weight_c": lambda p: fundfreq.spectral_weight_c(noise, p, 0.25),
+        "fourier_grid": lambda p: spectrum.fourier_grid(sig.n, p),
+        "harmonic_criterion_qn": lambda p: spectrum.harmonic_criterion_qn(sig, lam, p),
+        "HarmonicModel": lambda p: fundfreq.HarmonicModel(p, lam, ((1.0, 0.0), (1.0, 0.0))),
+        "g": lambda p: fundfreq.g(sig, p, lam),
+        "g_with_derivatives": lambda p: criterion.g_with_derivatives(sig, p, lam),
+        "g_derivatives": lambda p: criterion.g_derivatives(sig, p, lam),
+        "compute_moments": lambda p: criterion.compute_moments(sig, p, lam),
+        "lse_linear": lambda p: fundfreq.lse_linear(sig, lam, p),
+        "spectral_weight_c": lambda p: fundfreq.spectral_weight_c(noise, p, lam),
     }
 
 
@@ -275,6 +279,48 @@ def test_harmonic_order_must_be_an_integer(entry, p):
 @pytest.mark.parametrize("entry", sorted(_takes_p()))
 def test_numpy_integer_harmonic_order_accepted(entry):
     _takes_p()[entry](np.int64(2))
+
+
+def _outcome(call, p):
+    """call(p), or the type and message of the FundfreqError it raises."""
+    try:
+        return call(p)
+    except fundfreq.FundfreqError as exc:
+        return type(exc), str(exc)
+
+
+def _same(a, b) -> bool:
+    """a equals b, with the same types all the way down."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if dataclasses.is_dataclass(a):
+        return _same(*([getattr(x, f.name) for f in dataclasses.fields(x)] for x in (a, b)))
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+@pytest.mark.parametrize("entry", sorted(_takes_p()))
+@pytest.mark.parametrize("p", [np.uint8(26), np.uint8(130), np.int8(13), np.int8(64)], ids=repr)
+@pytest.mark.parametrize("n", [200, 1000])
+def test_narrow_numpy_order_computes_as_its_python_int(entry, p, n):
+    # 10p (the start's n >= 10p) or 2p (the design's columns) leaves the
+    # range of these orders' types.  Each entry used to compute on the
+    # caller's type once the order had passed the check: n < 10 * p read
+    # 10 * uint8(26) as 4, so estimate_fundamental let n = 200 through
+    # and died with an OverflowError, and g, g_with_derivatives and
+    # lse_linear at uint8(130) and n = 1000 built 2 rows for 260 columns
+    noise = fundfreq.LinearProcessSpec(fundfreq.MA1_NOISE_COEFFS, 0.25) if n == 1000 else None
+    call = _takes_p(fundfreq.synthesize(fundfreq.MODEL1, n, noise, seed=1), 0.02)[entry]
+    assert _same(_outcome(call, p), _outcome(call, int(p)))
+
+
+def test_harmonic_model_stores_a_python_int_order():
+    model = fundfreq.HarmonicModel(np.int8(4), 0.25, fundfreq.MODEL1.amplitudes)
+    assert type(model.p) is int
+    assert model == fundfreq.MODEL1
 
 
 def _takes_count():
@@ -297,6 +343,10 @@ def _takes_count():
         "sample_acf-max_lag": ("max_lag", lambda k: fundfreq.sample_acf(x, k)),
         "ExperimentSpec-replications": ("replications", lambda k: spec(replications=k)),
         "ExperimentSpec-master_seed": ("master_seed", lambda k: spec(master_seed=k)),
+        "replication_seed-master_seed": (
+            "master_seed", lambda k: fundfreq.replication_seed(k, 100, 1.0, 0)),
+        "replication_seed-n": ("n", lambda k: fundfreq.replication_seed(0, k, 1.0, 0)),
+        "replication_seed-rep": ("rep", lambda k: fundfreq.replication_seed(0, 100, 1.0, k)),
     }
 
 
@@ -306,7 +356,8 @@ def test_count_must_be_an_integer(entry, count):
     # synthesize sliced with 100.0 (a bare TypeError) and made 1 sample from
     # True; asymptotic_variances reported at n = 100.5; the seed "3" met a
     # bare TypeError from <; sample_acf ran True as max_lag 1; fourier_grid
-    # gave 49 points at n = 100.5
+    # gave 49 points at n = 100.5; replication_seed packed True as 1 and
+    # met 100.0 with a bare struct.error
     name, call = _takes_count()[entry]
     with pytest.raises(fundfreq.DomainError, match=f"^{name} must be an integer, got {count!r}$"):
         call(count)
@@ -328,6 +379,10 @@ def test_numpy_integer_count_accepted(entry, count):
     ("sample_acf-max_lag", 200, "need 0 < max_lag < n, got max_lag=200, n=200"),
     ("ExperimentSpec-replications", 0, "replications must be >= 1, got 0"),
     ("ExperimentSpec-master_seed", 2**63, f"master_seed must fit in int64, got {2**63}"),
+    # replication_seed raised struct.error: argument out of range
+    ("replication_seed-master_seed", 2**63, f"master_seed must fit in int64, got {2**63}"),
+    ("replication_seed-n", -(2**63) - 1, f"n must fit in int64, got {-(2**63) - 1}"),
+    ("replication_seed-rep", 2**63, f"rep must fit in int64, got {2**63}"),
 ])
 def test_count_out_of_range_message(entry, count, message):
     with pytest.raises(fundfreq.DomainError, match=f"^{re.escape(message)}$"):

@@ -52,6 +52,11 @@ class TestHarmonicModel:
         with pytest.raises(DomainError):
             HarmonicModel(3, 0.3, ((1.0, 0.0),))
 
+    @pytest.mark.parametrize("pair", [(math.inf, 0.0), (1.0, math.nan), (-math.inf, 1.0)])
+    def test_non_finite_amplitude_rejected(self, pair):
+        with pytest.raises(DomainError, match="^amplitudes of harmonic 2 are not finite$"):
+            HarmonicModel(2, 0.3, ((1.0, 0.0), pair))
+
 
 def _gram_condition(n, p, lam):
     """cond(X'X) of the 2p columns cos(j lam t), sin(j lam t), t = 1..n,
@@ -236,6 +241,11 @@ class TestLinearProcess:
         with pytest.raises(DomainError):
             LinearProcessSpec((), 1.0)
 
+    @pytest.mark.parametrize("coeffs", [(1.0, math.nan), (math.inf,), (1.0, 0.5, -math.inf)])
+    def test_non_finite_coeffs_rejected(self, coeffs):
+        with pytest.raises(DomainError, match="^coeffs must all be finite$"):
+            LinearProcessSpec(coeffs, 1.0)
+
     @pytest.mark.parametrize("coeffs", [(0.0,), (0.0, -0.0, 0.0)])
     def test_all_zero_coeffs_rejected(self, coeffs):
         # the process would be identically zero, with no variance to report
@@ -299,6 +309,23 @@ class TestSignalSamples:
     def test_non_finite_samples_rejected(self, bad):
         with pytest.raises(DomainError, match="samples must all be finite"):
             Signal(np.array([0.5, bad, 1.0]))
+
+    @pytest.mark.parametrize("samples", [[], np.empty(0), np.zeros((2, 3)), np.zeros((4, 1)), 1.0],
+                             ids=["empty-list", "empty-array", "2x3", "4x1", "scalar"])
+    def test_empty_or_not_1d_samples_rejected(self, samples):
+        with pytest.raises(DomainError, match="^samples must be a nonempty 1-d sequence$"):
+            Signal(samples)
+
+    @pytest.mark.parametrize("samples", [np.array([1 + 1j, 2, 3]), np.array([1 + 0j, 2]),
+                                         [1.0, 2j], np.array([1, 2], dtype=np.complex64)],
+                             ids=["complex", "zero-imaginary", "list", "complex64"])
+    def test_complex_samples_rejected(self, samples):
+        # the cast to float kept [1, 2, 3] of [1+1j, 2, 3], with only a
+        # ComplexWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^samples must be real, got complex values$"):
+                Signal(samples)
 
 
 class TestSignalIdentity:
