@@ -51,7 +51,7 @@ class AsymptoticReport:
 
 def spectral_weight_c(spec: LinearProcessSpec, j: int, lam: float) -> float:
     """c(j) = |sum_k a(k) exp(-i j k lambda)|^2 (i.i.d. noise gives 1)."""
-    j = _check_band(j, lam)
+    j, lam = _check_band(j, lam)
     z = sum(a * cmath.exp(-1j * j * k * lam) for k, a in enumerate(spec.coeffs))
     return abs(z) * abs(z)  # ** raises OverflowError where * gives inf
 

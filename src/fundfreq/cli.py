@@ -100,26 +100,17 @@ def _load_model_file(path: str) -> HarmonicModel:
     text = _read_text(path)
     try:
         raw = json.loads(text)  # a JSONDecodeError is a ValueError
-        p, lam = raw["p"], _json_number(raw["lambda"], "lambda")
-        if type(p) is not int:  # rejects 1.9 and "2", and true, a bool
-            raise TypeError(f"p must be a JSON integer, got {json.dumps(p)}")
-        amplitudes = tuple(
-            (_json_number(a, "an amplitude"), _json_number(b, "an amplitude"))
-            for a, b in raw["amplitudes"]
-        )
+        # rejects 1.9 and "2", and true, a bool; lambda and the amplitudes
+        # go through HarmonicModel's own rules, whose DomainError is a
+        # ValueError
+        if type(raw["p"]) is not int:
+            raise TypeError(f"p must be a JSON integer, got {json.dumps(raw['p'])}")
+        return HarmonicModel(raw["p"], raw["lambda"], raw["amplitudes"])
     except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise DomainError(
             f"{path}: expected a JSON object with p, lambda and amplitudes "
             f"[[A_1, B_1], ...] ({type(exc).__name__}: {exc})"
         ) from None
-    return HarmonicModel(p, lam, amplitudes)
-
-
-def _json_number(value, what: str) -> float:
-    """``value`` as a float if JSON gave a number; true and "1" raise TypeError."""
-    if type(value) not in (int, float):
-        raise TypeError(f"{what} must be a JSON number, got {json.dumps(value)}")
-    return float(value)
 
 
 def cmd_synth(args) -> None:
@@ -189,11 +180,8 @@ def cmd_estimate(args) -> str:
 
 def cmd_periodogram(args) -> str:
     sig = read_signal(args.input)
-    lams, i_vals, q_vals = grid_spectrum(sig, args.p)
-    lines = ["lambda,I,Q_N"]
-    lines.extend(f"{lam:.5e},{i_val:.5e},{q_val:.5e}"
-                 for lam, i_val, q_val in zip(lams.tolist(), i_vals.tolist(), q_vals.tolist()))
-    return "\n".join(lines)
+    rows = zip(*(column.tolist() for column in grid_spectrum(sig, args.p)))
+    return "\n".join(["lambda,I,Q_N", *map("%.5e,%.5e,%.5e".__mod__, rows)])
 
 
 def cmd_simulate(args) -> str:

@@ -66,7 +66,7 @@ def compute_moments(
     ``(m_xx, m_xdx, m_xd2x, v_xy, v_dxy, v_d2xy)``: the symmetric 2x2
     blocks X'X, X'DX and X'D^2X and the 2-vectors X'Y, X'DY and X'D^2Y.
     """
-    j = _check_band(j, lam)
+    j, lam = _check_band(j, lam)
     # Rows (tc, ts, c, s) against columns (tc, ts, c, s, y, ty).
     mom = _moments(signal.samples, 1, j * lam, True)
     blocks = (mom[2:4, 2:4], j * mom[2:4, :2], j * j * mom[:2, :2])
@@ -101,7 +101,7 @@ def g_with_derivatives(signal: Signal, p: int, lam: float) -> tuple[float, float
         g'  = 2 (Ka)'(v - Aa)
         g'' = 2 [r'M^{-1}r - (J^2 a)'(w - Ba) - (Ka)'B(Ka)].
     """
-    p = _check_band(p, lam)
+    p, lam = _check_band(p, lam)
     q = 2 * p
     mom = _moments(signal.samples, p, lam, True)
     return _with_derivatives(mom, p, *_whitened(mom[q : 2 * q, q:], signal.n, lam))
@@ -113,7 +113,7 @@ def _solve(signal: Signal, p: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
     g is ||L^{-1}X'Y||^2 and the least squares amplitudes are
     L^{-T} L^{-1}X'Y.
     """
-    p = _check_band(p, lam)
+    p, lam = _check_band(p, lam)
     return _whitened(_moments(signal.samples, p, lam, False), signal.n, lam)
 
 

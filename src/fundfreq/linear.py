@@ -12,7 +12,7 @@ import numpy as np
 
 from .criterion import _solve
 from .errors import DomainError
-from .signal import Signal, _integer, harmonic_sum
+from .signal import Signal, _integer, _real, harmonic_sum
 
 __all__ = ["lse_linear", "residuals", "sample_acf"]
 
@@ -38,7 +38,8 @@ def residuals(
     signal: Signal, lambda_hat: float, amplitudes: list[tuple[float, float]]
 ) -> np.ndarray:
     """y(t) minus the fitted harmonic sum at lambda_hat."""
-    return signal.samples - harmonic_sum(lambda_hat, amplitudes, signal.n)
+    amplitudes = [(_real("amplitude", a), _real("amplitude", b)) for a, b in amplitudes]
+    return signal.samples - harmonic_sum(_real("lambda_hat", lambda_hat), amplitudes, signal.n)
 
 
 def sample_acf(series, max_lag: int) -> np.ndarray:

@@ -26,6 +26,7 @@ from .signal import (
     LinearProcessSpec,
     Signal,
     _integer,
+    _real,
     generate_linear_process,
     synthesize,
 )
@@ -76,10 +77,11 @@ def replication_seed(master_seed: int, n: int, sigma2: float, rep: int) -> int:
     int64 n, float64 sigma2, int64 rep), truncated to 8 bytes.  Stable
     across platforms and releases; documented so results can be
     regenerated independently.  The three counts must be integers that
-    fit in int64: anything else raises :class:`DomainError` naming it.
+    fit in int64 and sigma2 a real number: anything else raises
+    :class:`DomainError` naming it.
     """
     payload = struct.pack("<qqdq", _int64("master_seed", master_seed), _int64("n", n),
-                          float(sigma2), _int64("rep", rep))
+                          _real("sigma2", sigma2), _int64("rep", rep))
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
@@ -104,13 +106,14 @@ class ExperimentSpec:
         object.__setattr__(self, "replications", _integer("replications", self.replications, 1))
         if not self.sample_sizes or not self.sigma2_values:
             raise DomainError("sample_sizes and sigma2_values must be nonempty")
-        object.__setattr__(self, "noise_coeffs", tuple(float(c) for c in self.noise_coeffs))
         object.__setattr__(self, "sample_sizes",
                            tuple(_integer("sample size", n) for n in self.sample_sizes))
-        object.__setattr__(self, "sigma2_values", tuple(float(s) for s in self.sigma2_values))
         _check_sample_size(min(self.sample_sizes), self.model.p, " in every cell")
-        for sigma2 in self.sigma2_values:  # fail before any cell runs
-            LinearProcessSpec(self.noise_coeffs, sigma2)
+        # every cell's noise, built to fail before any cell runs: the
+        # coefficients and sigma2 values are the ones LinearProcessSpec keeps
+        cells = [LinearProcessSpec(self.noise_coeffs, sigma2) for sigma2 in self.sigma2_values]
+        object.__setattr__(self, "noise_coeffs", cells[0].coeffs)
+        object.__setattr__(self, "sigma2_values", tuple(cell.sigma2 for cell in cells))
 
 
 @dataclass(frozen=True)

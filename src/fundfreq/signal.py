@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -53,16 +54,32 @@ def _integer(name: str, value, low: int | None = None) -> int:
     return value
 
 
-def _check_band(p: int, lam: float) -> int:
-    """p as a Python int (see :func:`_integer`); raises unless p >= 1 and
-    0 < lam < pi/p, where every j*lam, j <= p, is in (0, pi).
+def _real(name: str, value) -> float:
+    """value as a Python float: Python and numpy reals (ints and floats)
+    pass, anything else (a bool, a string, bytes, a complex or None)
+    raises DomainError, and so does an int past the float range."""
+    if type(value) is float:  # the common case: returned as itself
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        # float() would read True as 1.0 and "0.25" as 0.25
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{name} must lie in the float range, got {value}") from None
+
+
+def _check_band(p: int, lam: float) -> tuple[int, float]:
+    """(p, lam) as a Python int and float (see :func:`_integer` and
+    :func:`_real`); raises unless p >= 1 and 0 < lam < pi/p, where every
+    j*lam, j <= p, is in (0, pi).
 
     A check of harmonic j alone passes p = j.
     """
-    p = _integer("harmonic order", p, 1)
+    p, lam = _integer("harmonic order", p, 1), _real("lambda", lam)
     if not (0.0 < lam < math.pi / p):
         raise DomainError(f"lambda must lie in (0, pi/{p}) = (0, {math.pi / p:.6g}), got {lam}")
-    return p
+    return p, lam
 
 
 # n times the least distance of an admissible lambda from 0 (p = 1) and of
@@ -105,10 +122,11 @@ class HarmonicModel:
     p : int
         Number of harmonics, >= 1, stored as a Python int.
     lam : float
-        Fundamental frequency in radians per sample, 0 < lam < pi/p.
+        Fundamental frequency in radians per sample, 0 < lam < pi/p,
+        stored as a Python float.
     amplitudes : tuple of (A_j, B_j) pairs
-        Cosine/sine amplitudes for harmonics j = 1..p.  No pair may be
-        identically (0, 0).
+        Cosine/sine amplitudes for harmonics j = 1..p, stored as Python
+        floats.  No pair may be identically (0, 0).
     """
 
     p: int
@@ -116,12 +134,12 @@ class HarmonicModel:
     amplitudes: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _check_band(self.p, self.lam))
-        if len(self.amplitudes) != self.p:
-            raise DomainError(
-                f"expected {self.p} amplitude pairs, got {len(self.amplitudes)}"
-            )
-        amps = tuple((float(a), float(b)) for a, b in self.amplitudes)
+        p, lam = _check_band(self.p, self.lam)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "lam", lam)
+        if len(self.amplitudes) != p:
+            raise DomainError(f"expected {p} amplitude pairs, got {len(self.amplitudes)}")
+        amps = tuple((_real("amplitude", a), _real("amplitude", b)) for a, b in self.amplitudes)
         object.__setattr__(self, "amplitudes", amps)
         for j, (a, b) in enumerate(amps, start=1):
             if not (math.isfinite(a) and math.isfinite(b)):
@@ -137,8 +155,10 @@ class HarmonicModel:
 
 @dataclass(frozen=True, eq=False)
 class Signal:
-    """A finite sample y(1..n) of real numbers.  Complex samples raise
-    :class:`DomainError`: a cast to float would drop their imaginary part.
+    """A finite sample y(1..n) of real numbers: samples of a numpy integer
+    or float dtype pass and are stored as floats.  Any other dtype raises
+    :class:`DomainError`: a cast to float would drop a complex sample's
+    imaginary part, and read strings such as "1.5" and bools as numbers.
 
     The samples are a copy of the input over an immutable buffer: writing
     the input, or any alias of it, leaves the signal unchanged, the input
@@ -161,9 +181,11 @@ class Signal:
     samples: np.ndarray
 
     def __post_init__(self):
-        if np.iscomplexobj(self.samples):
-            raise DomainError("samples must be real, got complex values")
-        samples = np.asarray(self.samples, dtype=float)
+        samples = np.asarray(self.samples)
+        if samples.dtype.kind not in "iuf":
+            what = "complex" if samples.dtype.kind == "c" else samples.dtype.name
+            raise DomainError(f"samples must be real, got {what} values")
+        samples = samples.astype(float, copy=False)
         if samples.ndim != 1 or samples.size < 1:
             raise DomainError("samples must be a nonempty 1-d sequence")
         top = float(np.abs(samples).max())
@@ -210,20 +232,21 @@ class LinearProcessSpec:
     sigma2: float = 1.0
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
+        coeffs = tuple(_real("coefficient", c) for c in self.coeffs)
+        sigma2 = _real("sigma2", self.sigma2)
         if len(coeffs) == 0:
             raise DomainError("coeffs must be nonempty")
         if not all(math.isfinite(c) for c in coeffs):
             raise DomainError("coeffs must all be finite")
         if not any(coeffs):
             raise DomainError("coeffs must not all be zero")
-        if not (self.sigma2 > 0 and math.isfinite(self.sigma2)):
-            raise DomainError(f"sigma2 must be positive and finite, got {self.sigma2}")
+        if not (sigma2 > 0 and math.isfinite(sigma2)):
+            raise DomainError(f"sigma2 must be positive and finite, got {sigma2}")
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "sigma2", float(self.sigma2))
+        object.__setattr__(self, "sigma2", sigma2)
         if not math.isfinite(self.process_variance):
             raise DomainError(
-                f"noise variance sigma2 * sum(a(k)^2) is not finite: sigma2 = {self.sigma2}, "
+                f"noise variance sigma2 * sum(a(k)^2) is not finite: sigma2 = {sigma2}, "
                 f"coeffs = {coeffs}"
             )
 
@@ -310,8 +333,10 @@ def synthesize(
     """Generate y(1..n) from the harmonic model, optionally plus noise.
 
     Identical (model, n, noise, seed) always yield bit-identical samples.
+    ``seed`` must be an integer >= 0 with or without noise, though
+    noiseless samples do not depend on it.
     """
-    n = _integer("n", n, 1)
+    n, seed = _integer("n", n, 1), _integer("seed", seed, 0)
     y = harmonic_sum(model.lam, model.amplitudes, n)
     if noise is not None:
         y = y + generate_linear_process(noise, n, seed)

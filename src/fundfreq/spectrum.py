@@ -58,7 +58,7 @@ def _direct_power(signal: Signal, lam: float, p: int) -> float:
     The off-grid counterpart of the sums of :func:`_grid_power` on a
     signal that is its own ``_unit`` view.
     """
-    p = _check_band(p, lam)
+    p, lam = _check_band(p, lam)
     y = signal.samples
     t = np.arange(1.0, y.size + 1)
     return float(sum(abs(y @ _exp_i(lam, j * t)) ** 2 for j in range(1, p + 1)))

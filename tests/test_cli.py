@@ -56,6 +56,15 @@ class TestSynth:
         assert "seed must be >= 0, got -1" in err
         assert not out.exists()
 
+    def test_negative_seed_without_noise_is_runtime_error(self, tmp_path, capsys):
+        # exited 0: the seed was checked only when noise was drawn
+        out = tmp_path / "sig.txt"
+        code, _, err = run_cli(["synth", "--preset", "1", "--n", "100", "--seed", "-5",
+                                "--out", str(out)], capsys)
+        assert code == 1
+        assert err == "fundfreq: seed must be >= 0, got -5\n"
+        assert not out.exists()
+
     def test_n_zero_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["synth", "--preset", "1", "--n", "0", "--out", str(tmp_path / "x")])
@@ -73,6 +82,20 @@ class TestSynth:
         assert code == 1
         assert "lambda" in err
 
+    def test_out_of_band_lambda_names_the_model_file(self, tmp_path, capsys):
+        # HarmonicModel was built after the file's try, so the message
+        # named lambda's band alone: "fundfreq: lambda must lie in ..."
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps({"p": 4, "lambda": 2.0, "amplitudes": [[1, 0]] * 4}),
+                       encoding="utf-8")
+        code, out, err = run_cli(
+            ["asymvar", "--model-file", str(bad), "--sigma2", "1", "--n", "100"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == (f"fundfreq: {bad}: expected a JSON object with p, lambda and amplitudes "
+                       "[[A_1, B_1], ...] (DomainError: lambda must lie in (0, pi/4) = "
+                       "(0, 0.785398), got 2.0)\n")
+
     @pytest.mark.parametrize("p", [1.9, True, "2"])
     def test_model_file_p_must_be_a_json_integer(self, tmp_path, capsys, p):
         # int() read 1.9 and true as p = 1 and "2" as 2, each with exit 0
@@ -89,6 +112,28 @@ class TestSynth:
             assert err.startswith(f"fundfreq: {bad}: expected a JSON object")
             assert f"p must be a JSON integer, got {json.dumps(p)}" in err
         assert not (tmp_path / "y").exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("lambda", True, "lambda must be a real number, got True"),
+        ("lambda", "0.25", "lambda must be a real number, got '0.25'"),
+        ("lambda", 10**400, f"lambda must lie in the float range, got {10**400}"),
+        ("amplitudes", [["1", 0]], "amplitude must be a real number, got '1'"),
+        ("amplitudes", [[1, None]], "amplitude must be a real number, got None"),
+    ], ids=["lambda-bool", "lambda-string", "lambda-int-past-float-range", "amplitude-string",
+            "amplitude-null"])
+    def test_model_file_numbers_follow_the_model_rule(self, tmp_path, capsys, field, value,
+                                                      message):
+        # HarmonicModel's own rule reads the file's numbers, and the message
+        # still names the file
+        model = {"p": 1, "lambda": 0.25, "amplitudes": [[1, 0]], field: value}
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(model), encoding="utf-8")
+        code, out, err = run_cli(
+            ["asymvar", "--model-file", str(bad), "--sigma2", "1", "--n", "100"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == (f"fundfreq: {bad}: expected a JSON object with p, lambda and amplitudes "
+                       f"[[A_1, B_1], ...] (DomainError: {message})\n")
 
     def test_non_text_model_file_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "model.json"

@@ -334,6 +334,8 @@ def _takes_count():
 
     return {
         "synthesize-n": ("n", lambda k: fundfreq.synthesize(fundfreq.MODEL1, k)),
+        # noiseless samples do not depend on the seed, which is checked all the same
+        "synthesize-seed": ("seed", lambda k: fundfreq.synthesize(fundfreq.MODEL1, 100, None, k)),
         "generate_linear_process-n": ("n", lambda k: fundfreq.generate_linear_process(noise, k, 0)),
         "generate_linear_process-seed": (
             "seed", lambda k: fundfreq.generate_linear_process(noise, 10, k)),
@@ -371,6 +373,7 @@ def test_numpy_integer_count_accepted(entry, count):
 
 @pytest.mark.parametrize("entry, count, message", [
     ("synthesize-n", 0, "n must be >= 1, got 0"),
+    ("synthesize-seed", -1, "seed must be >= 0, got -1"),
     ("generate_linear_process-n", 0, "n must be >= 1, got 0"),
     ("generate_linear_process-seed", -1, "seed must be >= 0, got -1"),
     ("asymptotic_variances-n", 0, "n must be >= 1, got 0"),
@@ -387,3 +390,70 @@ def test_numpy_integer_count_accepted(entry, count):
 def test_count_out_of_range_message(entry, count, message):
     with pytest.raises(fundfreq.DomainError, match=f"^{re.escape(message)}$"):
         _takes_count()[entry][1](count)
+
+
+def _takes_real():
+    """Every public entry that takes a real number, as (the name its message
+    gives, a call on the value), on MODEL1 noiseless at n = 200 and p = 1."""
+    sig = fundfreq.synthesize(fundfreq.MODEL1, 200)
+    noise = fundfreq.LinearProcessSpec((1.0, 0.5), 1.0)
+
+    def spec(coeffs=(1.0,), sigma2=1.0):
+        return fundfreq.ExperimentSpec(fundfreq.MODEL1, coeffs, (100,), (sigma2,))
+
+    return {
+        "HarmonicModel-lam": ("lambda", lambda x: fundfreq.HarmonicModel(1, x, ((1.0, 1.0),))),
+        "HarmonicModel-A": (
+            "amplitude", lambda x: fundfreq.HarmonicModel(1, 0.25, ((x, 1.0),))),
+        "HarmonicModel-B": (
+            "amplitude", lambda x: fundfreq.HarmonicModel(1, 0.25, ((1.0, x),))),
+        "g-lam": ("lambda", lambda x: fundfreq.g(sig, 1, x)),
+        "g_with_derivatives-lam": ("lambda", lambda x: criterion.g_with_derivatives(sig, 1, x)),
+        "g_derivatives-lam": ("lambda", lambda x: criterion.g_derivatives(sig, 1, x)),
+        "compute_moments-lam": ("lambda", lambda x: criterion.compute_moments(sig, 1, x)),
+        "lse_linear-lambda_hat": ("lambda", lambda x: fundfreq.lse_linear(sig, x, 1)),
+        "periodogram-lam": ("lambda", lambda x: spectrum.periodogram(sig, x)),
+        "harmonic_criterion_qn-lam": (
+            "lambda", lambda x: spectrum.harmonic_criterion_qn(sig, x, 1)),
+        "spectral_weight_c-lam": ("lambda", lambda x: fundfreq.spectral_weight_c(noise, 1, x)),
+        "residuals-lambda_hat": (
+            "lambda_hat", lambda x: fundfreq.residuals(sig, x, [(1.0, 1.0)])),
+        "residuals-amplitude": (
+            "amplitude", lambda x: fundfreq.residuals(sig, 0.25, [(1.0, x)])),
+        "LinearProcessSpec-coeffs": (
+            "coefficient", lambda x: fundfreq.LinearProcessSpec((1.0, x), 1.0)),
+        "LinearProcessSpec-sigma2": ("sigma2", lambda x: fundfreq.LinearProcessSpec((1.0,), x)),
+        "ExperimentSpec-noise_coeffs": ("coefficient", lambda x: spec(coeffs=(1.0, x))),
+        "ExperimentSpec-sigma2_values": ("sigma2", lambda x: spec(sigma2=x)),
+        "replication_seed-sigma2": ("sigma2", lambda x: fundfreq.replication_seed(0, 100, x, 0)),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_takes_real()))
+@pytest.mark.parametrize("value", ["0.25", b"1", True, np.True_, 1j, None], ids=repr)
+def test_real_must_be_a_real_number(entry, value):
+    # float() read True, np.True_ and "0.25" as numbers (g, lse_linear and
+    # HarmonicModel ran at lambda = 1), and 1j and None met bare TypeErrors;
+    # residuals took any lambda_hat and amplitudes numpy would multiply
+    name, call = _takes_real()[entry]
+    with pytest.raises(fundfreq.DomainError,
+                       match=f"^{name} must be a real number, got {re.escape(repr(value))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", sorted(_takes_real()))
+def test_real_past_the_float_range(entry):
+    # float(10**400) raises OverflowError; the band check read 10**400 as
+    # out of band, and residuals met the OverflowError
+    name, call = _takes_real()[entry]
+    with pytest.raises(fundfreq.DomainError,
+                       match=f"^{name} must lie in the float range, got {10**400}$"):
+        call(10**400)
+
+
+@pytest.mark.parametrize("entry", sorted(_takes_real()))
+@pytest.mark.parametrize("value", [np.float32(0.25), np.float64(0.25), 1], ids=repr)
+def test_numpy_real_computes_as_its_python_float(entry, value):
+    # HarmonicModel kept a numpy or int lambda as it came
+    call = _takes_real()[entry][1]
+    assert _same(_outcome(call, value), _outcome(call, float(value)))

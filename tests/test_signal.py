@@ -328,6 +328,24 @@ class TestSignalSamples:
                 Signal(samples)
 
 
+    @pytest.mark.parametrize("samples, what", [
+        (["1.5", "2"], "str96"), ([True, False], "bool"), (np.array([True]), "bool"),
+        ([b"1"], "bytes8"), (np.array([1.0, 2.0], dtype=object), "object"),
+        ([1.0, None], "object"),
+    ], ids=["strings", "bools", "bool-array", "bytes", "object-floats", "none"])
+    def test_non_numeric_samples_rejected(self, samples, what):
+        # the cast to float read ["1.5", "2"] as [1.5, 2.0] and [True,
+        # False] as [1.0, 0.0]
+        with pytest.raises(DomainError, match=f"^samples must be real, got {what} values$"):
+            Signal(samples)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint64, np.float16, np.float32, np.longdouble])
+    def test_integer_and_float_samples_pass_as_floats(self, dtype):
+        samples = Signal(np.array([1, 2, 3], dtype=dtype)).samples
+        assert samples.dtype == np.float64
+        assert samples.tolist() == [1.0, 2.0, 3.0]
+
+
 class TestSignalIdentity:
     """A Signal compares and hashes by identity."""
 
