@@ -12,7 +12,7 @@ its reduced step, which no step schedule here has been shown to reach.
 
 from .asymptotics import AsymptoticReport, asymptotic_variances, spectral_weight_c
 from .criterion import g
-from .errors import DegenerateFrequencyError, DomainError, FundfreqError
+from .errors import DomainError, FundfreqError
 from .linear import lse_linear, residuals, sample_acf
 from .mnr import EstimationTrace, TraceRecord, estimate_fundamental
 from .montecarlo import (
@@ -41,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticReport",
-    "DegenerateFrequencyError",
     "DomainError",
     "EstimationTrace",
     "ExperimentSpec",

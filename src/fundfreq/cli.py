@@ -106,7 +106,7 @@ def _load_model_file(path: str) -> HarmonicModel:
         if type(raw["p"]) is not int:
             raise TypeError(f"p must be a JSON integer, got {json.dumps(raw['p'])}")
         return HarmonicModel(raw["p"], raw["lambda"], raw["amplitudes"])
-    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+    except (TypeError, ValueError, KeyError) as exc:
         raise DomainError(
             f"{path}: expected a JSON object with p, lambda and amplitudes "
             f"[[A_1, B_1], ...] ({type(exc).__name__}: {exc})"

@@ -18,11 +18,16 @@ the samples, built in one pass: every harmonic's cos and sin are the rows
 of ``signal._phases`` (one exp over about n/32 + 32 angles, then one
 complex multiply per sample and harmonic), and the ramp t is built once
 per n and kept read-only.  X'X is factored by Cholesky in one place,
-:func:`_whitened`, with one pivot floor and one error, and its inverse
-factor serves every solve: g, the amplitudes and the derivatives.  g and
-the amplitudes share one solve, :func:`_solve`.  The 2p x 2p algebra after
-the pass applies K and J^2 by permuting and scaling entries, not by matrix
-products.
+:func:`_whitened`, and its inverse factor serves every solve: g, the
+amplitudes and the derivatives.  g and the amplitudes share one solve,
+:func:`_solve`.  The 2p x 2p algebra after the pass applies K and J^2 by
+permuting and scaling entries, not by matrix products.
+
+Every entry that factors X'X takes one domain, checked by
+:func:`_check_domain`: n >= 10p and lambda inside the estimator's
+admissible interval (lo, hi) of ``signal._admissible``, where X'X is well
+conditioned and so has a Cholesky factor; anything else raises
+:class:`~fundfreq.errors.DomainError`.
 
 Every pass builds the design and takes its product in one routine,
 :func:`_moments`, over all n samples: with the derivative rows it is the
@@ -42,8 +47,8 @@ import functools
 import numpy as np
 from numpy.linalg import _umath_linalg  # the gufuncs behind np.linalg
 
-from .errors import DegenerateFrequencyError
-from .signal import Signal, _check_band, _phases
+from .errors import DomainError
+from .signal import Signal, _admissible, _check_band, _check_sample_size, _phases
 
 __all__ = ["g", "g_with_derivatives"]
 
@@ -51,10 +56,6 @@ __all__ = ["g", "g_with_derivatives"]
 # defined here because the LAYER_FUNCTIONS of perfbench/tracing.py look
 # them up on this module with no default; once that lookup falls back,
 # move them into the tests.
-
-# Floor on each squared Cholesky pivot of X'X, relative to n (a squared
-# pivot is ~ n/2 away from degenerate frequencies).
-_PIVOT_FLOOR = 1e-10
 
 
 def compute_moments(
@@ -76,7 +77,12 @@ def compute_moments(
 
 
 def g(signal: Signal, p: int, lam: float) -> float:
-    """Criterion g(lam) = Y'X (X'X)^{-1} X'Y over all 2p design columns."""
+    """Criterion g(lam) = Y'X (X'X)^{-1} X'Y over all 2p design columns.
+
+    Defined where X'X factors: n >= 10p and lam inside the estimator's
+    admissible interval (see :func:`_check_domain`); anything else raises
+    :class:`DomainError`.
+    """
     z = _solve(signal, p, lam)[1]
     return float(z.dot(z))
 
@@ -101,10 +107,10 @@ def g_with_derivatives(signal: Signal, p: int, lam: float) -> tuple[float, float
         g'  = 2 (Ka)'(v - Aa)
         g'' = 2 [r'M^{-1}r - (J^2 a)'(w - Ba) - (Ka)'B(Ka)].
     """
-    p, lam = _check_band(p, lam)
+    p, lam = _check_domain(signal.n, p, lam)
     q = 2 * p
     mom = _moments(signal.samples, p, lam, True)
-    return _with_derivatives(mom, p, *_whitened(mom[q : 2 * q, q:], signal.n, lam))
+    return _with_derivatives(mom, p, *_whitened(mom[q : 2 * q, q:]))
 
 
 def _solve(signal: Signal, p: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -113,41 +119,39 @@ def _solve(signal: Signal, p: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
     g is ||L^{-1}X'Y||^2 and the least squares amplitudes are
     L^{-T} L^{-1}X'Y.
     """
+    p, lam = _check_domain(signal.n, p, lam)
+    return _whitened(_moments(signal.samples, p, lam, False))
+
+
+def _check_domain(n: int, p: int, lam: float) -> tuple[int, float]:
+    """(p, lam) as :func:`~fundfreq.signal._check_band` returns them;
+    raises :class:`DomainError` unless n >= 10p and lam lies inside the
+    admissible interval (lo, hi) of ``signal._admissible``, the one domain
+    of every entry that factors X'X."""
     p, lam = _check_band(p, lam)
-    return _whitened(_moments(signal.samples, p, lam, False), signal.n, lam)
+    _check_sample_size(n, p)
+    lo, hi = _admissible(n, p)
+    if not lo < lam < hi:
+        raise DomainError(f"lambda must lie in the admissible interval ({lo!r}, {hi!r}) "
+                          f"at n = {n}, p = {p}, got {lam!r}")
+    return p, lam
 
 
-def _whitened(mom: np.ndarray, n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
+def _whitened(mom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(L^{-1}, L^{-1} X'Y) for the lower Cholesky factor L of X'X = LL'.
 
     ``mom`` holds X'X in its leading square block and X'Y in the next
     column, as the solve product of :func:`_moments` and the X rows of its
-    derivative product do.  This is the one place X'X is factored.  X'X is
-    singular when some j*lam nears 0 or pi; the guard is a floor on every
-    squared pivot, scaled by n.  The factor and its inverse come from the
+    derivative product do.  This is the one place X'X is factored, and
+    every caller holds lambda inside :func:`_check_domain`, where X'X is
+    well conditioned and each squared pivot is at least n/(2 10^6) (see
+    ``signal._admissible``).  The factor and its inverse come from the
     gufuncs that np.linalg.cholesky and np.linalg.inv call, with the same
     results bit for bit: at 2p x 2p those wrappers' argument checks cost
-    more than the LAPACK work.  Where the factorization fails, the gufunc
-    returns NaN in every entry, which fails the floor; the gufunc would
-    also warn, and :func:`_cholesky` silences that.
+    more than the LAPACK work.
     """
-    q = len(mom)
-    floor = _PIVOT_FLOOR * n
-    chol = _cholesky(mom[:, :q])
-    least = min(chol.diagonal().tolist())  # pivots are positive or all NaN
-    if not least * least >= floor:
-        raise DegenerateFrequencyError(
-            f"X'X singular at lambda={lam:.6g} over {q} columns (pivot floor {floor:.3e})"
-        )
-    linv = _umath_linalg.inv(chol)
-    return linv, linv.dot(mom[:, q])
-
-
-# As a decorator the errstate costs about half what a with-block does.
-@np.errstate(invalid="ignore", over="ignore", divide="ignore")
-def _cholesky(m: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of m, or all NaN where m is not positive definite."""
-    return _umath_linalg.cholesky_lo(m)
+    linv = _umath_linalg.inv(_umath_linalg.cholesky_lo(mom[:, : len(mom)]))
+    return linv, linv.dot(mom[:, len(mom)])
 
 
 def _with_derivatives(

@@ -27,7 +27,8 @@ def lse_linear(signal: Signal, lambda_hat: float, p: int) -> list[tuple[float, f
     O(1/n) leakage error.  The solve is scale-free: it runs on the
     signal's ``_unit`` view, the one the estimate runs on, and returns
     through ``_scale_back`` (see :class:`Signal`), so it holds up to the
-    largest float.
+    largest float.  Its domain is g's: n >= 10p and lambda_hat inside the
+    estimator's admissible interval, else :class:`DomainError`.
     """
     linv, z = _solve(signal._unit, p, lambda_hat)
     theta = signal._scale_back(linv.T.dot(z))

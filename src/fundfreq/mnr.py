@@ -29,8 +29,8 @@ ends the run ``degenerate``: no step exists there.
 
 (lo, hi) is ``signal._admissible(n, p)``, decided once from (n, p) before
 any pass: the part of (0, pi/p) where X'X is well conditioned and g keeps
-about 10 digits.  The criterion's pivot floor never fires inside it, so
-no pass of a run raises.
+about 10 digits.  It is also the one domain of the criterion, checked
+at every pass, so no pass of a run raises.
 
 Run to convergence, the full steps return the least squares estimate, the
 maximizer of g near the start.  They converge to it quadratically: from

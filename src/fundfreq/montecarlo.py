@@ -19,18 +19,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import asymptotic_variances
-from .errors import DomainError, FundfreqError
+from .errors import DomainError
 from .mnr import estimate_fundamental
 from .signal import (
     HarmonicModel,
     LinearProcessSpec,
     Signal,
+    _check_sample_size,
     _integer,
     _real,
     generate_linear_process,
     synthesize,
 )
-from .spectrum import _check_sample_size
 
 __all__ = [
     "MODEL1",
@@ -142,10 +142,7 @@ def _run_one(
     seed = replication_seed(spec.master_seed, n, noise.sigma2, rep)
     # synthesize's arithmetic, with the noiseless part built once per n
     y = Signal(clean + generate_linear_process(noise, n, seed))
-    try:
-        lam_hat, trace = estimate_fundamental(y, spec.model.p)
-    except FundfreqError:
-        return None
+    lam_hat, trace = estimate_fundamental(y, spec.model.p)
     if trace.status in ("boundary", "degenerate"):
         return None
     return lam_hat

@@ -72,14 +72,27 @@ def _real(name: str, value) -> float:
 def _check_band(p: int, lam: float) -> tuple[int, float]:
     """(p, lam) as a Python int and float (see :func:`_integer` and
     :func:`_real`); raises unless p >= 1 and 0 < lam < pi/p, where every
-    j*lam, j <= p, is in (0, pi).
+    j*lam, j <= p, is in (0, pi).  An order past the float range has no
+    such lambda.
 
     A check of harmonic j alone passes p = j.
     """
     p, lam = _integer("harmonic order", p, 1), _real("lambda", lam)
-    if not (0.0 < lam < math.pi / p):
-        raise DomainError(f"lambda must lie in (0, pi/{p}) = (0, {math.pi / p:.6g}), got {lam}")
+    try:
+        top = math.pi / p
+    except OverflowError:  # int too large to convert to float
+        top = 0.0
+    if not (0.0 < lam < top):
+        raise DomainError(f"lambda must lie in (0, pi/{p}) = (0, {top:.6g}), got {lam}")
     return p, lam
+
+
+def _check_sample_size(n: int, p: int, where: str = "") -> None:
+    """Raise :class:`DomainError` unless n >= 10*p, the least sample size
+    of the start search and of :func:`_admissible`; ``where`` extends the
+    message."""
+    if n < 10 * p:
+        raise DomainError(f"need n >= 10*p = {10 * p}{where}, got n = {n}")
 
 
 # n times the least distance of an admissible lambda from 0 (p = 1) and of
@@ -107,7 +120,16 @@ def _admissible(n: int, p: int) -> tuple[float, float]:
     2 pi/n, X'X is n/2 times the identity.  Near pi/p the top harmonic
     nears pi, and there the edge is (pi - p hi) n = 0.0035 for every p,
     13 % inside 0.004.  Between the edges no two columns meet, and the
-    condition number is largest at the edges.
+    condition number is largest at the edges.  The bound is measured for
+    n >= 10p (see :func:`_check_sample_size`) only.
+
+    Inside (lo, hi), X'X therefore has a Cholesky factor, and no pass
+    needs a floor on its pivots: the trace of X'X is pn over 2p
+    eigenvalues, so the largest is at least n/2 and, with the condition
+    number at most 1e6, the least at least n/(2 10^6).  The squared pivot
+    that ends a leading block M_k of the factorization is 1/(M_k^{-1})_kk,
+    at least the least eigenvalue of M_k and so of X'X: every squared
+    pivot is at least n/(2 10^6).
     """
     lo = max(2.0 * math.pi * (1.0 - 1.0 / p) ** 3, _EDGE) / n
     return lo, (math.pi - _EDGE / n) / p

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .signal import Signal, _admissible, _check_band, _integer
+from .signal import Signal, _admissible, _check_band, _check_sample_size, _integer
 
 __all__ = ["fourier_grid_init", "grid_spectrum"]
 
@@ -153,13 +153,6 @@ def grid_spectrum(
     plain, harmonic = _grid_power(signal, p, n)
     return (fourier_grid(n, p), signal._scale_back(plain / n, 2),
             signal._scale_back(harmonic / n**2, 2))
-
-
-def _check_sample_size(n: int, p: int, where: str = "") -> None:
-    """Raise :class:`DomainError` unless n >= 10*p, the least sample size
-    the start search takes; ``where`` extends the message."""
-    if n < 10 * p:
-        raise DomainError(f"need n >= 10*p = {10 * p}{where}, got n = {n}")
 
 
 def fourier_grid_init(signal: Signal, p: int) -> float:

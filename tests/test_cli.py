@@ -96,6 +96,20 @@ class TestSynth:
                        "[[A_1, B_1], ...] (DomainError: lambda must lie in (0, pi/4) = "
                        "(0, 0.785398), got 2.0)\n")
 
+    def test_order_past_the_float_range_names_the_model_file(self, tmp_path, capsys):
+        # the band check met pi/p with a bare OverflowError: "(OverflowError:
+        # int too large to convert to float)"
+        bad = tmp_path / "model.json"
+        bad.write_text(f'{{"p": {10**400}, "lambda": 0.25, "amplitudes": [[1, 0]]}}',
+                       encoding="utf-8")
+        code, out, err = run_cli(
+            ["asymvar", "--model-file", str(bad), "--sigma2", "1", "--n", "100"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == (f"fundfreq: {bad}: expected a JSON object with p, lambda and amplitudes "
+                       f"[[A_1, B_1], ...] (DomainError: lambda must lie in (0, pi/{10**400}) "
+                       "= (0, 0), got 0.25)\n")
+
     @pytest.mark.parametrize("p", [1.9, True, "2"])
     def test_model_file_p_must_be_a_json_integer(self, tmp_path, capsys, p):
         # int() read 1.9 and true as p = 1 and "2" as 2, each with exit 0

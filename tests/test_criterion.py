@@ -15,7 +15,6 @@ import fundfreq.criterion as criterion
 import fundfreq.mnr as mnr
 import fundfreq.spectrum as spectrum
 from fundfreq import (
-    DegenerateFrequencyError,
     DomainError,
     LinearProcessSpec,
     Signal,
@@ -25,7 +24,7 @@ from fundfreq import (
     synthesize,
 )
 from fundfreq.criterion import compute_moments, g_derivatives, g_with_derivatives
-from fundfreq.signal import _phase_angles
+from fundfreq.signal import _admissible, _phase_angles
 from conftest import fd_derivatives
 
 BETA_STAR_1 = 377.5625  # sum j^2 (A_j^2+B_j^2) for benchmark model 1
@@ -113,7 +112,7 @@ class TestProjection:
 
     def test_degenerate_frequency_guarded(self):
         sig = Signal(np.ones(100))
-        with pytest.raises(DegenerateFrequencyError):
+        with pytest.raises(DomainError):
             g(sig, 1, 1e-9)
 
 
@@ -226,6 +225,19 @@ def _amplitudes(signal, p, lam):
     return lse_linear(signal, lam, p)
 
 
+_FACTORING = {"g": g, "g_with_derivatives": g_with_derivatives,
+              "g_derivatives": g_derivatives, "lse_linear": _amplitudes}
+
+
+def _outside_domain(n, p):
+    """(n, lam) pairs outside the domain of the entries that factor X'X:
+    lambda at and just past both edges of (lo, hi), and n below 10p."""
+    lo, hi = _admissible(n, p)
+    lams = [math.nextafter(lo, 0.0), lo, hi, math.nextafter(hi, math.pi / p)]
+    mid = (lo + hi) / 2
+    return [*((n, lam) for lam in lams), (10 * p - 1, mid), (5, mid)]
+
+
 class TestDegeneracyGuard:
     def test_inverse_factor_matches_numpy_linalg(self, model1):
         # the gufuncs called directly give np.linalg's results bit for bit,
@@ -236,29 +248,35 @@ class TestDegeneracyGuard:
             for mom in (criterion._moments(sig.samples, p, lam, False),
                         criterion._moments(sig.samples, p, lam, True)[q : 2 * q, q:]):
                 want = np.linalg.inv(np.linalg.cholesky(mom[:, :q]))
-                linv, z = criterion._whitened(mom, sig.n, lam)
+                linv, z = criterion._whitened(mom)
                 assert np.array_equal(linv, want)
                 assert np.array_equal(z, want @ mom[:, q])
-
-    @pytest.mark.parametrize("m", [-np.eye(4), np.zeros((4, 4)), np.full((4, 4), np.nan),
-                                   np.diag([1.0, 1.0, 1.0, 1e-12])],
-                             ids=["negative", "zero", "nan", "below-floor"])
-    def test_inverse_factor_rejects_without_warning(self, m):
-        # a failed factorization leaves NaN pivots; they, like a small
-        # pivot, must fail the floor, and nothing may warn on the way
-        mom = np.column_stack([m, np.ones(4)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DegenerateFrequencyError):
-                criterion._whitened(mom, 100, 0.25)
 
     @pytest.mark.parametrize("lam", [1e-6, math.pi / 4 - 1e-9])
     @pytest.mark.parametrize("fn", [g, g_with_derivatives, _amplitudes, _start_pass])
     def test_joint_criterion_raises_near_edges(self, model1, fn, lam):
         # harmonic 1 near frequency 0, or harmonic 4 near pi: X'X is singular
         sig = synthesize(model1, 3000, LinearProcessSpec((1.0, 0.5), 0.25), seed=3)
-        with pytest.raises(DegenerateFrequencyError):
+        with pytest.raises(DomainError):
             fn(sig, 4, lam)
+
+    @pytest.mark.parametrize("p", [1, 4])
+    @pytest.mark.parametrize("entry", sorted(_FACTORING))
+    def test_one_domain_for_every_factoring_entry(self, entry, p):
+        # the admissible interval (lo, hi) of the estimator, at n >= 10p, is
+        # the whole domain: the edges themselves and n = 10p - 1 used to
+        # compute, and n = 5 at p = 4 met the pivot floor
+        n = 200
+        y = np.random.default_rng(p).normal(size=n)
+        fn = _FACTORING[entry]
+        for m, lam in _outside_domain(n, p):
+            with pytest.raises(DomainError, match=r"admissible interval|need n >= 10\*p"):
+                fn(Signal(y[:m]), p, lam)
+        lo, hi = _admissible(n, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lam in (math.nextafter(lo, 1.0), math.nextafter(hi, 0.0)):
+                assert np.isfinite(np.ravel(fn(Signal(y), p, lam))).all(), lam
 
 
 class TestCaches:

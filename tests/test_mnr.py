@@ -11,7 +11,6 @@ import fundfreq.criterion as criterion
 import fundfreq.mnr as mnr
 from fundfreq import spectrum
 from fundfreq import (
-    DegenerateFrequencyError,
     DomainError,
     HarmonicModel,
     LinearProcessSpec,
@@ -164,30 +163,30 @@ class TestEstimateFundamental:
 
     @pytest.mark.parametrize("n", [100, 51])
     def test_factors_of_the_start_pass(self, model1, monkeypatch, n):
-        # the start pass factors X'X once, over all n samples, and each
-        # later pass once more; a patched singular X'X at the start raises
-        # out of the estimate
+        # the start pass factors X'X once, and each later pass once more,
+        # the 8 x 8 X'X of p = 4 each time; a patched failing factorization
+        # at the start raises out of the estimate
         whitened = criterion._whitened
         sizes = []
 
-        def counted(mom, n, lam):
-            sizes.append(n)
-            return whitened(mom, n, lam)
+        def counted(mom):
+            sizes.append(mom.shape)
+            return whitened(mom)
 
         monkeypatch.setattr(criterion, "_whitened", counted)
         sig = synthesize(model1, n, LinearProcessSpec((1.0, 0.5), 0.25), seed=3)
         _, trace = estimate_fundamental(sig, 4)
-        assert sizes == [n] * trace.evaluations
+        assert sizes == [(8, 10)] * trace.evaluations
 
-        def singular(mom, n, lam):
-            sizes.append(n)
-            raise DegenerateFrequencyError(f"singular over {n} samples")
+        def singular(mom):
+            sizes.append(mom.shape)
+            raise np.linalg.LinAlgError("singular X'X")
 
         sizes.clear()
         monkeypatch.setattr(criterion, "_whitened", singular)
-        with pytest.raises(DegenerateFrequencyError):
+        with pytest.raises(np.linalg.LinAlgError):
             estimate_fundamental(sig, 4)
-        assert sizes == [n]
+        assert sizes == [(8, 10)]
 
     def test_inadmissible_grid_point_not_used_as_start(self):
         # pure noise whose spectrum peaks at the top of the grid: the start
@@ -400,7 +399,7 @@ class TestStage3:
         monkeypatch.setattr(mnr, "g_with_derivatives", patched)
         lam_hat, trace = estimate_fundamental(sig, 4)
         target, full_step = aimed
-        with pytest.raises(DegenerateFrequencyError):
+        with pytest.raises(DomainError):
             g(sig, 4, target)
         assert trace.status == "converged_tol"
         assert abs(lam_hat - 0.25) < 1e-3
@@ -426,13 +425,13 @@ class TestStage3:
 
     def test_patched_singular_trial_pass_raises(self, model1, monkeypatch):
         # inside (lo, hi) X'X is well conditioned, so the loop has no branch
-        # for a singular pass: a patched one propagates the guard's error
+        # for a failing pass: a patched one propagates its error
         def singular(values):
-            raise DegenerateFrequencyError("singular normal equations")
+            raise DomainError("singular normal equations")
 
         calls = self._failing_from(monkeypatch, 1, singular)
         sig = synthesize(model1, 500, LinearProcessSpec((1.0, 0.5), 0.25), seed=30)
-        with pytest.raises(DegenerateFrequencyError):
+        with pytest.raises(DomainError):
             estimate_fundamental(sig, 4)
         assert len(calls) == 2
 
@@ -445,7 +444,7 @@ class TestStage3:
         calls = self._count_calls(monkeypatch)
         sig = Signal(np.random.default_rng(100).normal(0.0, 1.0, 200))
         lo, hi = _admissible(200, 1)
-        with pytest.raises(DegenerateFrequencyError):
+        with pytest.raises(DomainError):
             g(sig, 1, math.pi - 3.6e-8)
         lam_hat, trace = estimate_fundamental(sig, 1)
         assert all(lo < lam < hi for lam in calls)
@@ -778,14 +777,14 @@ def _returns_the_last_record(lam_hat, trace):
 
 def _is_local_maximum(signal, p, lam):
     """Whether g at ``lam`` is within 1e-12 relative of the highest g at
-    ``lam`` +- k/64 Fourier bin, k = 1..4; a neighbour outside (0, pi/p) or
-    where X'X is singular counts as lower."""
+    ``lam`` +- k/64 Fourier bin, k = 1..4; a neighbour outside the
+    admissible interval (lo, hi) counts as lower."""
     peak = g(signal, p, lam)
     for k in (-4, -3, -2, -1, 1, 2, 3, 4):
         try:
             if g(signal, p, lam + k * 2.0 * math.pi / (64 * signal.n)) > peak * (1 + 1e-12):
                 return False
-        except (DegenerateFrequencyError, DomainError):
+        except DomainError:
             pass
     return True
 

@@ -7,7 +7,6 @@ import pytest
 
 import fundfreq.montecarlo as mc
 from fundfreq import (
-    DegenerateFrequencyError,
     DomainError,
     EstimationTrace,
     ExperimentSpec,
@@ -150,20 +149,33 @@ class TestAggregation:
         assert row.failure_count == 0
 
     def test_failures_excluded_and_flagged(self, monkeypatch):
-        # fail a fixed subset of replications at the estimator level
+        # fail a fixed subset of replications at the estimator level: every
+        # third ends degenerate, and its estimate stays out of the mean
         real = mc.estimate_fundamental
         calls = {"i": 0}
 
         def flaky(sig, p):
             calls["i"] += 1
             if calls["i"] % 3 == 0:
-                raise DegenerateFrequencyError("singular normal equations")
+                return 1.0, EstimationTrace(status="degenerate")
             return real(sig, p)
 
         monkeypatch.setattr(mc, "estimate_fundamental", flaky)
         row = run_experiment(small_spec(replications=12))[0]
         assert row.failure_count == 4
         assert row.high_failure_rate
+        assert abs(row.mean_estimate - 0.25) < 1e-3
+
+    def test_raising_estimate_propagates(self, monkeypatch):
+        # after ExperimentSpec's checks the estimator raises nothing, so the
+        # harness catches nothing: an error raised all the same is a fault,
+        # and it leaves run_experiment
+        def raising(sig, p):
+            raise DomainError("patched")
+
+        monkeypatch.setattr(mc, "estimate_fundamental", raising)
+        with pytest.raises(DomainError, match="^patched$"):
+            run_experiment(small_spec(replications=3))
 
     def test_failure_count_is_boundary_and_degenerate(self, monkeypatch):
         # 1, 2, 4 and 8 replications end converged_tol, max_iter, boundary

@@ -15,7 +15,6 @@ from fundfreq import criterion, spectrum
 
 PUBLIC = [
     "AsymptoticReport",
-    "DegenerateFrequencyError",
     "DomainError",
     "EstimationTrace",
     "ExperimentSpec",
@@ -54,7 +53,7 @@ TRACER_ONLY = {
     "spectrum": ["fourier_grid", "harmonic_criterion_qn", "periodogram"],
 }
 
-REMOVED = ["BoundaryError", "CurvatureError", "mnr_step", "polar_to_cartesian",
+REMOVED = ["BoundaryError", "CurvatureError", "DegenerateFrequencyError", "mnr_step", "polar_to_cartesian",
            "cartesian_to_polar", "alse_linear", "MnrConfig", "HarmonicDesignMoments",
            *(name for names in TRACER_ONLY.values() for name in names)]
 
@@ -89,12 +88,13 @@ def test_removed_name_is_not_importable(name):
     assert not hasattr(fundfreq, name)
 
 
-def test_errors_module_defines_three_classes():
-    # the estimator reports every other way a run ends as a trace status
+def test_errors_module_defines_two_classes():
+    # the estimator reports every other way a run ends as a trace status,
+    # and the criterion's one domain is the estimator's admissible interval
     errors = importlib.import_module("fundfreq.errors")
     defined = [name for name, value in vars(errors).items()
                if isinstance(value, type) and value.__module__ == errors.__name__]
-    assert sorted(defined) == ["DegenerateFrequencyError", "DomainError", "FundfreqError"]
+    assert sorted(defined) == ["DomainError", "FundfreqError"]
 
 
 def test_removed_members_stay_removed():
@@ -315,6 +315,20 @@ def test_narrow_numpy_order_computes_as_its_python_int(entry, p, n):
     noise = fundfreq.LinearProcessSpec(fundfreq.MA1_NOISE_COEFFS, 0.25) if n == 1000 else None
     call = _takes_p(fundfreq.synthesize(fundfreq.MODEL1, n, noise, seed=1), 0.02)[entry]
     assert _same(_outcome(call, p), _outcome(call, int(p)))
+
+
+@pytest.mark.parametrize("entry", sorted(_takes_p()))
+def test_order_past_the_float_range(entry):
+    # math.pi / p met the order with a bare OverflowError in the band check:
+    # HarmonicModel, the criterion entries, compute_moments, lse_linear,
+    # harmonic_criterion_qn and spectral_weight_c died with it.  fourier_grid
+    # takes no lambda and finds no grid point in (0, pi/p)
+    call = _takes_p()[entry]
+    if entry == "fourier_grid":
+        assert call(10**400).size == 0
+    else:
+        with pytest.raises(fundfreq.DomainError):
+            call(10**400)
 
 
 def test_harmonic_model_stores_a_python_int_order():

@@ -21,7 +21,7 @@ from fundfreq import (
     synthesize,
     write_signal,
 )
-from fundfreq import signal
+from fundfreq import criterion, signal
 from fundfreq.montecarlo import MODEL1, MODEL2
 
 
@@ -66,14 +66,26 @@ def _gram_condition(n, p, lam):
     return np.linalg.cond(x) ** 2
 
 
+def _gram_factors(n, p, lam):
+    """(cond(X'X), the least squared Cholesky pivot of X'X over n) for the
+    X'X that the criterion factors, from its eigenvalues and its factor:
+    accurate wherever cond(X'X) is far below 1/eps."""
+    m = criterion._moments(np.zeros(n), p, lam, False)[:, : 2 * p]
+    eig = np.linalg.eigvalsh(m)
+    return eig[-1] / eig[0], np.linalg.cholesky(m).diagonal().min() ** 2 / n
+
+
 class TestAdmissibleInterval:
     """The estimator's admissible interval (lo, hi): one closed form in (n, p)."""
 
-    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 32])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 32, 64, 128])
     def test_well_conditioned_between_the_edges_and_not_far_past_them(self, p):
         # cond(X'X) <= 1e6 at both edges and at points between them, and
         # above 1e6 at lo/2 and halfway from hi to pi/p: the edges lie less
-        # than a factor 2 inside where X'X degrades
+        # than a factor 2 inside where X'X degrades.  At every point inside,
+        # every squared pivot of the Cholesky factor of X'X is at least
+        # n/(2 10^6), which is what lets the criterion factor X'X with no
+        # floor (see signal._admissible)
         for n in sorted({10 * p, 47, 200, 1009}):
             if n < 10 * p:
                 continue
@@ -82,7 +94,8 @@ class TestAdmissibleInterval:
             near_lo = lo * np.geomspace(1.0, 4.0 * math.pi / (lo * n), 12)
             near_hi = (math.pi - (math.pi - p * hi) * np.geomspace(1.0, 1e3, 12)) / p
             for lam in [*near_lo, *np.linspace(lo, hi, 12), *near_hi]:
-                assert _gram_condition(n, p, lam) <= 1e6, (n, lam)
+                cond, pivot = _gram_factors(n, p, lam)
+                assert cond <= 1e6 and pivot >= 0.5e-6, (n, lam)
             assert _gram_condition(n, p, lo / 2) > 1e6, n
             assert _gram_condition(n, p, (math.pi / p + hi) / 2) > 1e6, n
 
